@@ -2,15 +2,15 @@
 //! the lock-amortization win of batched writers, and the multi-writer
 //! goodput win of range sharding.
 //!
-//! Part 1 spawns 1, 2, 4 and 8 query threads against one shared
-//! [`ConcurrentTopK`] and reports wall-clock throughput: queries take the
-//! shared read lock and only contend on the device's pool mutex, so
-//! throughput should grow with the thread count until that mutex saturates.
+//! Part 1 spawns 1, 2, 4 and 8 query threads against one shared one-shard
+//! [`ShardedTopK`] and reports wall-clock throughput: queries take their own
+//! stripe of the shard's striped read lock and only contend on the device's
+//! pool shards, so throughput should grow with the thread count.
 //!
 //! Part 2 measures the *mixed* workload: a fixed job of queries plus an
 //! update stream, committed first point-wise (one write-lock acquisition and
 //! one rebuild check per op), then as [`UpdateBatch`]es of 64 and 1024 ops
-//! through [`ConcurrentTopK::apply`] — one acquisition per batch, batch-wide
+//! through [`ShardedTopK::apply`] — one acquisition per batch, batch-wide
 //! validation (one `O(n/B)` scan instead of per-op descents), and, for
 //! batches that rewrite a sizable fraction of the set, the paper's global
 //! rebuild in place of per-op maintenance. The whole-workload queries/sec is
@@ -19,9 +19,9 @@
 //!
 //! Part 3 is the sharded multi-writer scenario: a fixed job of batched
 //! updates over disjoint coordinate territories, committed by 1, 2, 4 and 8
-//! writer threads against (a) the coarse-locked [`ConcurrentTopK`], where
-//! every batch serialises on one write lock, and (b) a [`ShardedTopK`] with
-//! one shard per territory, where disjoint-territory batches take disjoint
+//! writer threads against (a) a one-shard [`ShardedTopK`], where every
+//! batch serialises on one write lock, and (b) a [`ShardedTopK`] with one
+//! shard per territory, where disjoint-territory batches take disjoint
 //! shard locks and commit in parallel. The updates/sec ratio at ≥ 4 threads
 //! is the write-scaling number the sharding tentpole claims.
 
@@ -31,24 +31,24 @@ use std::time::{Duration, Instant};
 use topk_bench::json::JsonRow;
 use topk_bench::{small_machine, uniform_points};
 use topk_core::{
-    ConcurrentTopK, Point, QueryRequest, RankedIndex, ShardedTopK, SmallKEngine, UpdateBatch,
-    UpdateOp,
+    Point, QueryRequest, RankedIndex, ShardedTopK, SmallKEngine, UpdateBatch, UpdateOp,
 };
 use workload::QueryGen;
 
-/// Build a concurrent index preloaded with the first `n` of `n + extra`
+/// Build a one-shard index preloaded with the first `n` of `n + extra`
 /// generated points; returns (index, preloaded, fresh) where `fresh` is the
 /// collision-free update stream. Query sets are generated per reader thread
 /// by the harnesses below — a shared set would measure stride overlap and
 /// harness serialization, not the index.
-fn build(n: usize, extra: usize) -> (ConcurrentTopK, Vec<Point>, Vec<Point>) {
+fn build(n: usize, extra: usize) -> (ShardedTopK, Vec<Point>, Vec<Point>) {
     let device = emsim::Device::new(small_machine());
-    let index = ConcurrentTopK::builder()
+    let index = ShardedTopK::builder()
         .device(&device)
         .small_k(SmallKEngine::Polylog)
         .crossover_l(64)
         .expected_n(n + extra)
-        .build_concurrent()
+        .shards(1)
+        .build_sharded()
         .expect("bench parameters are valid");
     let all = uniform_points(17, n + extra);
     index.bulk_build(&all[..n]).expect("distinct points");
@@ -71,7 +71,7 @@ fn reader_queries(points: &[Point], t: usize) -> Vec<workload::Query> {
 /// 8 threads it timed 32 queries per thread, mostly measuring spawn
 /// overhead). Shared with the `perf_sanity` CI gate via
 /// [`topk_bench::read_qps`].
-fn run_readers(index: &ConcurrentTopK, points: &[Point], threads: usize) -> f64 {
+fn run_readers(index: &ShardedTopK, points: &[Point], threads: usize) -> f64 {
     topk_bench::read_qps(index, points, threads, Duration::from_millis(300))
 }
 
@@ -286,7 +286,7 @@ fn main() {
         println!("{threads:>8} {qps:>16.0}   ({:.2}x)", qps / base);
         rows.push(
             JsonRow::new("read_scaling", "queries_per_sec", qps)
-                .topology("concurrent")
+                .topology("sharded-1")
                 .threads(threads)
                 .param(format!("n={n}")),
         );
@@ -317,16 +317,16 @@ fn main() {
         );
         rows.push(
             JsonRow::new("mixed_goodput", "queries_per_sec", qps)
-                .topology("concurrent")
+                .topology("sharded-1")
                 .threads(5)
                 .param(format!("batch={batch_size}")),
         );
     }
 
     // Sharded multi-writer scenario: the same fixed job of disjoint
-    // territory batches, drained by 1–8 writers, against the coarse lock
-    // and against one-shard-per-territory range sharding. The coarse lock
-    // serialises every batch regardless of thread count; the sharded index
+    // territory batches, drained by 1–8 writers, against one shard and
+    // against one-shard-per-territory range sharding. One shard serialises
+    // every batch regardless of thread count; the sharded index
     // commits disjoint-shard batches in parallel, so its goodput should
     // rise with writers until the core count or the device's pool mutex
     // saturates (expect ~1.0x on a 1-core host).
@@ -339,19 +339,20 @@ fn main() {
     );
     println!(
         "{:>8} {:>20} {:>20} {:>10}",
-        "writers", "coarse (upd/s)", "sharded (upd/s)", "ratio"
+        "writers", "1 shard (upd/s)", "sharded (upd/s)", "ratio"
     );
     for writers in [1usize, 2, 4, 8] {
         let device = emsim::Device::new(small_machine());
-        let coarse = ConcurrentTopK::builder()
+        let one_shard = ShardedTopK::builder()
             .device(&device)
             .small_k(SmallKEngine::Polylog)
             .crossover_l(64)
             .expected_n(preload.len() * 2)
-            .build_concurrent()
+            .shards(1)
+            .build_sharded()
             .expect("bench parameters are valid");
-        coarse.bulk_build(&preload).expect("distinct points");
-        let coarse_ups = run_multi_writer(&coarse, &territory_ops, writers);
+        one_shard.bulk_build(&preload).expect("distinct points");
+        let one_shard_ups = run_multi_writer(&one_shard, &territory_ops, writers);
 
         let device = emsim::Device::new(small_machine());
         let sharded = ShardedTopK::builder()
@@ -366,12 +367,12 @@ fn main() {
         let sharded_ups = run_multi_writer(&sharded, &territory_ops, writers);
 
         println!(
-            "{writers:>8} {coarse_ups:>20.0} {sharded_ups:>20.0} {:>9.2}x",
-            sharded_ups / coarse_ups
+            "{writers:>8} {one_shard_ups:>20.0} {sharded_ups:>20.0} {:>9.2}x",
+            sharded_ups / one_shard_ups
         );
         rows.push(
-            JsonRow::new("multi_writer", "updates_per_sec", coarse_ups)
-                .topology("concurrent")
+            JsonRow::new("multi_writer", "updates_per_sec", one_shard_ups)
+                .topology("sharded-1")
                 .threads(writers)
                 .param("batch=256"),
         );
@@ -414,7 +415,7 @@ fn main() {
         println!("{label:>22} {ups:>16.0} {:>15.2}x", ups / baseline);
         rows.push(
             JsonRow::new("slow_reader_goodput", "updates_per_sec", ups)
-                .topology("concurrent")
+                .topology("sharded-1")
                 .threads(2)
                 .param(format!(
                     "reader={}",

@@ -26,7 +26,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use topk_bench::{build_index, read_qps, small_machine, uniform_points};
-use topk_core::{ConcurrentTopK, RankedIndex, SmallKEngine};
+use topk_core::{RankedIndex, ShardedTopK, SmallKEngine};
 use workload::{Query, QueryGen};
 
 const REPEATS: usize = 3;
@@ -61,12 +61,13 @@ fn read_scaling_ratio(pts: &[epst::Point]) -> Option<f64> {
         return None;
     }
     let device = emsim::Device::new(small_machine());
-    let index = ConcurrentTopK::builder()
+    let index = ShardedTopK::builder()
         .device(&device)
         .small_k(SmallKEngine::Polylog)
         .crossover_l(64)
         .expected_n(pts.len())
-        .build_concurrent()
+        .shards(1)
+        .build_sharded()
         .expect("gate index parameters are valid");
     index.bulk_build(pts).expect("distinct points");
     let best = |threads: usize| {

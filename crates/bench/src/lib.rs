@@ -329,7 +329,7 @@ mod tests {
     fn bench_json_renders_all_field_shapes() {
         let rows = vec![
             json::JsonRow::new("read_scaling", "queries_per_sec", 1234.5)
-                .topology("concurrent")
+                .topology("sharded-1")
                 .threads(4),
             json::JsonRow::new("multi_writer", "updates_per_sec", 88.0)
                 .topology("sharded-8")

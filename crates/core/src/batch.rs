@@ -9,9 +9,9 @@
 //! instead of one `O(log_B n)` descent per op, and a batch that rewrites a
 //! sizable fraction of the set commits as a single global rebuild — the
 //! paper's own batched-maintenance tool. Applied through
-//! [`ConcurrentTopK::apply`](crate::ConcurrentTopK::apply) the batch
-//! additionally costs exactly one write-lock acquisition. The
-//! `concurrent_reads` bench measures the combined effect.
+//! [`ShardedTopK::apply`](crate::ShardedTopK::apply) the batch
+//! additionally costs exactly one write-lock acquisition per affected shard.
+//! The `concurrent_reads` bench measures the combined effect.
 
 use std::collections::HashMap;
 

@@ -10,18 +10,16 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use emsim::{BackendKind, Device, EmConfig};
+use emsim::{Device, EmConfig};
 
-use crate::concurrent::ConcurrentTopK;
 use crate::config::{SmallKEngine, TopKConfig};
 use crate::error::{Result, TopKError};
 use crate::facade::TopK;
 use crate::index::TopKIndex;
 use crate::sharded::ShardedTopK;
 
-/// Builder for [`TopKIndex`] / [`ConcurrentTopK`] / [`ShardedTopK`],
-/// obtained from [`TopKIndex::builder`], [`ConcurrentTopK::builder`] or
-/// [`ShardedTopK::builder`].
+/// Builder for [`TopKIndex`] / [`ShardedTopK`] / [`TopK`], obtained from
+/// [`TopKIndex::builder`], [`ShardedTopK::builder`] or [`TopK::builder`].
 ///
 /// ```
 /// use topk_core::{Point, TopKIndex};
@@ -41,7 +39,6 @@ pub struct IndexBuilder {
     pool_bytes: usize,
     shards: Option<usize>,
     durable_dir: Option<PathBuf>,
-    backend: Option<BackendKind>,
     config: TopKConfig,
 }
 
@@ -61,7 +58,6 @@ impl IndexBuilder {
             pool_bytes: 16 << 20,
             shards: None,
             durable_dir: None,
-            backend: None,
             config: TopKConfig::default(),
         }
     }
@@ -90,21 +86,11 @@ impl IndexBuilder {
     /// file-backed write-ahead backend, every committed operation is
     /// journalled, and `build*()` replays the journal — reopening the same
     /// directory recovers the index to its last committed stamp (DESIGN.md
-    /// §10). Mutually exclusive with [`IndexBuilder::device`]; durable
-    /// indexes serialize writers, so [`IndexBuilder::build_sharded`] (and
-    /// `shards > 1`) is rejected.
+    /// §10). Mutually exclusive with [`IndexBuilder::device`]. The device
+    /// has one journal, so a durable [`ShardedTopK`] is one shard and
+    /// `shards > 1` is rejected.
     pub fn durable(mut self, dir: impl Into<PathBuf>) -> Self {
         self.durable_dir = Some(dir.into());
-        self
-    }
-
-    /// Which storage backend a [`IndexBuilder::durable`] device uses:
-    /// [`BackendKind::File`] (default — synchronous pread/pwrite) or
-    /// [`BackendKind::ThreadPool`] (the same file backend behind a
-    /// completion-model worker pool). Setting a durable kind without
-    /// [`IndexBuilder::durable`] is rejected at build time.
-    pub fn backend(mut self, kind: BackendKind) -> Self {
-        self.backend = Some(kind);
         self
     }
 
@@ -137,7 +123,8 @@ impl IndexBuilder {
     /// Number of range shards for [`IndexBuilder::build_sharded`]. Without
     /// an explicit count, one shard per ~64 Ki expected points is used
     /// (rounded to a power of two, capped at 16) so small indexes pay no
-    /// routing overhead and large ones scale their writers.
+    /// fan-out and large ones scale their writers; a durable index is one
+    /// shard.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self
@@ -161,20 +148,19 @@ impl IndexBuilder {
         Ok(TopKIndex::new(&device, config))
     }
 
-    /// Like [`IndexBuilder::build`], wrapped for concurrent serving behind
-    /// one coarse reader–writer lock.
-    pub fn build_concurrent(self) -> Result<ConcurrentTopK> {
-        Ok(ConcurrentTopK::from_index(self.build()?))
-    }
-
-    /// Build a range-sharded index for parallel writers: the shard count is
+    /// Build a range-sharded index: the shard count is
     /// [`IndexBuilder::shards`] if set, otherwise derived from
-    /// [`IndexBuilder::expected_n`].
+    /// [`IndexBuilder::expected_n`] — or one shard on a durable device,
+    /// whose journal the shard opens with [`TopKIndex::open_durable`].
     ///
     /// # Errors
     ///
-    /// [`TopKError::InvalidConfig`] naming the offending parameter.
+    /// [`TopKError::InvalidConfig`] naming the offending parameter (including
+    /// `shards > 1` on a durable index); [`TopKError::Storage`] if a durable
+    /// directory cannot be opened or recovered.
     pub fn build_sharded(mut self) -> Result<ShardedTopK> {
+        let durable =
+            self.durable_dir.is_some() || self.device.as_ref().is_some_and(Device::is_durable);
         let shards = match self.shards.take() {
             Some(0) => {
                 return Err(TopKError::InvalidConfig {
@@ -186,70 +172,34 @@ impl IndexBuilder {
                     what: "shards above 1024 would out-shard any realistic machine",
                 })
             }
+            Some(s) if s > 1 && durable => {
+                return Err(TopKError::InvalidConfig {
+                    what: "a durable index writes one journal per device: \
+                           it is one shard (drop durable() or shards)",
+                })
+            }
             Some(s) => s,
+            None if durable => 1,
             None => default_shards(self.config.expected_n),
         };
         let (device, config) = self.resolve()?;
         if device.is_durable() {
-            return Err(TopKError::InvalidConfig {
-                what: "durable indexes serialize writers through one journal: \
-                       the sharded topology is not supported (drop durable() or shards)",
-            });
+            return ShardedTopK::open_durable(&device, config);
         }
         Ok(ShardedTopK::new(&device, config, shards))
     }
 
-    /// Build a [`TopK`] facade handle, resolving the serving topology from
-    /// the workload shape at runtime: range-sharded when an explicit
-    /// [`IndexBuilder::shards`] count (or the `expected_n`-derived default)
-    /// calls for more than one shard, coarse-locked otherwise. Both choices
-    /// are safe under concurrent readers and writers;
+    /// Build a [`TopK`] facade handle for concurrent serving: the
+    /// [`ShardedTopK`] of [`IndexBuilder::build_sharded`], whose shard count
+    /// follows the workload shape (one shard for small and durable indexes).
     /// [`TopK::Single`](crate::TopK::Single) is never chosen automatically —
     /// wrap a [`TopKIndex`] explicitly for single-threaded embedding.
     ///
     /// # Errors
     ///
-    /// [`TopKError::InvalidConfig`] naming the offending parameter.
-    pub fn build_auto(mut self) -> Result<TopK> {
-        // A durable index journals through one serialized write path, so the
-        // only safe concurrent topology is the coarse write lock.
-        if self.durable_dir.is_some() || self.device.as_ref().is_some_and(Device::is_durable) {
-            match self.shards {
-                Some(0) => {
-                    return Err(TopKError::InvalidConfig {
-                        what: "shards must be at least 1",
-                    })
-                }
-                Some(s) if s > 1 => {
-                    return Err(TopKError::InvalidConfig {
-                        what: "durable indexes serialize writers through one journal: \
-                               the sharded topology is not supported (drop durable() or shards)",
-                    });
-                }
-                _ => {}
-            }
-            self.shards = None;
-            return Ok(TopK::Concurrent(Arc::new(self.build_concurrent()?)));
-        }
-        let chosen = match self.shards {
-            Some(0) => {
-                return Err(TopKError::InvalidConfig {
-                    what: "shards must be at least 1",
-                })
-            }
-            // > 1024 flows through build_sharded's validation below.
-            Some(explicit) => explicit,
-            None => default_shards(self.config.expected_n),
-        };
-        if chosen > 1 {
-            self.shards = Some(chosen);
-            Ok(TopK::Sharded(Arc::new(self.build_sharded()?)))
-        } else {
-            // One shard — explicit or derived — means the coarse lock, which
-            // serves the same workload without the routing layer.
-            self.shards = None;
-            Ok(TopK::Concurrent(Arc::new(self.build_concurrent()?)))
-        }
+    /// As [`IndexBuilder::build_sharded`].
+    pub fn build_auto(self) -> Result<TopK> {
+        Ok(TopK::Sharded(Arc::new(self.build_sharded()?)))
     }
 
     fn resolve(self) -> Result<(Device, TopKConfig)> {
@@ -290,27 +240,10 @@ impl IndexBuilder {
                 }
                 let em = EmConfig::new(self.block_words, mem_words);
                 match dir {
-                    Some(dir) => {
-                        let kind = self.backend.unwrap_or(BackendKind::File);
-                        if matches!(kind, BackendKind::Ram) {
-                            return Err(TopKError::InvalidConfig {
-                                what: "backend(Ram) contradicts durable(dir): \
-                                       pick File or ThreadPool, or drop durable()",
-                            });
-                        }
-                        Device::open(em.backend(kind), &dir).map_err(|e| TopKError::Storage {
-                            what: e.to_string(),
-                        })?
-                    }
-                    None => {
-                        if self.backend.is_some_and(|k| !matches!(k, BackendKind::Ram)) {
-                            return Err(TopKError::InvalidConfig {
-                                what: "backend File/ThreadPool requires durable(dir): \
-                                       a file-backed device needs a directory to live in",
-                            });
-                        }
-                        Device::new(em)
-                    }
+                    Some(dir) => Device::open(em, &dir).map_err(|e| TopKError::Storage {
+                        what: e.to_string(),
+                    })?,
+                    None => Device::new(em),
                 }
             }
         };
@@ -429,11 +362,12 @@ mod tests {
     #[test]
     fn shared_device_and_concurrent_build() {
         let device = Device::new(EmConfig::new(256, 256 * 64));
-        let index = ConcurrentTopK::builder()
+        let index = ShardedTopK::builder()
             .device(&device)
             .expected_n(500)
-            .build_concurrent()
+            .build_sharded()
             .unwrap();
+        assert_eq!(index.shard_count(), 1);
         index.insert(Point::new(1, 2)).unwrap();
         assert_eq!(index.len(), 1);
         assert_eq!(index.device().block_words(), 256);
@@ -491,11 +425,12 @@ mod tests {
         let dir = scratch("misconfig");
         let device = Device::new(EmConfig::new(256, 256 * 64));
         let cases: Vec<(TopKError, &str)> = vec![
-            // Sharding and the single write-ahead journal don't compose.
+            // More than one shard and the single write-ahead journal don't
+            // compose, through either sharded entry point.
             (
                 TopKIndex::builder()
                     .durable(&dir)
-                    .shards(4)
+                    .shards(2)
                     .build_sharded()
                     .unwrap_err(),
                 "journal",
@@ -503,27 +438,10 @@ mod tests {
             (
                 TopK::builder()
                     .durable(&dir)
-                    .shards(4)
+                    .shards(2)
                     .build_auto()
                     .unwrap_err(),
                 "journal",
-            ),
-            // A file/threaded backend is meaningless without a directory.
-            (
-                TopKIndex::builder()
-                    .backend(emsim::BackendKind::File)
-                    .build()
-                    .unwrap_err(),
-                "durable",
-            ),
-            // And the RAM backend contradicts asking for one.
-            (
-                TopKIndex::builder()
-                    .backend(emsim::BackendKind::Ram)
-                    .durable(&dir)
-                    .build()
-                    .unwrap_err(),
-                "backend",
             ),
             // An externally-built device and a managed directory conflict.
             (
@@ -547,14 +465,17 @@ mod tests {
     #[test]
     fn build_auto_serves_durable_indexes_concurrently() {
         let dir = scratch("auto");
-        // A size that would normally auto-shard must still pick the
-        // coarse-locked topology when durability is on.
+        // A size that would normally auto-shard must still build one shard
+        // when durability is on: the device has one journal.
         let handle = TopK::builder()
             .durable(&dir)
             .expected_n(1 << 20)
             .build_auto()
             .unwrap();
-        assert!(matches!(handle, TopK::Concurrent(_)));
+        let TopK::Sharded(sharded) = &handle else {
+            panic!("build_auto must serve durable indexes sharded, got {handle:?}");
+        };
+        assert_eq!(sharded.shard_count(), 1);
         handle.insert(Point::new(9, 4)).unwrap();
         assert_eq!(handle.recovered_stamp(), Some(0));
         assert_eq!(handle.query(0, 10, 1).unwrap(), vec![Point::new(9, 4)]);

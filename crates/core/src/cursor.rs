@@ -1,11 +1,10 @@
 //! The owned, snapshot-consistent cursor read plane.
 //!
 //! The borrowing [`TopKResults`](crate::TopKResults) stream forces a
-//! long-lived reader under
-//! [`ConcurrentTopK`](crate::ConcurrentTopK) to hold the read guard for the
-//! stream's whole lifetime, so one slow paginating client starves every
-//! writer. [`QueryCursor`] removes that coupling: it owns a cheap clone of
-//! the [`TopK`] handle and acquires the topology's read side only **per
+//! long-lived reader under [`ShardedTopK`](crate::ShardedTopK) to hold the
+//! read guard for the stream's whole lifetime, so one slow paginating client
+//! starves every writer. [`QueryCursor`] removes that coupling: it owns a
+//! cheap clone of the [`TopK`] handle and acquires the topology's read side only **per
 //! fetch round**, releasing it before the batch is handed to the caller.
 //! A reader that sleeps between pages therefore costs writers nothing (the
 //! `concurrent_reads` bench measures exactly this).
@@ -81,8 +80,7 @@ const INITIAL_ROUND: usize = 64;
 
 /// An owned cursor over a [`TopK`] handle: no lifetime parameter, no lock
 /// held between fetch rounds. Obtained from [`TopK::cursor`] (or the
-/// `cursor` methods on `Arc<ConcurrentTopK>` / `Arc<ShardedTopK>` /
-/// `Arc<TopKIndex>`).
+/// `cursor` methods on `Arc<ShardedTopK>` / `Arc<TopKIndex>`).
 ///
 /// Consume it per round with [`QueryCursor::next_batch`] — one round, one
 /// read-lock acquisition — or point-wise through the `Iterator` impl, which
@@ -225,29 +223,6 @@ impl QueryCursor {
                     .ranges
                     .iter()
                     .map(|&(x1, x2)| Lane { x1, x2, index })
-                    .collect();
-                round(
-                    &mut self.frontier,
-                    &lanes,
-                    stamp,
-                    need,
-                    self.k,
-                    self.min_score,
-                    self.low_water,
-                )
-            }
-            TopK::Concurrent(index) => {
-                let guard = index.read();
-                let stamp = guard.version();
-                self.observe_version(stamp)?;
-                let lanes: Vec<Lane<'_>> = self
-                    .ranges
-                    .iter()
-                    .map(|&(x1, x2)| Lane {
-                        x1,
-                        x2,
-                        index: &guard,
-                    })
                     .collect();
                 round(
                     &mut self.frontier,
@@ -666,7 +641,7 @@ impl FromStr for ResumeToken {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ConcurrentTopK, Oracle, ShardedTopK, TopKConfig, TopKIndex};
+    use crate::{Oracle, ShardedTopK, TopKConfig, TopKIndex};
     use emsim::{Device, EmConfig};
 
     fn points(n: u64) -> Vec<Point> {
@@ -678,7 +653,7 @@ mod tests {
     fn handles(device: &Device) -> Vec<TopK> {
         vec![
             TopK::single(TopKIndex::new(device, TopKConfig::for_tests())),
-            TopK::concurrent(ConcurrentTopK::new(device, TopKConfig::for_tests())),
+            TopK::sharded(ShardedTopK::new(device, TopKConfig::for_tests(), 1)),
             TopK::sharded(ShardedTopK::new(device, TopKConfig::for_tests(), 4)),
         ]
     }
@@ -717,7 +692,7 @@ mod tests {
     #[test]
     fn cursor_holds_no_lock_between_rounds() {
         let device = Device::new(EmConfig::new(256, 256 * 256));
-        let index = std::sync::Arc::new(ConcurrentTopK::new(&device, TopKConfig::for_tests()));
+        let index = std::sync::Arc::new(ShardedTopK::new(&device, TopKConfig::for_tests(), 1));
         let pts = points(500);
         index.bulk_build(&pts).unwrap();
         let mut cursor = index
@@ -813,7 +788,7 @@ mod tests {
     #[test]
     fn strict_cursor_detects_interleaved_writes() {
         let device = Device::new(EmConfig::new(256, 256 * 256));
-        let index = std::sync::Arc::new(ConcurrentTopK::new(&device, TopKConfig::for_tests()));
+        let index = std::sync::Arc::new(ShardedTopK::new(&device, TopKConfig::for_tests(), 1));
         index.bulk_build(&points(800)).unwrap();
         let mut cursor = index
             .clone()

@@ -1,8 +1,7 @@
 //! The error type of the public API.
 //!
-//! Every mutating or querying operation on [`TopKIndex`](crate::TopKIndex),
-//! [`ConcurrentTopK`](crate::ConcurrentTopK) and
-//! [`ShardedTopK`](crate::ShardedTopK) returns
+//! Every mutating or querying operation on [`TopKIndex`](crate::TopKIndex)
+//! and [`ShardedTopK`](crate::ShardedTopK) returns
 //! [`Result`](crate::Result): misuse that the seed code answered with panics,
 //! `debug_assert!`s or silent empty vectors (duplicate coordinates, duplicate
 //! scores, inverted ranges, `k == 0`, component-membership disagreement) is

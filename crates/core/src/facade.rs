@@ -1,13 +1,12 @@
 //! The unified, topology-agnostic index handle.
 //!
-//! [`TopK`] wraps the three serving topologies of the workspace — the bare
-//! [`TopKIndex`], the coarse-locked [`ConcurrentTopK`] and the range-sharded
-//! [`ShardedTopK`] — behind one cheaply-cloneable enum, so benches, examples,
-//! oracle cross-checks and user code pick a topology at **runtime** through
-//! one surface instead of being generic (or duplicated) over three types.
-//! [`IndexBuilder::build_auto`] resolves the topology from the workload shape
-//! the way [`build_sharded`](IndexBuilder::build_sharded) resolves the shard
-//! count.
+//! [`TopK`] wraps the two serving topologies of the workspace — the bare
+//! [`TopKIndex`] and the range-sharded [`ShardedTopK`] with `S ≥ 1` shards —
+//! behind one cheaply-cloneable enum, so benches, examples, oracle
+//! cross-checks and user code pick a topology at **runtime** through one
+//! surface instead of being generic (or duplicated) over both types.
+//! [`IndexBuilder::build_auto`] builds the concurrent one, resolving the
+//! shard count from the workload shape.
 //!
 //! Every variant holds an [`Arc`], which is what makes the owned
 //! [`QueryCursor`](crate::QueryCursor) read plane possible: a cursor clones
@@ -21,7 +20,6 @@ use epst::Point;
 
 use crate::batch::{BatchSummary, UpdateBatch};
 use crate::builder::IndexBuilder;
-use crate::concurrent::ConcurrentTopK;
 use crate::cursor::QueryCursor;
 use crate::error::Result;
 use crate::index::TopKIndex;
@@ -29,15 +27,14 @@ use crate::query::QueryRequest;
 use crate::ranked::RankedIndex;
 use crate::sharded::ShardedTopK;
 
-/// One handle over every serving topology: a single-threaded [`TopKIndex`],
-/// a coarse-locked [`ConcurrentTopK`], or a range-sharded [`ShardedTopK`].
+/// One handle over every serving topology: a single-threaded [`TopKIndex`]
+/// or a range-sharded [`ShardedTopK`].
 ///
-/// Obtained from [`IndexBuilder::build_auto`] (which picks `Concurrent` or
-/// `Sharded` from the workload shape) or by wrapping an engine explicitly
-/// ([`TopK::single`] / [`TopK::concurrent`] / [`TopK::sharded`], or the
-/// `From` impls). Cloning is cheap — all variants share the underlying index
-/// through an [`Arc`] — and every clone can open independent
-/// [`QueryCursor`]s.
+/// Obtained from [`IndexBuilder::build_auto`] (always `Sharded`, with the
+/// shard count resolved from the workload shape) or by wrapping an engine
+/// explicitly ([`TopK::single`] / [`TopK::sharded`], or the `From` impls).
+/// Cloning is cheap — all variants share the underlying index through an
+/// [`Arc`] — and every clone can open independent [`QueryCursor`]s.
 ///
 /// ```
 /// use topk_core::{Point, QueryRequest, TopK};
@@ -55,9 +52,8 @@ pub enum TopK {
     /// must not mutate it while queries run. Never chosen by
     /// [`IndexBuilder::build_auto`].
     Single(Arc<TopKIndex>),
-    /// One coarse reader–writer lock: parallel queries, serialized updates.
-    Concurrent(Arc<ConcurrentTopK>),
-    /// Range-sharded: parallel writers on disjoint shards, fan-out queries.
+    /// Range-sharded behind striped per-shard locks: parallel queries,
+    /// parallel writers on disjoint shards, fan-out across shards.
     Sharded(Arc<ShardedTopK>),
 }
 
@@ -72,11 +68,6 @@ impl TopK {
         TopK::Single(Arc::new(index))
     }
 
-    /// Wrap a coarse-locked concurrent index.
-    pub fn concurrent(index: ConcurrentTopK) -> Self {
-        TopK::Concurrent(Arc::new(index))
-    }
-
     /// Wrap a range-sharded index.
     pub fn sharded(index: ShardedTopK) -> Self {
         TopK::Sharded(Arc::new(index))
@@ -86,7 +77,6 @@ impl TopK {
     pub fn topology(&self) -> &'static str {
         match self {
             TopK::Single(_) => "single",
-            TopK::Concurrent(_) => "concurrent",
             TopK::Sharded(_) => "sharded",
         }
     }
@@ -103,7 +93,6 @@ impl TopK {
     pub fn query(&self, x1: u64, x2: u64, k: usize) -> Result<Vec<Point>> {
         match self {
             TopK::Single(i) => i.query(x1, x2, k),
-            TopK::Concurrent(i) => i.query(x1, x2, k),
             TopK::Sharded(i) => i.query(x1, x2, k),
         }
     }
@@ -117,7 +106,6 @@ impl TopK {
     pub fn count_in_range(&self, x1: u64, x2: u64) -> Result<u64> {
         match self {
             TopK::Single(i) => i.count_in_range(x1, x2),
-            TopK::Concurrent(i) => i.count_in_range(x1, x2),
             TopK::Sharded(i) => i.count_in_range(x1, x2),
         }
     }
@@ -126,7 +114,6 @@ impl TopK {
     pub fn insert(&self, p: Point) -> Result<()> {
         match self {
             TopK::Single(i) => i.insert(p),
-            TopK::Concurrent(i) => i.insert(p),
             TopK::Sharded(i) => i.insert(p),
         }
     }
@@ -135,7 +122,6 @@ impl TopK {
     pub fn delete(&self, p: Point) -> Result<bool> {
         match self {
             TopK::Single(i) => i.delete(p),
-            TopK::Concurrent(i) => i.delete(p),
             TopK::Sharded(i) => i.delete(p),
         }
     }
@@ -144,7 +130,6 @@ impl TopK {
     pub fn bulk_build(&self, points: &[Point]) -> Result<()> {
         match self {
             TopK::Single(i) => i.bulk_build(points),
-            TopK::Concurrent(i) => i.bulk_build(points),
             TopK::Sharded(i) => i.bulk_build(points),
         }
     }
@@ -153,7 +138,6 @@ impl TopK {
     pub fn apply(&self, batch: &UpdateBatch) -> Result<BatchSummary> {
         match self {
             TopK::Single(i) => i.apply(batch),
-            TopK::Concurrent(i) => i.apply(batch),
             TopK::Sharded(i) => i.apply(batch),
         }
     }
@@ -162,7 +146,6 @@ impl TopK {
     pub fn len(&self) -> u64 {
         match self {
             TopK::Single(i) => i.len(),
-            TopK::Concurrent(i) => i.len(),
             TopK::Sharded(i) => i.len(),
         }
     }
@@ -176,7 +159,6 @@ impl TopK {
     pub fn space_blocks(&self) -> u64 {
         match self {
             TopK::Single(i) => i.space_blocks(),
-            TopK::Concurrent(i) => i.space_blocks(),
             TopK::Sharded(i) => i.space_blocks(),
         }
     }
@@ -185,18 +167,16 @@ impl TopK {
     pub fn device(&self) -> Device {
         match self {
             TopK::Single(i) => i.device().clone(),
-            TopK::Concurrent(i) => i.device(),
             TopK::Sharded(i) => i.device(),
         }
     }
 
-    /// Every stored point (an `O(n/B)` scan, in no particular order on the
-    /// unsharded topologies, by descending score on the sharded one). For an
-    /// exact snapshot, call it while no writer is active.
+    /// Every stored point (an `O(n/B)` scan, in no particular order on a
+    /// single index, by descending score on a sharded one). For an exact
+    /// snapshot, call it while no writer is active.
     pub fn all_points(&self) -> Vec<Point> {
         match self {
             TopK::Single(i) => i.all_points(),
-            TopK::Concurrent(i) => i.read().all_points(),
             TopK::Sharded(i) => {
                 let n = i.len() as usize;
                 if n == 0 {
@@ -211,12 +191,11 @@ impl TopK {
 
     /// The version stamp recovered from the journal when this handle was
     /// opened durably (`TopK::builder().durable(dir)…`); `None` for plain
-    /// in-RAM indexes and for the (never durable) sharded topology.
+    /// in-RAM indexes.
     pub fn recovered_stamp(&self) -> Option<u64> {
         match self {
             TopK::Single(i) => i.recovered_stamp(),
-            TopK::Concurrent(i) => i.read().recovered_stamp(),
-            TopK::Sharded(_) => None,
+            TopK::Sharded(i) => i.recovered_stamp(),
         }
     }
 
@@ -244,13 +223,11 @@ impl TopK {
             what: e.to_string(),
         };
         let points = self.all_points();
-        let em = self.device().config().backend(emsim::BackendKind::File);
-        let device = Device::open(em, dir).map_err(storage)?;
+        let device = Device::open(self.device().config(), dir).map_err(storage)?;
         let (store, _existing, prior_stamp) =
             crate::persist::DurableStore::open(&device).map_err(storage)?;
         let current = match self {
             TopK::Single(i) => i.version(),
-            TopK::Concurrent(i) => i.read().version(),
             TopK::Sharded(i) => i.read().version(),
         };
         store.compact(&points, current.max(prior_stamp));
@@ -269,7 +246,6 @@ impl TopK {
     pub fn commit_stamp(&self) -> u64 {
         match self {
             TopK::Single(i) => i.version(),
-            TopK::Concurrent(i) => i.read().version(),
             TopK::Sharded(i) => i.commit_stamp(),
         }
     }
@@ -278,7 +254,6 @@ impl TopK {
     pub fn insert_stamped(&self, p: Point) -> Result<u64> {
         match self {
             TopK::Single(i) => i.insert_stamped(p),
-            TopK::Concurrent(i) => i.insert_stamped(p),
             TopK::Sharded(i) => i.insert_stamped(p),
         }
     }
@@ -287,7 +262,6 @@ impl TopK {
     pub fn delete_stamped(&self, p: Point) -> Result<Option<u64>> {
         match self {
             TopK::Single(i) => i.delete_stamped(p),
-            TopK::Concurrent(i) => i.delete_stamped(p),
             TopK::Sharded(i) => i.delete_stamped(p),
         }
     }
@@ -297,7 +271,6 @@ impl TopK {
     pub fn apply_stamped(&self, batch: &UpdateBatch) -> Result<(BatchSummary, Option<u64>)> {
         match self {
             TopK::Single(i) => i.apply_stamped(batch).map(|(s, v)| (s, Some(v))),
-            TopK::Concurrent(i) => i.apply_stamped(batch).map(|(s, v)| (s, Some(v))),
             TopK::Sharded(i) => i.apply_stamped(batch),
         }
     }
@@ -306,7 +279,6 @@ impl TopK {
     pub fn query_stamped(&self, x1: u64, x2: u64, k: usize) -> Result<(Vec<Point>, u64, u64)> {
         match self {
             TopK::Single(i) => i.query_stamped(x1, x2, k),
-            TopK::Concurrent(i) => i.query_stamped(x1, x2, k),
             TopK::Sharded(i) => i.query_stamped(x1, x2, k),
         }
     }
@@ -327,21 +299,9 @@ impl From<TopKIndex> for TopK {
     }
 }
 
-impl From<ConcurrentTopK> for TopK {
-    fn from(index: ConcurrentTopK) -> Self {
-        TopK::concurrent(index)
-    }
-}
-
 impl From<ShardedTopK> for TopK {
     fn from(index: ShardedTopK) -> Self {
         TopK::sharded(index)
-    }
-}
-
-impl From<Arc<ConcurrentTopK>> for TopK {
-    fn from(index: Arc<ConcurrentTopK>) -> Self {
-        TopK::Concurrent(index)
     }
 }
 
@@ -361,7 +321,6 @@ impl RankedIndex for TopK {
     fn engine_name(&self) -> &'static str {
         match self {
             TopK::Single(_) => "topk-single",
-            TopK::Concurrent(_) => "topk-concurrent",
             TopK::Sharded(_) => "topk-sharded",
         }
     }
@@ -414,7 +373,7 @@ mod tests {
         let device = Device::new(EmConfig::new(128, 128 * 64));
         let handles = vec![
             TopK::single(TopKIndex::new(&device, TopKConfig::for_tests())),
-            TopK::concurrent(ConcurrentTopK::new(&device, TopKConfig::for_tests())),
+            TopK::sharded(ShardedTopK::new(&device, TopKConfig::for_tests(), 1)),
             TopK::sharded(ShardedTopK::new(&device, TopKConfig::for_tests(), 4)),
         ];
         let pts: Vec<Point> = (0..300u64)
@@ -448,20 +407,24 @@ mod tests {
 
     #[test]
     fn build_auto_picks_topology_from_the_workload_shape() {
+        let shards = |handle: TopK| match handle {
+            TopK::Sharded(i) => i.shard_count(),
+            other => panic!("build_auto must build sharded, got {other:?}"),
+        };
+        // Small indexes and an explicit single shard are one shard: no
+        // fan-out, the same striped lock and one-shot query plan.
         let small = TopK::builder().expected_n(1000).build_auto().unwrap();
-        assert_eq!(small.topology(), "concurrent");
+        assert_eq!(shards(small), 1);
+        let one = TopK::builder().shards(1).build_auto().unwrap();
+        assert_eq!(shards(one), 1);
         let large = TopK::builder().expected_n(1 << 20).build_auto().unwrap();
-        assert_eq!(large.topology(), "sharded");
+        assert_eq!(shards(large), 16);
         let pinned = TopK::builder()
             .expected_n(1000)
             .shards(4)
             .build_auto()
             .unwrap();
-        assert_eq!(pinned.topology(), "sharded");
-        // An explicit single shard is the coarse lock: same workload, no
-        // routing layer.
-        let one = TopK::builder().shards(1).build_auto().unwrap();
-        assert_eq!(one.topology(), "concurrent");
+        assert_eq!(shards(pinned), 4);
         assert!(TopK::builder().shards(0).build_auto().is_err());
         assert!(TopK::builder().shards(4096).build_auto().is_err());
     }

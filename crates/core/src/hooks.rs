@@ -17,10 +17,10 @@
 //! * **Fault injection** for mutation-testing the checker itself:
 //!   [`inject_ordering_bug`] makes every eager query served through the
 //!   facade's query paths — [`TopKIndex::query`](crate::TopKIndex::query)
-//!   (which `Single` and `Concurrent` dispatch to) and
-//!   [`ShardedTopK::query`](crate::ShardedTopK::query) (the fan-out merge)
-//!   — transpose its two highest-scoring results, a deliberate ordering
-//!   bug that a healthy checker must catch (and that `topk-testkit`'s
+//!   (which `Single` dispatches to) and
+//!   [`ShardedTopK::query`](crate::ShardedTopK::query) — transpose its two
+//!   highest-scoring results, a deliberate ordering bug that a healthy
+//!   checker must catch (and that `topk-testkit`'s
 //!   shrinker must reduce to a minimal repro trace). The flag is
 //!   process-global; tests that enable it run in their own
 //!   integration-test binary so no parallel test observes the mutated

@@ -102,13 +102,12 @@ impl TopKIndex {
     /// # Errors
     ///
     /// [`TopKError::InvalidConfig`] if `device` has no durable backend (use
-    /// [`Device::open`] with [`BackendKind::File`](emsim::BackendKind));
+    /// [`Device::open`]);
     /// [`TopKError::Storage`] if the journal cannot be read or is corrupt.
     pub fn open_durable(device: &Device, config: TopKConfig) -> Result<Self> {
         if !device.is_durable() {
             return Err(TopKError::InvalidConfig {
-                what: "open_durable requires a durable device: Device::open with \
-                       EmConfig::backend(BackendKind::File or ThreadPool)",
+                what: "open_durable requires a durable device: open it with Device::open",
             });
         }
         let (store, points, stamp) =
@@ -283,9 +282,8 @@ impl TopKIndex {
     /// either every operation is applied or none is. The global-rebuild check
     /// runs once at commit instead of once per operation.
     ///
-    /// On [`ConcurrentTopK`](crate::ConcurrentTopK), prefer
-    /// [`ConcurrentTopK::apply`](crate::ConcurrentTopK::apply), which wraps
-    /// this in a single write-lock acquisition.
+    /// Under concurrency, [`ShardedTopK::apply`](crate::ShardedTopK::apply)
+    /// wraps this in one write-lock acquisition per affected shard.
     pub fn apply(&self, batch: &UpdateBatch) -> Result<BatchSummary> {
         crate::batch::apply_to(self, batch)
     }
@@ -295,6 +293,11 @@ impl TopKIndex {
     /// Whether `score` is live. Validation metadata only — costs no I/Os.
     pub(crate) fn score_exists(&self, score: u64) -> bool {
         self.scores.read().unwrap().contains(&score)
+    }
+
+    /// Every live score (validation metadata only — costs no I/Os).
+    pub(crate) fn live_scores(&self) -> HashSet<u64> {
+        self.scores.read().unwrap().clone()
     }
 
     /// Insert into every component without validating or checking the
@@ -430,7 +433,7 @@ impl TopKIndex {
     /// taking a short prefix of a large `k` never materializes the rest.
     ///
     /// The iterator borrows the index; on a
-    /// [`ConcurrentTopK`](crate::ConcurrentTopK), stream through a read
+    /// [`ShardedTopK`](crate::ShardedTopK), stream through a read
     /// guard: `let g = idx.read(); for p in g.stream(req)? { … }` — or, for
     /// long-lived consumers that must not block writers, use the owned
     /// [`QueryCursor`](crate::QueryCursor) instead.
@@ -448,8 +451,7 @@ impl TopKIndex {
     /// index (consumes an `Arc` clone: `index.clone().cursor(req)?`). The
     /// bare index has no logical-atomicity lock, so the cursor is only
     /// meaningful without concurrent writers — under concurrency, take the
-    /// cursor from [`ConcurrentTopK`](crate::ConcurrentTopK::cursor) or
-    /// [`ShardedTopK`](crate::ShardedTopK::cursor) instead.
+    /// cursor from [`ShardedTopK`](crate::ShardedTopK::cursor) instead.
     pub fn cursor(
         self: std::sync::Arc<Self>,
         request: QueryRequest,
@@ -540,34 +542,6 @@ impl TopKIndex {
 
     pub(crate) fn small_k(&self) -> &(dyn RangeKSelect + Send + Sync) {
         self.small_k.as_ref()
-    }
-
-    // ----- deprecated pre-redesign shims -----
-
-    /// Insert a point, panicking on precondition violations.
-    #[deprecated(since = "0.2.0", note = "use the fallible `insert` instead")]
-    pub fn insert_or_panic(&self, p: Point) {
-        self.insert(p).expect("insert failed");
-    }
-
-    /// Delete a point, panicking if the index is inconsistent; returns
-    /// whether it was present.
-    #[deprecated(since = "0.2.0", note = "use the fallible `delete` instead")]
-    pub fn delete_or_panic(&self, p: Point) -> bool {
-        self.delete(p).expect("delete failed")
-    }
-
-    /// Replace the contents with `points`, panicking on duplicates.
-    #[deprecated(since = "0.2.0", note = "use the fallible `bulk_build` instead")]
-    pub fn bulk_build_or_panic(&self, points: &[Point]) {
-        self.bulk_build(points).expect("bulk_build failed");
-    }
-
-    /// Query with the seed crate's tolerance: `k == 0` or an inverted range
-    /// silently yields an empty vector.
-    #[deprecated(since = "0.2.0", note = "use the fallible `query` or `stream` instead")]
-    pub fn query_or_empty(&self, x1: u64, x2: u64, k: usize) -> Vec<Point> {
-        self.query_unvalidated(x1, x2, k)
     }
 
     /// Run the internal consistency checks of every component (test support).
@@ -711,11 +685,6 @@ mod tests {
         assert_eq!(index.query(0, 100, 0).unwrap_err(), TopKError::ZeroK);
         // An empty (but not inverted) range is a legitimate empty answer.
         assert!(index.query(20, 30, 3).unwrap().is_empty());
-        #[allow(deprecated)]
-        {
-            assert!(index.query_or_empty(30, 20, 3).is_empty());
-            assert!(index.query_or_empty(0, 100, 0).is_empty());
-        }
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   (duplicate coordinates or scores, inverted ranges, `k == 0`) and
 //!   component inconsistency into typed [`TopKError`]s instead of panics or
 //!   silent empty answers;
-//! * [`UpdateBatch`]es commit atomically — under [`ConcurrentTopK`] with one
-//!   write-lock acquisition and one deferred rebuild check;
+//! * [`UpdateBatch`]es commit atomically — under [`ShardedTopK`] with one
+//!   write-lock acquisition per affected shard and one deferred rebuild
+//!   check each;
 //! * [`TopKIndex::stream`] returns a lazy [`TopKResults`] iterator that
 //!   fetches in escalating rounds, so consuming a short prefix of a large
 //!   `k` never materializes the whole answer;
@@ -47,14 +48,12 @@
 //!    standard reduction (find an approximate rank-`k` score threshold, report
 //!    everything above it, keep the exact top `k`).
 //!
-//! [`TopKIndex`] is `Send + Sync`; for serving concurrent traffic, wrap it in
-//! [`ConcurrentTopK`] (one coarse reader–writer lock: parallel queries,
-//! serialized updates) or, once concurrent *writers* are the bottleneck,
-//! [`ShardedTopK`] (range-sharded: writers on disjoint shards proceed in
-//! parallel, queries fan out and merge lazily — see DESIGN.md §4 for when to
-//! pick which). The [`RankedIndex`] trait abstracts over this crate's
-//! engines and the `baselines` comparison structures for generic harness
-//! code.
+//! [`TopKIndex`] is `Send + Sync`; concurrent traffic is served by
+//! [`ShardedTopK`] (range shards behind striped reader–writer locks: parallel
+//! queries, writers on disjoint shards in parallel — one shard for small and
+//! durable indexes, see DESIGN.md §4). The [`RankedIndex`] trait abstracts
+//! over this crate's engines and the `baselines` comparison structures for
+//! generic harness code.
 //!
 //! ```
 //! use topk_core::{Point, QueryRequest, TopKIndex, UpdateBatch};
@@ -86,7 +85,6 @@
 
 mod batch;
 mod builder;
-mod concurrent;
 mod config;
 mod cursor;
 mod error;
@@ -103,7 +101,6 @@ mod stripe;
 
 pub use batch::{BatchSummary, UpdateBatch, UpdateOp};
 pub use builder::IndexBuilder;
-pub use concurrent::{ConcurrentTopK, ReadPin, WritePin};
 pub use config::{SmallKEngine, TopKConfig};
 pub use cursor::{QueryCursor, ResumeToken};
 pub use epst::Point;

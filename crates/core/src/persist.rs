@@ -31,8 +31,8 @@
 //! Locking: the `wal` mutex guards only the in-RAM directory state
 //! (DESIGN.md §8, class `wal` — I/O while holding it is forbidden); every
 //! [`BlockFile`] access happens outside the guard. Writers are serialized by
-//! the serving topology (`Single`'s single-writer contract or
-//! `Concurrent`'s write lock — the builder rejects durable sharding), so the
+//! the serving topology (`Single`'s single-writer contract or the write lock
+//! of a durable index's one shard — the builder rejects more shards), so the
 //! copy-out/update protocol below never interleaves.
 
 use std::collections::{HashMap, HashSet};
@@ -623,7 +623,7 @@ impl DurableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emsim::{BackendKind, EmConfig};
+    use emsim::EmConfig;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -634,7 +634,7 @@ mod tests {
     }
 
     fn file_device(dir: &std::path::Path) -> Device {
-        Device::open(EmConfig::new(128, 128 * 32).backend(BackendKind::File), dir).unwrap()
+        Device::open(EmConfig::new(128, 128 * 32), dir).unwrap()
     }
 
     #[test]
@@ -803,7 +803,7 @@ mod tests {
     #[test]
     fn journal_directory_chains_past_one_meta_page() {
         let dir = scratch_dir("chain");
-        let cfg = EmConfig::new(32, 32 * 64).backend(BackendKind::File);
+        let cfg = EmConfig::new(32, 32 * 64);
         let points: Vec<Point> = (0..2000u64).map(|i| Point::new(i, i + 10_000)).collect();
         {
             let device = Device::open(cfg, &dir).unwrap();

@@ -176,7 +176,7 @@ impl QueryRequest {
 
     /// Rebuild the request a [`ResumeToken`] was cut from, positioned just
     /// past the last point that cursor emitted. Feed it to any index holding
-    /// the same data (`TopK::cursor`, `ConcurrentTopK::cursor`, …) to
+    /// the same data (`TopK::cursor`, `ShardedTopK::cursor`, …) to
     /// continue the pagination — across threads or process boundaries.
     pub fn after(token: &ResumeToken) -> Self {
         token.request()
@@ -299,9 +299,10 @@ enum FetchState {
 /// points, capping at the seed's whole-range fallback after eight rounds.
 ///
 /// The iterator borrows the index; under
-/// [`ConcurrentTopK`](crate::ConcurrentTopK), hold a read guard for the
-/// stream's lifetime so updates cannot tear the answer mid-iteration — and
-/// note that writers block for exactly that long. A long-lived or slow
+/// [`ShardedTopK`](crate::ShardedTopK), stream through a read guard held for
+/// the stream's lifetime ([`ShardedReadGuard::stream`](crate::ShardedReadGuard::stream))
+/// so updates cannot tear the answer mid-iteration — and note that writers
+/// block for exactly that long. A long-lived or slow
 /// consumer (pagination, dashboards) should use the owned
 /// [`QueryCursor`](crate::QueryCursor) instead, which re-acquires the read
 /// side per fetch round and holds no lock in between.

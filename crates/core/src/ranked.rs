@@ -5,7 +5,6 @@
 use epst::Point;
 
 use crate::batch::{BatchSummary, UpdateBatch, UpdateOp};
-use crate::concurrent::ConcurrentTopK;
 use crate::cursor::QueryCursor;
 use crate::error::{Result, TopKError};
 use crate::index::TopKIndex;
@@ -14,8 +13,8 @@ use crate::sharded::ShardedTopK;
 
 /// A dynamic set of `(x, score)` points answering top-k range queries.
 ///
-/// Implemented by [`TopKIndex`], [`ConcurrentTopK`], [`ShardedTopK`] and the
-/// comparison structures in the `baselines` crate. All methods take `&self` — every
+/// Implemented by [`TopKIndex`], [`ShardedTopK`] and the comparison
+/// structures in the `baselines` crate. All methods take `&self` — every
 /// engine in the workspace is internally synchronized — and all mutating or
 /// querying methods are fallible with the same contract as [`TopKIndex`].
 /// The trait is object-safe: experiment harnesses typically iterate over
@@ -132,44 +131,6 @@ impl RankedIndex for TopKIndex {
     }
 }
 
-impl RankedIndex for ConcurrentTopK {
-    fn engine_name(&self) -> &'static str {
-        self.read().small_k_engine_name()
-    }
-
-    fn len(&self) -> u64 {
-        ConcurrentTopK::len(self)
-    }
-
-    fn space_blocks(&self) -> u64 {
-        ConcurrentTopK::space_blocks(self)
-    }
-
-    fn insert(&self, p: Point) -> Result<()> {
-        ConcurrentTopK::insert(self, p)
-    }
-
-    fn delete(&self, p: Point) -> Result<bool> {
-        ConcurrentTopK::delete(self, p)
-    }
-
-    fn bulk_build(&self, points: &[Point]) -> Result<()> {
-        ConcurrentTopK::bulk_build(self, points)
-    }
-
-    fn query(&self, x1: u64, x2: u64, k: usize) -> Result<Vec<Point>> {
-        ConcurrentTopK::query(self, x1, x2, k)
-    }
-
-    fn count_in_range(&self, x1: u64, x2: u64) -> Result<u64> {
-        ConcurrentTopK::count_in_range(self, x1, x2)
-    }
-
-    fn apply(&self, batch: &UpdateBatch) -> Result<BatchSummary> {
-        ConcurrentTopK::apply(self, batch)
-    }
-}
-
 impl RankedIndex for ShardedTopK {
     fn engine_name(&self) -> &'static str {
         "sharded-topk"
@@ -219,7 +180,7 @@ mod tests {
         let device = Device::new(EmConfig::new(128, 128 * 64));
         let engines: Vec<Box<dyn RankedIndex>> = vec![
             Box::new(TopKIndex::new(&device, TopKConfig::for_tests())),
-            Box::new(ConcurrentTopK::new(&device, TopKConfig::for_tests())),
+            Box::new(ShardedTopK::new(&device, TopKConfig::for_tests(), 1)),
             Box::new(ShardedTopK::new(&device, TopKConfig::for_tests(), 4)),
         ];
         let pts: Vec<Point> = (0..300u64)

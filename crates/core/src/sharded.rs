@@ -1,11 +1,10 @@
-//! Range-sharded concurrent serving: parallel writers on disjoint shards.
+//! The concurrent serving topology: range shards, parallel writers.
 //!
-//! [`ConcurrentTopK`](crate::ConcurrentTopK) serialises every update behind
-//! one coarse write lock, so write throughput cannot scale with cores.
-//! [`ShardedTopK`] removes that ceiling by range-partitioning the coordinate
-//! space into `S` shards — each an independent [`TopKIndex`] behind its own
+//! [`ShardedTopK`] range-partitions the coordinate space into `S ≥ 1`
+//! shards — each an independent [`TopKIndex`] behind its own striped
 //! reader–writer lock — with a router keeping the split points and per-shard
-//! counts:
+//! counts. One shard is the right shape for small indexes and for every
+//! durable one; more shards let writers scale with cores:
 //!
 //! * **updates** route to exactly one shard and take only that shard's write
 //!   lock, so writers on different shards proceed in parallel;
@@ -14,17 +13,25 @@
 //!   sub-batches *in parallel*, each with its own deferred rebuild check —
 //!   readers observe either the pre-batch or the post-batch state of every
 //!   affected shard, never anything in between;
-//! * **queries** fan out to the shards overlapping `[x1, x2]` and merge the
-//!   per-shard streaming [`TopKResults`] through a k-bounded binary heap
-//!   ([`ShardedResults`]), so each shard is only asked for the prefix the
-//!   merge actually consumes — the prefix-only cost of the streaming API is
-//!   preserved across the fan-out (`tests/io_cost.rs` pins the bound at
-//!   `overlapping_shards × O(log_B(n/S) + k/B)` page reads);
+//! * **queries** lock only the shards overlapping `[x1, x2]`. A range inside
+//!   one shard runs that shard's one-shot [`TopKIndex`] plan; a fan-out
+//!   merges the per-shard streaming [`TopKResults`] through a k-bounded
+//!   binary heap ([`ShardedResults`]), so each shard is only asked for the
+//!   prefix the merge actually consumes — the prefix-only cost of the
+//!   streaming API is preserved across the fan-out (`tests/io_cost.rs` pins
+//!   the bound at `overlapping_shards × O(log_B(n/S) + k/B)` page reads);
 //! * **rebalancing** migrates points once a shard exceeds twice the mean
 //!   occupancy: the writer that trips the threshold repartitions *after* its
 //!   own commit has released every per-operation lock, so the check runs off
 //!   the reader path, and the repartition itself holds the router plus all
 //!   shard write locks so no reader ever observes a torn migration.
+//!
+//! Each shard lock is **striped** (BRAVO-style, Dice & Kogan, USENIX ATC
+//! 2019): a bank of cache-line-padded `RwLock<()>` stripes guards the shard's
+//! index. A reader takes the read side of *its own thread's* stripe only, so
+//! concurrent readers of one shard touch disjoint cache lines and scale with
+//! cores instead of all CAS-ing one lock word; a writer takes the write side
+//! of every stripe in ascending order, which still excludes all readers.
 //!
 //! Routing is read **lock-free**: the split points live in a copy-on-write
 //! [`Router`] snapshot (an `Arc` behind a striped cell, [`RouterCell`]), so
@@ -35,22 +42,22 @@
 //! an operation that holds any shard lock and sees its snapshot's epoch knows
 //! the routing cannot have moved under it (and retries on the rare miss).
 //!
-//! Lock order is global and acyclic — shards in ascending id order, then the
-//! score registry, then the router cell's stripes (written only by the
-//! repartition paths) — so the fan-out, the parallel commit and the rebalance
-//! cannot deadlock. The global distinct-scores precondition (which no single
-//! shard can check alone) is enforced against a RAM-side score registry, the
-//! same validation-metadata device [`TopKIndex`] uses per-index (DESIGN.md
-//! §5).
+//! Lock order is global and acyclic — shards in ascending id order (within a
+//! shard, stripes in ascending order), then the score registry, then the
+//! router cell's stripes (written only by the repartition paths) — so the
+//! fan-out, the parallel commit and the rebalance cannot deadlock. The global
+//! distinct-scores precondition (which no single shard can check alone) is
+//! enforced against a RAM-side score registry, the same validation-metadata
+//! device [`TopKIndex`] uses per-index (DESIGN.md §5).
 //!
-//! When to pick which wrapper: [`ConcurrentTopK`](crate::ConcurrentTopK) for
-//! read-heavy serving with a single writer (no routing overhead, whole-index
-//! snapshots for free); [`ShardedTopK`] once concurrent writers are the
-//! bottleneck (DESIGN.md §4 records the measured crossover).
+//! A durable index is one shard opened with [`TopKIndex::open_durable`]: the
+//! device has one write-ahead journal, so every path that mutates a shard
+//! ends by committing that shard's journal (a no-op on RAM devices).
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use emsim::Device;
 use epst::Point;
@@ -135,9 +142,9 @@ struct RouterStripe {
 }
 
 /// The copy-on-write cell the current [`Router`] snapshot is published
-/// through. Striped like [`ConcurrentTopK`](crate::ConcurrentTopK)'s read
-/// lock: a snapshot load touches only the calling thread's stripe, while a
-/// publish (repartition only — rare) rewrites every stripe in order. Loads
+/// through. Striped like the shard locks ([`ShardLock`]): a snapshot load
+/// touches only the calling thread's stripe, while a publish (repartition
+/// only — rare) rewrites every stripe in order. Loads
 /// are instantaneous (clone an `Arc` under a read lock held for two
 /// instructions), so the cell never becomes the serialisation point the old
 /// `RwLock<Router>` was.
@@ -177,25 +184,108 @@ impl RouterCell {
     }
 }
 
-/// One shard: an independent [`TopKIndex`] behind its own lock, plus a
-/// lock-free occupancy counter feeding the rebalance policy and [`len`]
+/// One read stripe on its own cache line (readers on different stripes never
+/// share a line). The field is named `inner` so acquisitions audit under the
+/// `shard` lock class of DESIGN.md §8 — same-class nesting is sanctioned
+/// there under the ascending-order convention the writers follow.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct ReadStripe {
+    inner: RwLock<()>,
+}
+
+/// A shard's [`TopKIndex`] behind a striped reader–writer lock (module docs):
+/// [`ShardLock::read`] holds the calling thread's stripe, [`ShardLock::write`]
+/// every stripe in ascending order. `TopKIndex`'s mutating operations take
+/// `&self` (interior mutability), so both guards just deref to the index.
+struct ShardLock {
+    index: TopKIndex,
+    stripes: Box<[ReadStripe]>,
+}
+
+impl ShardLock {
+    fn new(index: TopKIndex) -> Self {
+        Self {
+            index,
+            stripes: (0..STRIPES).map(|_| ReadStripe::default()).collect(),
+        }
+    }
+
+    /// Shared access: read-lock only the calling thread's stripe.
+    fn read(&self) -> ShardRead<'_> {
+        let stripe = self
+            .stripes
+            .get(thread_stripe(self.stripes.len()))
+            .expect("thread_stripe is reduced modulo the stripe count");
+        ShardRead {
+            index: &self.index,
+            _stripe: stripe.inner.read().unwrap(),
+        }
+    }
+
+    /// Exclusive access: write-lock every stripe in ascending order, so
+    /// racing writers cannot deadlock and every reader is excluded before
+    /// the guard is handed out.
+    fn write(&self) -> ShardWrite<'_> {
+        ShardWrite {
+            index: &self.index,
+            _stripes: self
+                .stripes
+                .iter()
+                .map(|stripe| stripe.inner.write().unwrap())
+                .collect(),
+        }
+    }
+}
+
+/// The read side of one shard: derefs to its index, excludes its writers.
+struct ShardRead<'a> {
+    index: &'a TopKIndex,
+    _stripe: RwLockReadGuard<'a, ()>,
+}
+
+impl Deref for ShardRead<'_> {
+    type Target = TopKIndex;
+
+    fn deref(&self) -> &TopKIndex {
+        self.index
+    }
+}
+
+/// The write side of one shard: derefs to its index, excludes everyone else.
+struct ShardWrite<'a> {
+    index: &'a TopKIndex,
+    _stripes: Vec<RwLockWriteGuard<'a, ()>>,
+}
+
+impl Deref for ShardWrite<'_> {
+    type Target = TopKIndex;
+
+    fn deref(&self) -> &TopKIndex {
+        self.index
+    }
+}
+
+/// One shard: an independent [`TopKIndex`] behind its own striped lock, plus
+/// a lock-free occupancy counter feeding the rebalance policy and [`len`]
 /// without touching the shard lock.
 ///
 /// [`len`]: ShardedTopK::len
 struct Shard {
-    index: RwLock<TopKIndex>,
+    index: ShardLock,
     count: AtomicU64,
 }
 
-/// A range-sharded [`TopKIndex`] for concurrent serving with **parallel
-/// writers**: updates lock only the shard owning their coordinate, queries
-/// fan out to overlapping shards and merge lazily. The module-level docs
-/// describe the architecture and locking discipline.
+/// A range-sharded [`TopKIndex`] for concurrent serving: updates lock only
+/// the shard owning their coordinate, queries lock the overlapping shards and
+/// merge lazily across them. The module-level docs describe the architecture
+/// and locking discipline.
 ///
 /// Built with [`ShardedTopK::builder`]
 /// (`…​.shards(s).build_sharded()?`; the default shard count is derived from
-/// [`expected_n`](IndexBuilder::expected_n)). Shared across threads as
-/// `Arc<ShardedTopK>` or, with scoped threads, as `&ShardedTopK`.
+/// [`expected_n`](IndexBuilder::expected_n), and a durable index is one
+/// shard). Shared across threads as `Arc<ShardedTopK>` or, with scoped
+/// threads, as `&ShardedTopK`.
 ///
 /// ```
 /// use topk_core::{Point, ShardedTopK};
@@ -258,20 +348,46 @@ impl ShardedTopK {
             expected_n: (config.expected_n / shards).max(1),
             ..config
         };
+        let indexes = (0..shards)
+            .map(|_| TopKIndex::new(device, shard_config))
+            .collect();
+        Self::from_shards(device, config, indexes)
+    }
+
+    /// Open (or create) the durable index on `device` as one shard: the
+    /// device has a single write-ahead journal, which
+    /// [`TopKIndex::open_durable`] replays into the shard.
+    pub(crate) fn open_durable(device: &Device, config: TopKConfig) -> Result<Self> {
+        let index = TopKIndex::open_durable(device, config)?;
+        Ok(Self::from_shards(device, config, vec![index]))
+    }
+
+    /// Assemble the index over `indexes`, one per shard, seeding the
+    /// occupancy counters and the score registry from their contents. A
+    /// recovered shard resumes the commit stamp at its recovered stamp, so
+    /// stamps never go backwards across a restart.
+    fn from_shards(device: &Device, config: TopKConfig, indexes: Vec<TopKIndex>) -> Self {
+        let scores = indexes.iter().flat_map(TopKIndex::live_scores).collect();
+        let stamp = indexes
+            .iter()
+            .filter_map(TopKIndex::recovered_stamp)
+            .max()
+            .unwrap_or(0);
         Self {
             device: device.clone(),
             config,
-            router: RouterCell::new(Router::even(shards, 0)),
+            router: RouterCell::new(Router::even(indexes.len(), 0)),
             epoch: AtomicU64::new(0),
-            shards: (0..shards)
-                .map(|_| Shard {
-                    index: RwLock::new(TopKIndex::new(device, shard_config)),
-                    count: AtomicU64::new(0),
+            shards: indexes
+                .into_iter()
+                .map(|index| Shard {
+                    count: AtomicU64::new(index.len()),
+                    index: ShardLock::new(index),
                 })
                 .collect(),
-            scores: Mutex::new(HashSet::new()),
+            scores: Mutex::new(scores),
             rebalancing: AtomicBool::new(false),
-            commits: AtomicU64::new(0),
+            commits: AtomicU64::new(stamp),
         }
     }
 
@@ -298,6 +414,14 @@ impl ShardedTopK {
     /// Number of shards the coordinate space is partitioned into.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// The version stamp recovered from the journal when this index was
+    /// opened durably; `None` for in-RAM indexes.
+    pub fn recovered_stamp(&self) -> Option<u64> {
+        self.shards
+            .first()
+            .and_then(|s| s.index.read().recovered_stamp())
     }
 
     /// Current per-shard occupancy (lock-free; feeds the rebalance policy).
@@ -338,7 +462,7 @@ impl ShardedTopK {
     pub fn space_blocks(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.index.read().unwrap().space_blocks())
+            .map(|s| s.index.read().space_blocks())
             .sum()
     }
 
@@ -354,11 +478,7 @@ impl ShardedTopK {
     pub fn read(&self) -> ShardedReadGuard<'_> {
         loop {
             let router = self.router.snapshot();
-            let guards: Vec<_> = self
-                .shards
-                .iter()
-                .map(|s| s.index.read().unwrap())
-                .collect();
+            let guards: Vec<_> = self.shards.iter().map(|s| s.index.read()).collect();
             // With every shard read-held, a repartition cannot commit; an
             // unchanged epoch therefore proves the snapshot is current.
             if self.epoch.load(Ordering::Acquire) != router.epoch {
@@ -389,7 +509,7 @@ impl ShardedTopK {
                 .get(lo..=hi)
                 .expect("router overlap yields in-range shard ids")
                 .iter()
-                .map(|s| s.index.read().unwrap())
+                .map(|s| s.index.read())
                 .collect();
             // A repartition publishes under *all* shard write locks; holding
             // any covered shard read lock with an unchanged epoch proves the
@@ -407,9 +527,10 @@ impl ShardedTopK {
     }
 
     /// Report the `k` highest-scoring points with `x ∈ [x1, x2]`, descending:
-    /// read-lock the overlapping shards, fan the request out as per-shard
-    /// streams, merge lazily ([`ShardedResults`]). Shards outside the range
-    /// are neither locked nor touched.
+    /// read-lock the overlapping shards and answer as
+    /// [`ShardedReadGuard::query`] does — one shard's one-shot plan, or a
+    /// lazy merge of per-shard streams ([`ShardedResults`]) on a fan-out.
+    /// Shards outside the range are neither locked nor touched.
     ///
     /// # Errors
     ///
@@ -419,7 +540,7 @@ impl ShardedTopK {
         validate_query(x1, x2, k)?;
         let guard = self.read_span(x1, x2);
         #[allow(unused_mut)]
-        let mut out: Vec<Point> = guard.stream(QueryRequest::range(x1, x2).top(k))?.collect();
+        let mut out = guard.query(x1, x2, k)?;
         #[cfg(feature = "testkit-hooks")]
         crate::hooks::mutate_answer(&mut out);
         Ok(out)
@@ -486,7 +607,7 @@ impl ShardedTopK {
                 .shards
                 .get(si)
                 .expect("router routes to an existing shard");
-            let guard = shard.index.write().unwrap();
+            let guard = shard.index.write();
             if self.epoch.load(Ordering::Acquire) != router.epoch {
                 continue; // routing moved under us: drop the guard, re-route
             }
@@ -510,8 +631,10 @@ impl ShardedTopK {
             guard.maybe_rebuild();
             shard.count.fetch_add(1, Ordering::Relaxed);
             let stamp = self.commits.fetch_add(1, Ordering::Release) + 1;
+            guard.maybe_compact_journal();
+            guard.durable_commit()?;
             drop(guard);
-            self.maybe_rebalance();
+            self.maybe_rebalance()?;
             return Ok(stamp);
         }
     }
@@ -536,23 +659,22 @@ impl ShardedTopK {
                 .shards
                 .get(si)
                 .expect("router routes to an existing shard");
-            let guard = shard.index.write().unwrap();
+            let guard = shard.index.write();
             if self.epoch.load(Ordering::Acquire) != router.epoch {
                 continue; // routing moved under us: drop the guard, re-route
             }
-            let deleted = guard.delete(p)?;
-            let stamp = if deleted {
-                shard.count.fetch_sub(1, Ordering::Relaxed);
-                self.scores.lock().unwrap().remove(&p.score);
-                Some(self.commits.fetch_add(1, Ordering::Release) + 1)
-            } else {
-                None
-            };
-            drop(guard);
-            if deleted {
-                self.maybe_rebalance();
+            if !guard.delete_validated(p)? {
+                return Ok(None);
             }
-            return Ok(stamp);
+            guard.maybe_rebuild();
+            shard.count.fetch_sub(1, Ordering::Relaxed);
+            self.scores.lock().unwrap().remove(&p.score);
+            let stamp = self.commits.fetch_add(1, Ordering::Release) + 1;
+            guard.maybe_compact_journal();
+            guard.durable_commit()?;
+            drop(guard);
+            self.maybe_rebalance()?;
+            return Ok(Some(stamp));
         }
     }
 
@@ -587,30 +709,9 @@ impl ShardedTopK {
         }
         // Every shard write lock, ascending: excludes all readers, writers
         // and any concurrent repartition for the whole replace-and-publish.
-        let guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.index.write().unwrap())
-            .collect();
-        let next_epoch = self.epoch.load(Ordering::Acquire) + 1;
-        let new_router = Arc::new(Router::from_sorted(&sorted, self.shards.len(), next_epoch));
-        let slices = partition_sorted(&sorted, &new_router);
-        std::thread::scope(|scope| {
-            for (guard, slice) in guards.iter().zip(&slices) {
-                let index: &TopKIndex = guard;
-                scope.spawn(move || index.rebuild_unvalidated(slice));
-            }
-        });
-        for (shard, slice) in self.shards.iter().zip(&slices) {
-            shard.count.store(slice.len() as u64, Ordering::Relaxed);
-        }
+        let guards: Vec<_> = self.shards.iter().map(|s| s.index.write()).collect();
         *self.scores.lock().unwrap() = score_set;
-        // Publish before the epoch bump: a snapshot loaded in between
-        // carries the *new* epoch and validates once the bump lands.
-        self.router.publish(&new_router);
-        self.epoch.store(next_epoch, Ordering::Release);
-        self.commits.fetch_add(1, Ordering::Release);
-        Ok(())
+        self.repartition(&guards, &sorted)
     }
 
     /// Apply a whole [`UpdateBatch`] atomically across shards: the batch is
@@ -656,7 +757,6 @@ impl ShardedTopK {
                         .expect("affected ids come from the router")
                         .index
                         .write()
-                        .unwrap()
                 })
                 .collect();
             // Routing validated under the shard write locks, as on the
@@ -765,23 +865,27 @@ impl ShardedTopK {
         // shard rebuild (the same crossover knob as the unsharded batch
         // path, reusing the validation pass's scan of the shard when one
         // was taken).
-        let first_error: Mutex<Option<TopKError>> = Mutex::new(None);
         if affected.len() == 1 {
             let view = views.into_iter().next().expect("one affected shard");
             let guard = guards.first().expect("one affected shard");
             let ops = resolved.first().expect("one affected shard");
-            commit_shard(guard, ops, view, &first_error);
+            commit_shard(guard, ops, view)?;
         } else {
+            let first_error: Mutex<Option<TopKError>> = Mutex::new(None);
             std::thread::scope(|scope| {
                 for ((guard, ops), view) in guards.iter().zip(&resolved).zip(views) {
                     let index: &TopKIndex = guard;
                     let first_error = &first_error;
-                    scope.spawn(move || commit_shard(index, ops, view, first_error));
+                    scope.spawn(move || {
+                        if let Err(e) = commit_shard(index, ops, view) {
+                            first_error.lock().unwrap().get_or_insert(e);
+                        }
+                    });
                 }
             });
-        }
-        if let Some(e) = first_error.into_inner().unwrap() {
-            return Err(e);
+            if let Some(e) = first_error.into_inner().unwrap() {
+                return Err(e);
+            }
         }
         for (&si, ops) in affected.iter().zip(&resolved) {
             let (mut ins, mut del) = (0u64, 0u64);
@@ -808,7 +912,7 @@ impl ShardedTopK {
             None
         };
         drop(guards);
-        self.maybe_rebalance();
+        self.maybe_rebalance()?;
         Ok((summary, stamp))
     }
 
@@ -818,25 +922,26 @@ impl ShardedTopK {
     /// per-operation locks are released (so the check — and the repartition
     /// it may start — never extends an update's critical section). At most
     /// one rebalance runs at a time.
-    fn maybe_rebalance(&self) {
+    fn maybe_rebalance(&self) -> Result<()> {
         let shards = self.shards.len() as u64;
         if shards <= 1 {
-            return;
+            return Ok(());
         }
         let lens = self.shard_lens();
         let total: u64 = lens.iter().sum();
         if total < REBALANCE_MIN_PER_SHARD * shards {
-            return;
+            return Ok(());
         }
         let mean = total / shards;
         if lens.iter().max().copied().unwrap_or(0) <= 2 * mean.max(1) {
-            return;
+            return Ok(());
         }
         if self.rebalancing.swap(true, Ordering::Acquire) {
-            return;
+            return Ok(());
         }
-        self.rebalance_now();
+        let outcome = self.rebalance_now();
         self.rebalancing.store(false, Ordering::Release);
+        outcome
     }
 
     /// Repartition immediately: recompute equal-count splits from the live
@@ -845,29 +950,50 @@ impl ShardedTopK {
     /// (the new router snapshot and its epoch are published before any lock
     /// is released), so concurrent readers observe the old or the new
     /// partitioning — never a point twice or not at all.
-    pub fn rebalance_now(&self) {
-        let guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.index.write().unwrap())
-            .collect();
+    ///
+    /// # Errors
+    ///
+    /// [`TopKError::Storage`] if a durable shard's journal commit fails.
+    pub fn rebalance_now(&self) -> Result<()> {
+        let guards: Vec<_> = self.shards.iter().map(|s| s.index.write()).collect();
         let mut all: Vec<Point> = guards.iter().flat_map(|g| g.all_points()).collect();
         all.sort_unstable_by_key(|p| p.x);
+        self.repartition(&guards, &all)
+    }
+
+    /// Rebuild every shard from `sorted` (ascending by coordinate) under the
+    /// full write-lock set `guards`, with fresh equal-count splits, and
+    /// publish the new routing — the shared tail of bulk builds and
+    /// rebalances.
+    fn repartition(&self, guards: &[ShardWrite<'_>], sorted: &[Point]) -> Result<()> {
         let next_epoch = self.epoch.load(Ordering::Acquire) + 1;
-        let new_router = Arc::new(Router::from_sorted(&all, self.shards.len(), next_epoch));
-        let slices = partition_sorted(&all, &new_router);
+        let new_router = Arc::new(Router::from_sorted(sorted, self.shards.len(), next_epoch));
+        let slices = partition_sorted(sorted, &new_router);
+        let mut work = guards.iter().zip(&slices);
+        let (first, first_slice) = work.next().expect("an index has at least one shard");
         std::thread::scope(|scope| {
-            for (guard, slice) in guards.iter().zip(&slices) {
+            for (guard, slice) in work {
                 let index: &TopKIndex = guard;
                 scope.spawn(move || index.rebuild_unvalidated(slice));
             }
+            // The calling thread rebuilds one shard itself instead of idling.
+            // A one-shard index thus spawns no thread, and its structures
+            // are allocated by the thread that goes on to update them.
+            first.rebuild_unvalidated(first_slice);
         });
         for (shard, slice) in self.shards.iter().zip(&slices) {
             shard.count.store(slice.len() as u64, Ordering::Relaxed);
         }
+        // Publish before the epoch bump: a snapshot loaded in between
+        // carries the *new* epoch and validates once the bump lands.
         self.router.publish(&new_router);
         self.epoch.store(next_epoch, Ordering::Release);
         self.commits.fetch_add(1, Ordering::Release);
+        for guard in guards {
+            guard.maybe_compact_journal();
+            guard.durable_commit()?;
+        }
+        Ok(())
     }
 
     /// Run every shard's internal consistency checks and verify the routing
@@ -952,18 +1078,13 @@ impl std::fmt::Debug for ShardedTopK {
 /// Apply a validated per-shard sub-batch: the same commit strategy (and the
 /// same [`REBUILD_CROSSOVER`](crate::batch::REBUILD_CROSSOVER) knob) as the
 /// unsharded batch path — point-wise below the crossover, one shard rebuild
-/// above it (sized on the *resolved* ops, misses already dropped) — recording
-/// the first fatal error encountered. `view` is the validation pass's view of
-/// this shard; a `Scan` view already holds the full point map, so the rebuild
+/// above it (sized on the *resolved* ops, misses already dropped) — then
+/// commit the shard's journal. `view` is the validation pass's view of this
+/// shard; a `Scan` view already holds the full point map, so the rebuild
 /// path never re-scans the shard it was just validated against.
-fn commit_shard(
-    index: &TopKIndex,
-    ops: &[UpdateOp],
-    view: LiveView,
-    first_error: &Mutex<Option<TopKError>>,
-) {
+fn commit_shard(index: &TopKIndex, ops: &[UpdateOp], view: LiveView) -> Result<()> {
     if ops.is_empty() {
-        return;
+        return Ok(());
     }
     let inserted = ops
         .iter()
@@ -987,32 +1108,27 @@ fn commit_shard(
         }
         let points: Vec<Point> = live.into_values().collect();
         index.rebuild_unvalidated(&points);
-        return;
-    }
-    for op in ops {
-        let res = match *op {
-            UpdateOp::Insert(p) => {
-                index.insert_validated(p);
-                Ok(())
+    } else {
+        for op in ops {
+            match *op {
+                UpdateOp::Insert(p) => index.insert_validated(p),
+                // Validation proved presence under the held write lock, so a
+                // miss here means the components disagree — the same fatal
+                // condition `delete_validated` itself reports.
+                UpdateOp::Delete(p) => {
+                    if !index.delete_validated(p)? {
+                        return Err(TopKError::Inconsistent {
+                            point: p,
+                            component: "sharded-commit",
+                        });
+                    }
+                }
             }
-            // Validation proved presence under the held write lock, so a
-            // miss here means the components disagree — the same fatal
-            // condition `delete_validated` itself reports.
-            UpdateOp::Delete(p) => match index.delete_validated(p) {
-                Ok(true) => Ok(()),
-                Ok(false) => Err(TopKError::Inconsistent {
-                    point: p,
-                    component: "sharded-commit",
-                }),
-                Err(e) => Err(e),
-            },
-        };
-        if let Err(e) = res {
-            first_error.lock().unwrap().get_or_insert(e);
-            return;
         }
+        index.maybe_rebuild();
     }
-    index.maybe_rebuild();
+    index.maybe_compact_journal();
+    index.durable_commit()
 }
 
 /// Split `sorted` (ascending by coordinate) into per-shard slices according
@@ -1030,17 +1146,16 @@ fn partition_sorted<'a>(sorted: &'a [Point], router: &Router) -> Vec<&'a [Point]
 }
 
 /// The read side of every held shard plus an epoch-validated routing
-/// snapshot, pinning one consistent version of a [`ShardedTopK`] — the
-/// sharded analogue of
-/// [`ConcurrentTopK::read`](crate::ConcurrentTopK::read). Obtained from
-/// [`ShardedTopK::read`]; writers to a held shard block until it is dropped.
+/// snapshot, pinning one consistent version of a [`ShardedTopK`]. Obtained
+/// from [`ShardedTopK::read`]; writers to a held shard block until it is
+/// dropped.
 pub struct ShardedReadGuard<'a> {
     /// The routing snapshot the guard's shard locks were validated against
     /// (no router lock is held — the snapshot is immutable).
     router: Arc<Router>,
     /// Shard id of `guards[0]` (0 for a full [`ShardedTopK::read`] guard).
     base: usize,
-    guards: Vec<RwLockReadGuard<'a, TopKIndex>>,
+    guards: Vec<ShardRead<'a>>,
     /// The index's commit stamp, loaded after every lock above was acquired.
     stamp: u64,
 }
@@ -1077,8 +1192,20 @@ impl ShardedReadGuard<'_> {
         Ok(ShardedResults::new(streams, request.k()))
     }
 
-    /// The eager fan-out query against this pinned version.
+    /// The eager query against this pinned version. A range inside one
+    /// shard runs that shard's one-shot [`TopKIndex::query`] plan — the
+    /// merge would only add per-point heap and stream overhead — and a
+    /// fan-out merges the per-shard streams.
+    ///
+    /// # Errors
+    ///
+    /// The same validation as [`TopKIndex::query`].
     pub fn query(&self, x1: u64, x2: u64, k: usize) -> Result<Vec<Point>> {
+        validate_query(x1, x2, k)?;
+        let (lo, hi) = self.overlap_held(x1, x2);
+        if lo == hi {
+            return Ok(self.shard(lo).query_unvalidated(x1, x2, k));
+        }
         Ok(self.stream(QueryRequest::range(x1, x2).top(k))?.collect())
     }
 
@@ -1240,7 +1367,64 @@ mod tests {
     #[test]
     fn sharded_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<TopKIndex>();
         assert_send_sync::<ShardedTopK>();
+    }
+
+    #[test]
+    fn sequential_smoke_through_one_shard() {
+        let dev = device();
+        let index = ShardedTopK::new(&dev, TopKConfig::for_tests(), 1);
+        assert!(index.is_empty());
+        let pts: Vec<Point> = (0..500u64)
+            .map(|i| Point::new(i * 3 + 1, i * 7 + 2))
+            .collect();
+        index.bulk_build(&pts).unwrap();
+        assert_eq!(index.len(), 500);
+        let oracle = Oracle::from_points(&pts);
+        assert_eq!(index.query(10, 900, 7).unwrap(), oracle.query(10, 900, 7));
+        assert_eq!(
+            index.count_in_range(10, 900).unwrap(),
+            oracle.count(10, 900) as u64
+        );
+        assert!(index.delete(pts[0]).unwrap());
+        assert!(!index.delete(pts[0]).unwrap());
+        index.insert(pts[0]).unwrap();
+        assert_eq!(index.len(), 500);
+        assert!(index.space_blocks() > 0);
+        // Streaming through a read guard pins one version of the index, and
+        // the guard's one-shot query agrees with the stream.
+        let guard = index.read();
+        let streamed: Vec<Point> = guard
+            .stream(QueryRequest::range(10, 900).top(7))
+            .unwrap()
+            .collect();
+        assert_eq!(streamed, oracle.query(10, 900, 7));
+        assert_eq!(guard.query(10, 900, 7).unwrap(), streamed);
+        drop(guard);
+        index.check_invariants();
+    }
+
+    #[test]
+    fn one_shard_apply_commits_batches_atomically() {
+        let dev = device();
+        let index = ShardedTopK::new(&dev, TopKConfig::for_tests(), 1);
+        let pts: Vec<Point> = (0..200u64)
+            .map(|i| Point::new(i * 3 + 1, i * 7 + 2))
+            .collect();
+        index.bulk_build(&pts).unwrap();
+        let before = index.read().version();
+        let mut batch = UpdateBatch::new();
+        for i in 0..50u64 {
+            batch.push(UpdateOp::Delete(pts[i as usize]));
+            batch.push(UpdateOp::Insert(Point::new(10_000 + i, 20_000 + i)));
+        }
+        let summary = index.apply(&batch).unwrap();
+        assert_eq!((summary.inserted, summary.deleted), (50, 50));
+        assert_eq!(index.len(), 200);
+        // One batch, one commit stamp, however many ops it carried.
+        assert_eq!(index.read().version(), before + 1);
+        index.check_invariants();
     }
 
     #[test]
@@ -1447,7 +1631,7 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 for _ in 0..40 {
-                    index.rebalance_now();
+                    index.rebalance_now().unwrap();
                 }
             });
             s.spawn(|| {

@@ -12,10 +12,6 @@
 //!   fixed-size checksummed slots of `data.topk`. Reopening a directory
 //!   recovers: scan slots, replay committed WAL batches, discard the torn /
 //!   uncommitted tail, checkpoint.
-//! * [`ThreadPoolBackend`] — a completion-model shim over any other backend:
-//!   submit an [`IoRequest`], get a [`Ticket`], poll or wait for the
-//!   [`IoOutcome`]. This is the API shape an io_uring backend will implement;
-//!   today a small worker pool executes the requests.
 //!
 //! ## On-disk format (all integers little-endian `u64` words)
 //!
@@ -66,15 +62,13 @@
 //! process without actually exiting: the crash-recovery testkit topology
 //! reopens the directory and checks the recovered state.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::Mutex;
 
 use crate::config::EmConfig;
 use crate::device::{FileId, PageAddr};
@@ -179,7 +173,7 @@ pub struct DurableStats {
 /// (`with`, `alloc`, `free`, …) so backend calls sites are classified by the
 /// lock they hold, not mistaken for buffer-pool traffic.
 pub trait StorageBackend: Send + Sync + fmt::Debug {
-    /// Short diagnostic name ("ram", "file", "threadpool").
+    /// Short diagnostic name ("ram", "file").
     fn name(&self) -> &'static str;
 
     /// Whether pages written through this backend survive reopen.
@@ -1106,224 +1100,10 @@ impl StorageBackend for FileBackend {
     }
 }
 
-// ---------------------------------------------------------------------------
-// ThreadPoolBackend
-// ---------------------------------------------------------------------------
-
-/// An I/O request for the completion-model shim.
-#[derive(Debug)]
-pub enum IoRequest {
-    /// Stage a page image.
-    Put(PageAddr, Vec<u64>),
-    /// Read a page image.
-    Get(PageAddr),
-    /// Stage a page drop.
-    Discard(PageAddr),
-    /// Commit all staged changes.
-    Commit,
-    /// Checkpoint the log.
-    Checkpoint,
-}
-
-/// Completion of an [`IoRequest`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum IoOutcome {
-    /// The request finished with nothing to return.
-    Done,
-    /// `Get` finished with this image.
-    Page(Option<Vec<u64>>),
-    /// `Commit` finished at this log sequence number.
-    Committed(u64),
-}
-
-/// Handle to a submitted request; redeem with [`ThreadPoolBackend::poll`] or
-/// [`ThreadPoolBackend::wait`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Ticket(u64);
-
-#[derive(Debug)]
-struct PoolCore {
-    jobs: Mutex<VecDeque<(u64, IoRequest)>>,
-    job_ready: Condvar,
-    done: Mutex<HashMap<u64, BackendResult<IoOutcome>>>,
-    done_ready: Condvar,
-    next_ticket: AtomicU64,
-    shutdown: AtomicBool,
-}
-
-fn run_request(base: &dyn StorageBackend, req: IoRequest) -> BackendResult<IoOutcome> {
-    match req {
-        IoRequest::Put(addr, words) => base.put_page(addr, &words).map(|()| IoOutcome::Done),
-        IoRequest::Get(addr) => base.get_page(addr).map(IoOutcome::Page),
-        IoRequest::Discard(addr) => base.drop_page(addr).map(|()| IoOutcome::Done),
-        IoRequest::Commit => base.commit().map(IoOutcome::Committed),
-        IoRequest::Checkpoint => base.checkpoint().map(|()| IoOutcome::Done),
-    }
-}
-
-fn worker_loop(core: Arc<PoolCore>, base: Arc<dyn StorageBackend>) {
-    loop {
-        let job = {
-            let mut jobs = core.jobs.lock().unwrap();
-            loop {
-                if let Some(j) = jobs.pop_front() {
-                    break j;
-                }
-                if core.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                jobs = core
-                    .job_ready
-                    .wait(jobs)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        let (ticket, req) = job;
-        let outcome = run_request(&*base, req);
-        core.done.lock().unwrap().insert(ticket, outcome);
-        core.done_ready.notify_all();
-    }
-}
-
-/// A completion-model shim over any backend: submit/poll/wait over a small
-/// worker pool. Establishes the asynchronous device API an io_uring backend
-/// will later implement (ROADMAP open item 3 follow-up).
-#[derive(Debug)]
-pub struct ThreadPoolBackend {
-    base: Arc<dyn StorageBackend>,
-    core: Arc<PoolCore>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl ThreadPoolBackend {
-    /// Wrap `base`, executing requests on `workers` threads (min 1).
-    pub fn new(base: Arc<dyn StorageBackend>, workers: usize) -> Self {
-        let core = Arc::new(PoolCore {
-            jobs: Mutex::new(VecDeque::new()),
-            job_ready: Condvar::new(),
-            done: Mutex::new(HashMap::new()),
-            done_ready: Condvar::new(),
-            next_ticket: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-        });
-        let handles = (0..workers.max(1))
-            .map(|_| {
-                let core = Arc::clone(&core);
-                let base = Arc::clone(&base);
-                std::thread::spawn(move || worker_loop(core, base))
-            })
-            .collect();
-        Self {
-            base,
-            core,
-            workers: Mutex::new(handles),
-        }
-    }
-
-    /// Enqueue a request; the returned ticket redeems its completion.
-    pub fn submit(&self, req: IoRequest) -> Ticket {
-        let t = self.core.next_ticket.fetch_add(1, Ordering::Relaxed);
-        self.core.jobs.lock().unwrap().push_back((t, req));
-        self.core.job_ready.notify_one();
-        Ticket(t)
-    }
-
-    /// Non-blocking: the completion if it is ready.
-    pub fn poll(&self, ticket: Ticket) -> Option<BackendResult<IoOutcome>> {
-        self.core.done.lock().unwrap().remove(&ticket.0)
-    }
-
-    /// Block until the completion is ready.
-    pub fn wait(&self, ticket: Ticket) -> BackendResult<IoOutcome> {
-        let mut done = self.core.done.lock().unwrap();
-        loop {
-            if let Some(r) = done.remove(&ticket.0) {
-                return r;
-            }
-            done = self
-                .core
-                .done_ready
-                .wait(done)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-impl Drop for ThreadPoolBackend {
-    fn drop(&mut self) {
-        self.core.shutdown.store(true, Ordering::Release);
-        self.core.job_ready.notify_all();
-        let mut ws = self.workers.lock().unwrap();
-        for w in ws.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl StorageBackend for ThreadPoolBackend {
-    fn name(&self) -> &'static str {
-        "threadpool"
-    }
-
-    fn is_durable(&self) -> bool {
-        self.base.is_durable()
-    }
-
-    fn bind_file(&self, id: FileId, name: &str) -> BackendResult<()> {
-        self.base.bind_file(id, name)
-    }
-
-    fn pages_of(&self, id: FileId) -> BackendResult<Vec<(u32, Vec<u64>)>> {
-        self.base.pages_of(id)
-    }
-
-    fn put_page(&self, addr: PageAddr, words: &[u64]) -> BackendResult<()> {
-        match self.wait(self.submit(IoRequest::Put(addr, words.to_vec())))? {
-            IoOutcome::Done => Ok(()),
-            other => Err(BackendError::Io(format!("unexpected completion {other:?}"))),
-        }
-    }
-
-    fn get_page(&self, addr: PageAddr) -> BackendResult<Option<Vec<u64>>> {
-        match self.wait(self.submit(IoRequest::Get(addr)))? {
-            IoOutcome::Page(p) => Ok(p),
-            other => Err(BackendError::Io(format!("unexpected completion {other:?}"))),
-        }
-    }
-
-    fn drop_page(&self, addr: PageAddr) -> BackendResult<()> {
-        match self.wait(self.submit(IoRequest::Discard(addr)))? {
-            IoOutcome::Done => Ok(()),
-            other => Err(BackendError::Io(format!("unexpected completion {other:?}"))),
-        }
-    }
-
-    fn commit(&self) -> BackendResult<u64> {
-        match self.wait(self.submit(IoRequest::Commit))? {
-            IoOutcome::Committed(lsn) => Ok(lsn),
-            other => Err(BackendError::Io(format!("unexpected completion {other:?}"))),
-        }
-    }
-
-    fn checkpoint(&self) -> BackendResult<()> {
-        match self.wait(self.submit(IoRequest::Checkpoint))? {
-            IoOutcome::Done => Ok(()),
-            other => Err(BackendError::Io(format!("unexpected completion {other:?}"))),
-        }
-    }
-
-    fn arm_fault(&self, plan: FaultPlan) {
-        self.base.arm_fault(plan);
-    }
-
-    fn durable_stats(&self) -> DurableStats {
-        self.base.durable_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -1562,43 +1342,6 @@ mod tests {
             b.get_page(PageAddr { file: 9, page: 0 }).unwrap(),
             Some(vec![11])
         );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn threadpool_shim_completes_requests() {
-        let dir = scratch("pool");
-        let file = Arc::new(FileBackend::open(&dir, cfg()).unwrap());
-        let pool = ThreadPoolBackend::new(file, 3);
-        pool.bind_file(0, "nodes").unwrap();
-        let tickets: Vec<Ticket> = (0..16)
-            .map(|p| pool.submit(IoRequest::Put(addr(p), vec![u64::from(p)])))
-            .collect();
-        for t in tickets {
-            assert_eq!(pool.wait(t).unwrap(), IoOutcome::Done);
-        }
-        assert!(matches!(
-            pool.wait(pool.submit(IoRequest::Commit)).unwrap(),
-            IoOutcome::Committed(_)
-        ));
-        let t = pool.submit(IoRequest::Get(addr(7)));
-        assert_eq!(pool.wait(t).unwrap(), IoOutcome::Page(Some(vec![7])));
-        drop(pool);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn threadpool_backend_trait_delegates() {
-        let dir = scratch("pooltrait");
-        let file = Arc::new(FileBackend::open(&dir, cfg()).unwrap());
-        let pool = ThreadPoolBackend::new(file, 2);
-        assert!(pool.is_durable());
-        pool.bind_file(0, "nodes").unwrap();
-        pool.put_page(addr(0), &[5]).unwrap();
-        assert_eq!(pool.commit().unwrap(), 1);
-        assert_eq!(pool.get_page(addr(0)).unwrap(), Some(vec![5]));
-        assert!(pool.durable_stats().commits >= 1);
-        drop(pool);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -18,29 +18,8 @@ pub enum PoolPolicy {
     ExactLru,
 }
 
-/// Which [`StorageBackend`](crate::StorageBackend) a durable device opens.
-///
-/// Only consulted by [`Device::open`](crate::Device::open): `Ram` devices
-/// come from [`Device::new`](crate::Device::new) and carry the default here
-/// so the config round-trips. Opening a directory always produces a durable
-/// backend — `File` (and `Ram`, which `open` treats as `File`) is the plain
-/// synchronous file device, `ThreadPool` wraps it in the completion-model
-/// shim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendKind {
-    /// In-RAM simulator only; nothing durable (the historical behaviour).
-    #[default]
-    Ram,
-    /// File-backed WAL device (`FileBackend`).
-    File,
-    /// File-backed WAL device behind the submit/poll worker-pool shim
-    /// (`ThreadPoolBackend` over `FileBackend`).
-    ThreadPool,
-}
-
 /// Parameters of the EM machine: block size `B` and memory size `M`, both in
-/// words, plus the buffer-pool [`PoolPolicy`] and the [`BackendKind`] used
-/// when the device is opened on a directory.
+/// words, plus the buffer-pool [`PoolPolicy`].
 ///
 /// The paper requires `M = Ω(B)`; [`EmConfig::new`] enforces `M ≥ 2B` (the
 /// minimum of the Aggarwal–Vitter model) and a block of at least 8 words so that
@@ -53,8 +32,6 @@ pub struct EmConfig {
     pub mem_words: usize,
     /// Buffer-pool replacement policy.
     pub pool_policy: PoolPolicy,
-    /// Storage backend selected by [`Device::open`](crate::Device::open).
-    pub backend: BackendKind,
 }
 
 impl EmConfig {
@@ -70,7 +47,6 @@ impl EmConfig {
             block_words,
             mem_words,
             pool_policy: PoolPolicy::default(),
-            backend: BackendKind::default(),
         }
     }
 
@@ -84,13 +60,6 @@ impl EmConfig {
     /// This configuration with an explicit buffer-pool policy.
     pub fn pool_policy(mut self, policy: PoolPolicy) -> Self {
         self.pool_policy = policy;
-        self
-    }
-
-    /// This configuration with an explicit storage backend for
-    /// [`Device::open`](crate::Device::open).
-    pub fn backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
         self
     }
 

@@ -17,9 +17,8 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use crate::backend::{
     BackendError, BackendResult, DurableStats, FaultPlan, FileBackend, RamBackend, StorageBackend,
-    ThreadPoolBackend,
 };
-use crate::config::{BackendKind, EmConfig, PoolPolicy};
+use crate::config::{EmConfig, PoolPolicy};
 use crate::file::BlockFile;
 use crate::page::{Page, PersistPage};
 use crate::pool::{AccessOutcome, Pool, ShardedPool};
@@ -149,18 +148,12 @@ impl Device {
         }
     }
 
-    /// Open (or create) a durable device rooted at `dir`, running crash
-    /// recovery on whatever the directory holds. `config.backend` picks the
-    /// implementation: [`BackendKind::ThreadPool`] wraps the file device in
-    /// the completion-model shim, everything else opens [`FileBackend`]
-    /// directly.
+    /// Open (or create) a durable device rooted at `dir` on a
+    /// [`FileBackend`], running crash recovery on whatever the directory
+    /// holds.
     pub fn open(config: EmConfig, dir: &Path) -> BackendResult<Self> {
-        let file = Arc::new(FileBackend::open(dir, config)?);
-        let backend: Arc<dyn StorageBackend> = match config.backend {
-            BackendKind::ThreadPool => Arc::new(ThreadPoolBackend::new(file, 4)),
-            BackendKind::Ram | BackendKind::File => file,
-        };
-        Ok(Self::with_backend(config, backend))
+        let file = FileBackend::open(dir, config)?;
+        Ok(Self::with_backend(config, Arc::new(file)))
     }
 
     /// Create a device with the default disk-like configuration.
@@ -507,32 +500,26 @@ mod tests {
 
     #[test]
     fn durable_file_roundtrips_across_reopen() {
-        for kind in [BackendKind::File, BackendKind::ThreadPool] {
-            let dir = std::env::temp_dir().join(format!(
-                "emsim-dev-durable-{:?}-{}",
-                kind,
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let cfg = EmConfig::small().backend(kind);
-            let (a, b);
-            {
-                let dev = Device::open(cfg, &dir).unwrap();
-                assert!(dev.is_durable());
-                let f = dev.open_durable_file::<DP>("nodes").unwrap();
-                a = f.alloc(DP(vec![1, 2]));
-                b = f.alloc(DP(vec![3]));
-                f.with_mut(a, |p| p.0.push(9));
-                f.free(b);
-                dev.commit_backend().unwrap();
-            }
+        let dir = std::env::temp_dir().join(format!("emsim-dev-durable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = EmConfig::small();
+        let (a, b);
+        {
             let dev = Device::open(cfg, &dir).unwrap();
+            assert!(dev.is_durable());
             let f = dev.open_durable_file::<DP>("nodes").unwrap();
-            assert_eq!(f.get(a), DP(vec![1, 2, 9]));
-            assert!(!f.is_live(b));
-            assert_eq!(dev.space_blocks(), 1, "restore must recount live pages");
-            std::fs::remove_dir_all(&dir).unwrap();
+            a = f.alloc(DP(vec![1, 2]));
+            b = f.alloc(DP(vec![3]));
+            f.with_mut(a, |p| p.0.push(9));
+            f.free(b);
+            dev.commit_backend().unwrap();
         }
+        let dev = Device::open(cfg, &dir).unwrap();
+        let f = dev.open_durable_file::<DP>("nodes").unwrap();
+        assert_eq!(f.get(a), DP(vec![1, 2, 9]));
+        assert!(!f.is_live(b));
+        assert_eq!(dev.space_blocks(), 1, "restore must recount live pages");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -39,7 +39,7 @@ type Slot<P> = Arc<RwLock<Option<P>>>;
 /// serialise on page contents), and the free list has a `Mutex`. Concurrent
 /// `with_mut` calls to the *same* page are mutually exclusive but their
 /// interleaving is the caller's responsibility, as is the torn-structure
-/// problem of multi-page operations — see `topk_core::ConcurrentTopK` and
+/// problem of multi-page operations — see `topk_core::ShardedTopK` and
 /// DESIGN.md §4 for the structure-level locking that builds on this.
 #[derive(Debug)]
 pub struct BlockFile<P> {

@@ -50,10 +50,10 @@ mod pool;
 mod stats;
 
 pub use backend::{
-    BackendError, BackendResult, DurableStats, FaultPlan, FileBackend, IoOutcome, IoRequest,
-    KillPhase, RamBackend, StorageBackend, ThreadPoolBackend, Ticket,
+    BackendError, BackendResult, DurableStats, FaultPlan, FileBackend, KillPhase, RamBackend,
+    StorageBackend,
 };
-pub use config::{BackendKind, EmConfig, PoolPolicy};
+pub use config::{EmConfig, PoolPolicy};
 pub use device::{Device, FileId, PageAddr};
 pub use file::{BlockFile, PageId};
 pub use page::{encode_page, entries_per_block, entries_words, Page, PersistPage};

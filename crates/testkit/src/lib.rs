@@ -1,9 +1,8 @@
 //! # topk-testkit — the deterministic verification subsystem
 //!
 //! Every serving topology in this workspace ([`topk_core::TopKIndex`],
-//! [`topk_core::ConcurrentTopK`], [`topk_core::ShardedTopK`], and the
-//! cursor read plane over them) must provably agree with the sequential
-//! spec — [`baselines::NaiveTopK`], the scan oracle — under arbitrary
+//! [`topk_core::ShardedTopK`], and the cursor read plane over them) must
+//! provably agree with the sequential spec — [`baselines::NaiveTopK`], the scan oracle — under arbitrary
 //! operation sequences and adversarial interleavings. Before this crate,
 //! each integration harness (`sharded_stress`, `concurrency`, `cursor`,
 //! `crosscheck`) reinvented its own generator, oracle wiring and seed
@@ -55,7 +54,7 @@ pub use crash::{crash_recovery_check, scratch_dir, CrashReport, CrashSpec};
 pub use gen::{generate, generate_concurrent, ConcurrentPlan, OpMix, TraceSpec};
 pub use history::{check, Event, History, HistoryReport, HistoryViolation, Recorder};
 pub use replay::{replay, replay_durable, replay_on, Divergence, ReplayStats};
-pub use seed::{Seed, LEGACY_SEED_ENV, SEED_ENV};
+pub use seed::{Seed, SEED_ENV};
 pub use shrink::{replay_or_shrink, repro_dir, shrink, shrink_to_file, ShrinkReport};
 pub use topology::Topology;
 pub use trace::{BatchItem, Trace, TraceOp, TraceParseError, TRACE_HEADER};

@@ -120,9 +120,9 @@ pub fn replay(trace: &Trace, topology: Topology) -> Result<ReplayStats, Divergen
 }
 
 /// Replay `trace` against the durable file backend rooted at `dir`: the
-/// engine is a [`Topology::Concurrent`]-shaped index journaling every
-/// commit through the WAL (sharding is rejected by the builder for durable
-/// indexes). `dir` must be fresh — the sequential spec starts empty, so a
+/// engine is a one-shard [`Topology::Sharded`] index journaling every commit
+/// through the WAL (the device has one journal, so a durable index is one
+/// shard). `dir` must be fresh — the sequential spec starts empty, so a
 /// directory with recovered state diverges at step 0 by construction.
 pub fn replay_durable(trace: &Trace, dir: &std::path::Path) -> Result<ReplayStats, Divergence> {
     let handle = TopK::builder()
@@ -132,7 +132,7 @@ pub fn replay_durable(trace: &Trace, dir: &std::path::Path) -> Result<ReplayStat
         .build_auto()
         .expect("durable replay build parameters are valid");
     let engine_device = handle.device();
-    replay_on(trace, Topology::Concurrent, engine_device, handle)
+    replay_on(trace, Topology::Sharded(1), engine_device, handle)
 }
 
 /// Total inserts a trace can perform — the builder's `expected_n` sizing.
@@ -237,7 +237,9 @@ impl Replayer {
             TraceOp::CursorResume { id } => self.do_cursor_resume(step, op, *id),
             TraceOp::RebalanceHint => {
                 if let TopK::Sharded(sharded) = &self.handle {
-                    sharded.rebalance_now();
+                    if let Err(e) = sharded.rebalance_now() {
+                        return Err(self.diverge(step, op, format!("rebalance failed: {e}")));
+                    }
                     self.stats.applied += 1;
                 } else {
                     self.stats.skipped += 1;
@@ -687,7 +689,6 @@ impl Replayer {
         }
         match &self.handle {
             TopK::Single(index) => index.check_invariants(),
-            TopK::Concurrent(index) => index.read().check_invariants(),
             TopK::Sharded(sharded) => sharded.check_invariants(),
         }
         Ok(())
@@ -755,7 +756,7 @@ mod tests {
             TraceOp::CursorResume { id: 7 },
             TraceOp::Query { x1: 0, x2: 9, k: 3 },
         ]);
-        let stats = replay(&trace, Topology::Concurrent).unwrap();
+        let stats = replay(&trace, Topology::Sharded(1)).unwrap();
         assert_eq!(stats.skipped, 7); // dup x, dup score, miss, 2 bad queries, 2 orphan cursor verbs
         assert_eq!(stats.applied, 2); // the one valid insert and the one valid query
     }

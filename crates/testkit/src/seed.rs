@@ -2,18 +2,12 @@
 //!
 //! One environment variable — `TOPK_SEED` — pins any seeded test to a
 //! single case, and every assertion context carries the same one-command
-//! repro line. This replaces the ad-hoc `STRESS_SEED` plumbing that each
-//! harness used to reinvent (the legacy variable is still honoured so old
-//! CI repro lines keep working).
+//! repro line.
 
 use std::fmt;
 
 /// The environment variable that pins a harness to one seed.
 pub const SEED_ENV: &str = "TOPK_SEED";
-
-/// The pre-testkit variable `tests/sharded_stress.rs` used; honoured as a
-/// fallback so repro lines from old CI runs still replay.
-pub const LEGACY_SEED_ENV: &str = "STRESS_SEED";
 
 /// A reproducibility seed: either a harness default or a value pinned via
 /// the `TOPK_SEED` environment variable. Carries everything needed to print
@@ -33,9 +27,9 @@ impl Seed {
         }
     }
 
-    /// The pinned seed from `TOPK_SEED` (or the legacy `STRESS_SEED`), or
-    /// `default` when neither is set. Panics with a usable message if the
-    /// variable is set but not an unsigned integer.
+    /// The pinned seed from `TOPK_SEED`, or `default` when it is not set.
+    /// Panics with a usable message if the variable is set but not an
+    /// unsigned integer.
     pub fn from_env(default: u64) -> Self {
         match Self::pinned_from_env() {
             Some(seed) => seed,
@@ -44,7 +38,7 @@ impl Seed {
     }
 
     /// The seed matrix a harness run covers: the given defaults, or — when
-    /// `TOPK_SEED` / `STRESS_SEED` pins one — exactly that seed (how CI
+    /// `TOPK_SEED` pins one — exactly that seed (how CI
     /// failures are replayed locally).
     pub fn matrix(defaults: &[u64]) -> Vec<Seed> {
         match Self::pinned_from_env() {
@@ -54,18 +48,14 @@ impl Seed {
     }
 
     fn pinned_from_env() -> Option<Seed> {
-        for var in [SEED_ENV, LEGACY_SEED_ENV] {
-            if let Ok(raw) = std::env::var(var) {
-                let value = raw.parse().unwrap_or_else(|_| {
-                    panic!("{var} must be an unsigned integer seed, got {raw:?}")
-                });
-                return Some(Seed {
-                    value,
-                    pinned: true,
-                });
-            }
-        }
-        None
+        let raw = std::env::var(SEED_ENV).ok()?;
+        let value = raw
+            .parse()
+            .unwrap_or_else(|_| panic!("{SEED_ENV} must be an unsigned integer seed, got {raw:?}"));
+        Some(Seed {
+            value,
+            pinned: true,
+        })
     }
 
     /// The seed value.
@@ -129,7 +119,7 @@ mod tests {
     fn matrix_defaults_without_env() {
         // The test process may inherit the env var (that is the point of
         // the feature); only assert the default path when it is absent.
-        if std::env::var(SEED_ENV).is_err() && std::env::var(LEGACY_SEED_ENV).is_err() {
+        if std::env::var(SEED_ENV).is_err() {
             let seeds = Seed::matrix(&[1, 2, 3]);
             assert_eq!(seeds.len(), 3);
             assert!(seeds.iter().all(|s| !s.is_pinned()));

@@ -10,8 +10,8 @@
 //! [`replay_or_shrink`] is the harness entry point: replay, and on
 //! divergence shrink, write the minimal trace to `target/repro/<name>.trace`,
 //! and panic with the divergence plus the one-line replay command — the
-//! same ergonomics the stress harness's `STRESS_SEED` repro lines had, but
-//! pointing at a file that is already minimal.
+//! same ergonomics as a `TOPK_SEED` repro line, but pointing at a file that
+//! is already minimal.
 
 use std::path::{Path, PathBuf};
 

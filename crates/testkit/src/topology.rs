@@ -4,27 +4,24 @@ use std::fmt;
 use std::str::FromStr;
 
 use emsim::{Device, EmConfig};
-use topk_core::{ConcurrentTopK, ShardedTopK, TopK, TopKIndex};
+use topk_core::{ShardedTopK, TopK, TopKIndex};
 
 /// One of the serving topologies of the workspace. Every harness sweep runs
-/// [`Topology::ALL`] — the five shapes the acceptance criteria name: the
-/// bare single-threaded index, the coarse-locked wrapper, and range
-/// sharding at 1, 4 and 16 shards.
+/// [`Topology::ALL`] — the bare single-threaded index and range sharding at
+/// 1, 4 and 16 shards (one shard is the shape small and durable indexes
+/// serve from).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
     /// A bare [`TopKIndex`] behind the facade (no locking layer).
     Single,
-    /// The coarse-locked [`ConcurrentTopK`].
-    Concurrent,
     /// A range-sharded [`ShardedTopK`] with this many shards.
     Sharded(usize),
 }
 
 impl Topology {
     /// Every topology the harnesses sweep.
-    pub const ALL: [Topology; 5] = [
+    pub const ALL: [Topology; 4] = [
         Topology::Single,
-        Topology::Concurrent,
         Topology::Sharded(1),
         Topology::Sharded(4),
         Topology::Sharded(16),
@@ -51,14 +48,6 @@ impl Topology {
                     .build()
                     .expect("harness build parameters are valid"),
             ),
-            Topology::Concurrent => TopK::concurrent(
-                ConcurrentTopK::builder()
-                    .device(device)
-                    .expected_n(expected_n)
-                    .crossover_l(64)
-                    .build_concurrent()
-                    .expect("harness build parameters are valid"),
-            ),
             Topology::Sharded(shards) => TopK::sharded(
                 ShardedTopK::builder()
                     .device(device)
@@ -76,7 +65,6 @@ impl fmt::Display for Topology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Topology::Single => write!(f, "single"),
-            Topology::Concurrent => write!(f, "concurrent"),
             Topology::Sharded(s) => write!(f, "sharded-{s}"),
         }
     }
@@ -88,14 +76,13 @@ impl FromStr for Topology {
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "single" => Ok(Topology::Single),
-            "concurrent" => Ok(Topology::Concurrent),
             _ => match s.strip_prefix("sharded-") {
                 Some(n) => n
                     .parse::<usize>()
                     .map_err(|e| format!("bad shard count in '{s}': {e}"))
                     .map(Topology::Sharded),
                 None => Err(format!(
-                    "unknown topology '{s}' (expected single, concurrent or sharded-<n>)"
+                    "unknown topology '{s}' (expected single or sharded-<n>)"
                 )),
             },
         }

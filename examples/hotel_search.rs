@@ -14,9 +14,9 @@ use topk::{Point, QueryRequest, TopK, TopKError, UpdateBatch};
 
 fn main() -> Result<(), TopKError> {
     let n = 200_000u64;
-    // build_auto() picks the serving topology from the expected size; the
-    // rest of this example is written against the one TopK surface, so it
-    // runs unchanged whether that resolves to a coarse lock or shards.
+    // build_auto() picks the shard count from the expected size; the rest
+    // of this example is written against the one TopK surface, so it runs
+    // unchanged whether that resolves to one shard or several.
     let index = TopK::builder()
         .block_words(512)
         .pool_bytes(16 << 20)

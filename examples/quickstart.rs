@@ -10,8 +10,8 @@ use topk::{Point, QueryRequest, ResumeToken, TopK, TopKError};
 fn main() -> Result<(), TopKError> {
     // A machine with 4 KiB blocks (512 words of 8 bytes) and 16 MiB of
     // memory; `build_auto()` owns device construction, resolves the small-k
-    // engine against the expected input size, and picks the serving
-    // topology (coarse-locked vs range-sharded) the same way.
+    // engine against the expected input size, and picks the shard count of
+    // the concurrent topology the same way.
     let n = 100_000u64;
     let index = TopK::builder()
         .block_words(512)

@@ -15,17 +15,17 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use topk::{ConcurrentTopK, Consistency, Point, QueryRequest, TopKError, UpdateBatch};
+use topk::{Consistency, Point, QueryRequest, ShardedTopK, TopKError, UpdateBatch};
 
 fn main() -> Result<(), TopKError> {
     let window = 50_000u64;
     let steps = 150_000u64;
     let index = Arc::new(
-        ConcurrentTopK::builder()
+        ShardedTopK::builder()
             .block_words(512)
             .pool_bytes(16 << 20)
             .expected_n(window as usize)
-            .build_concurrent()?,
+            .build_sharded()?,
     );
     let device = index.device();
 

@@ -122,7 +122,7 @@ fn generated_traces_replay_clean_over_the_file_backend() {
         ..TraceSpec::new(PointDistribution::Clustered, 29)
     };
     let trace = generate(&spec);
-    let ram = replay(&trace, Topology::Concurrent).unwrap_or_else(|d| panic!("{d}"));
+    let ram = replay(&trace, Topology::Sharded(1)).unwrap_or_else(|d| panic!("{d}"));
     let dir = scratch_dir("replay");
     let file = replay_durable(&trace, &dir).unwrap_or_else(|d| panic!("{d}"));
     // Identical logical sequence: both replays apply and check the same ops.
@@ -263,5 +263,109 @@ fn snapshot_into_own_directory_is_refused() {
     // The live handle is unharmed.
     index.insert(Point::new(8, 8)).unwrap();
     assert_eq!(index.len(), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn durable_build_auto_is_one_shard_that_resumes_its_stamp() {
+    // A durable device has one journal, so `build_auto` serves it as a
+    // one-shard `ShardedTopK` whatever the expected size; reopening reports
+    // the recovered stamp and resumes the commit stamp from it, so stamps
+    // never go backwards across a restart.
+    let dir = scratch_dir("one-shard");
+    let open = || {
+        TopK::builder()
+            .durable(&dir)
+            .expected_n(1 << 20)
+            .crossover_l(64)
+            .build_auto()
+            .unwrap()
+    };
+    let last_stamp = {
+        let handle = open();
+        let TopK::Sharded(sharded) = &handle else {
+            panic!("a durable build_auto handle must be sharded, got {handle:?}");
+        };
+        assert_eq!(sharded.shard_count(), 1);
+        assert_eq!(handle.recovered_stamp(), Some(0));
+        for i in 0..40u64 {
+            handle.insert(Point::new(i * 5 + 1, i * 11 + 3)).unwrap();
+        }
+        assert!(handle.delete(Point::new(1, 3)).unwrap());
+        let stamp = sharded.read().version();
+        stamp
+    };
+    let handle = open();
+    let TopK::Sharded(sharded) = &handle else {
+        panic!("a reopened durable handle must be sharded, got {handle:?}");
+    };
+    let recovered = handle.recovered_stamp().unwrap();
+    assert!(
+        recovered >= 41,
+        "41 committed writes, recovered stamp {recovered}"
+    );
+    assert!(sharded.read().version() >= recovered.max(last_stamp));
+    assert_eq!(handle.len(), 39);
+    assert_eq!(
+        handle.query(0, u64::MAX, 1).unwrap(),
+        vec![Point::new(196, 432)]
+    );
+    // The recovered contents seed the shard's bookkeeping: a duplicate score
+    // from before the restart is still rejected.
+    assert!(handle.insert(Point::new(10_000, 14)).is_err());
+    sharded.check_invariants();
+    drop(handle);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn durable_one_shard_rebuild_batches_survive_reopen() {
+    // A batch of at least n/16 ops commits as one shard rebuild; on a
+    // durable handle that rebuild must reach the journal like a point-wise
+    // commit does, and both must survive a drop and reopen intact.
+    let dir = scratch_dir("one-shard-batch");
+    let open = || {
+        TopK::builder()
+            .durable(&dir)
+            .expected_n(512)
+            .crossover_l(64)
+            .build_auto()
+            .unwrap()
+    };
+    let points = PointGen {
+        distribution: PointDistribution::Uniform,
+        seed: 0xB47C,
+    }
+    .generate(400);
+    let (preload, fresh) = points.split_at(200);
+    let mut want: Vec<Point> = {
+        let handle = open();
+        handle.bulk_build(preload).unwrap();
+        // 96 ops against 200 live points: well past the n/16 crossover.
+        let mut big = topk_core::UpdateBatch::new();
+        for (victim, p) in preload.iter().zip(fresh).take(48) {
+            big = big.delete(*victim).insert(*p);
+        }
+        let summary = handle.apply(&big).unwrap();
+        assert_eq!((summary.inserted, summary.deleted), (48, 48));
+        // And a small point-wise batch on top.
+        let small = topk_core::UpdateBatch::new()
+            .delete(preload[100])
+            .insert(fresh[100]);
+        handle.apply(&small).unwrap();
+        let mut live = handle.all_points();
+        live.sort_by_key(|p| p.x);
+        live
+    };
+    want.sort_by_key(|p| p.x);
+    let handle = open();
+    let mut got = handle.all_points();
+    got.sort_by_key(|p| p.x);
+    assert_eq!(got, want, "a committed batch did not survive the reopen");
+    assert_eq!(handle.len(), 200);
+    if let TopK::Sharded(sharded) = &handle {
+        sharded.check_invariants();
+    }
+    drop(handle);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,9 +1,9 @@
 //! Batched-update acceptance tests: [`UpdateBatch`] applied through
 //! `apply()` must be *observation-equivalent* to the same operations applied
 //! point-wise — same answers, same counts, same misses — cross-checked
-//! against the oracle under seeded randomized workloads; and under
-//! [`ConcurrentTopK`], concurrent readers must only ever observe pre-batch
-//! or post-batch states, never a torn middle.
+//! against the oracle under seeded randomized workloads; and under a
+//! one-shard [`ShardedTopK`], concurrent readers must only ever observe
+//! pre-batch or post-batch states, never a torn middle.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -12,7 +12,7 @@ use emsim::{Device, EmConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use topk::{
-    BatchSummary, ConcurrentTopK, Oracle, Point, TopKConfig, TopKIndex, UpdateBatch, UpdateOp,
+    BatchSummary, Oracle, Point, ShardedTopK, TopKConfig, TopKIndex, UpdateBatch, UpdateOp,
 };
 
 fn device() -> Device {
@@ -134,7 +134,7 @@ fn mid_batch_readers_see_only_pre_or_post_states() {
     const BATCHES: usize = 24;
     const OPS_PER_BATCH: usize = 64;
 
-    let index = ConcurrentTopK::new(&device(), TopKConfig::for_tests());
+    let index = ShardedTopK::new(&device(), TopKConfig::for_tests(), 1);
     let initial: Vec<Point> = (0..2_000u64).map(point).collect();
     index.bulk_build(&initial).unwrap();
 
@@ -216,7 +216,7 @@ fn mid_batch_readers_see_only_pre_or_post_states() {
 
 #[test]
 fn concurrent_apply_validation_failures_leave_no_trace() {
-    let index = ConcurrentTopK::new(&device(), TopKConfig::for_tests());
+    let index = ShardedTopK::new(&device(), TopKConfig::for_tests(), 1);
     index
         .bulk_build(&(0..100u64).map(point).collect::<Vec<_>>())
         .unwrap();

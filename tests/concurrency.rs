@@ -2,12 +2,13 @@
 //! shared index, interleaved with locked updates, and every answer must match
 //! the oracle exactly — not just "look plausible".
 //!
-//! Exact matching under interleaving works via version stamping. For the
-//! coarse [`ConcurrentTopK`] the updater bumps an atomic version and
-//! publishes an oracle snapshot for it *while still holding the index's
-//! write lock*; a reader that takes the read lock therefore observes a
-//! stable version for as long as it holds the guard, and compares its
-//! answers against the snapshot published for exactly that version.
+//! Exact matching under interleaving works via version stamping. On a
+//! one-shard [`ShardedTopK`] every committed batch bumps the index's commit
+//! stamp *while still holding the shard's write lock*, and the workload is
+//! deterministic, so the oracle snapshot after each batch is precomputed; a
+//! reader that takes the read guard observes one stable stamp for as long as
+//! it holds it, and compares its answers against the snapshot for exactly
+//! that stamp.
 //!
 //! For the sharded index the stamp scheme is extended per writer: each
 //! writer's batches touch one disjoint coordinate territory, its post-batch
@@ -27,14 +28,12 @@
 //! instead of precomputing per-territory snapshots by hand. Seeds unify
 //! through `topk_testkit::Seed` (`TOPK_SEED=<n>` pins a run).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use emsim::{Device, EmConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use topk_core::{ConcurrentTopK, Oracle, Point, ShardedTopK, TopKConfig, UpdateBatch, UpdateOp};
+use topk_core::{Oracle, Point, ShardedTopK, TopKConfig, UpdateBatch, UpdateOp};
 use topk_testkit::Seed;
 
 fn points(seed: u64, lo: u64, n: u64) -> Vec<Point> {
@@ -59,16 +58,9 @@ fn concurrent_queries_interleaved_with_locked_updates_match_oracle() {
 
     let seed = Seed::from_env(1);
     let device = Device::new(EmConfig::new(256, 256 * 256));
-    let index = ConcurrentTopK::new(&device, TopKConfig::for_tests());
+    let index = ShardedTopK::new(&device, TopKConfig::for_tests(), 1);
     let initial = points(seed.value(), 0, 4_000);
     index.bulk_build(&initial).unwrap();
-
-    let version = AtomicU64::new(0);
-    let snapshots: Mutex<HashMap<u64, Oracle>> = Mutex::new(HashMap::new());
-    snapshots
-        .lock()
-        .unwrap()
-        .insert(0, Oracle::from_points(&initial));
 
     // Points the updater will insert (disjoint coordinates/scores) and delete.
     let incoming = points(
@@ -78,39 +70,42 @@ fn concurrent_queries_interleaved_with_locked_updates_match_oracle() {
     );
     let x_max = 50_000u64;
 
+    // The updater's batches and the oracle after each: `snapshots[b]` is the
+    // state once `b` batches committed.
+    let mut batches = Vec::new();
+    let mut oracle = Oracle::from_points(&initial);
+    let mut snapshots = vec![oracle.clone()];
+    let (mut insert_cursor, mut delete_cursor) = (0usize, 0usize);
+    for batch in 0..BATCHES {
+        let mut ops = UpdateBatch::new();
+        for i in 0..BATCH {
+            if (batch as usize + i).is_multiple_of(2) && insert_cursor < incoming.len() {
+                let p = incoming[insert_cursor];
+                insert_cursor += 1;
+                ops.push(UpdateOp::Insert(p));
+                oracle.insert(p);
+            } else if delete_cursor < initial.len() {
+                let p = initial[delete_cursor];
+                delete_cursor += 1;
+                ops.push(UpdateOp::Delete(p));
+                oracle.delete(p);
+            }
+        }
+        batches.push(ops);
+        snapshots.push(oracle.clone());
+    }
+    let base = index.read().version();
+
     std::thread::scope(|scope| {
-        // The updater: locked batches, each publishing an oracle snapshot for
-        // its new version before the write lock is released.
+        // The updater: locked batches, each bumping the commit stamp once
+        // before its write lock is released.
         {
             let index = &index;
-            let version = &version;
-            let snapshots = &snapshots;
-            let initial = &initial;
-            let incoming = &incoming;
+            let batches = &batches;
             scope.spawn(move || {
-                let mut oracle = Oracle::from_points(initial);
-                let mut insert_cursor = 0usize;
-                let mut delete_cursor = 0usize;
-                for batch in 0..BATCHES {
-                    let guard = index.write();
-                    for i in 0..BATCH {
-                        if (batch as usize + i).is_multiple_of(2) && insert_cursor < incoming.len()
-                        {
-                            let p = incoming[insert_cursor];
-                            insert_cursor += 1;
-                            guard.insert(p).unwrap();
-                            oracle.insert(p);
-                        } else if delete_cursor < initial.len() {
-                            let p = initial[delete_cursor];
-                            delete_cursor += 1;
-                            assert!(guard.delete(p).unwrap());
-                            oracle.delete(p);
-                        }
-                    }
-                    let v = version.load(Ordering::Acquire) + 1;
-                    snapshots.lock().unwrap().insert(v, oracle.clone());
-                    version.store(v, Ordering::Release);
-                    drop(guard);
+                for batch in batches {
+                    let summary = index.apply(batch).unwrap();
+                    assert_eq!(summary.missing_deletes, 0);
                     // A breather so readers actually interleave between batches.
                     std::thread::yield_now();
                 }
@@ -118,10 +113,9 @@ fn concurrent_queries_interleaved_with_locked_updates_match_oracle() {
         }
 
         // The readers: each answer is compared against the snapshot of the
-        // version observed while the read lock was held.
+        // stamp observed while the read guard was held.
         for reader in 0..READERS {
             let index = &index;
-            let version = &version;
             let snapshots = &snapshots;
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(100 + reader as u64);
@@ -130,12 +124,11 @@ fn concurrent_queries_interleaved_with_locked_updates_match_oracle() {
                     let b = rng.gen_range(a..=x_max);
                     let k = rng.gen_range(1usize..200);
                     let guard = index.read();
-                    let v = version.load(Ordering::Acquire);
+                    let v = guard.version() - base;
                     let got = guard.query(a, b, k).unwrap();
                     let count = guard.count_in_range(a, b).unwrap();
                     drop(guard);
-                    let snapshots = snapshots.lock().unwrap();
-                    let oracle = snapshots.get(&v).expect("snapshot published");
+                    let oracle = snapshots.get(v as usize).expect("one stamp per batch");
                     assert_eq!(
                         got,
                         oracle.query(a, b, k),
@@ -153,10 +146,8 @@ fn concurrent_queries_interleaved_with_locked_updates_match_oracle() {
 
     // Final state matches the last snapshot, and the device's concurrent
     // counter updates were not lost: allocation accounting must balance.
-    let final_version = version.load(Ordering::Acquire);
-    assert_eq!(final_version, BATCHES);
-    let snapshots = snapshots.lock().unwrap();
-    let last = snapshots.get(&final_version).unwrap();
+    assert_eq!(index.read().version() - base, BATCHES);
+    let last = snapshots.last().unwrap();
     assert_eq!(index.len(), last.len() as u64);
     assert_eq!(
         index.query(0, u64::MAX, 50).unwrap(),
@@ -261,7 +252,7 @@ fn sharded_multi_writer_batches_are_atomic_and_rebalance_is_never_torn() {
             for (i, &p) in growth[PRELOAD..PRELOAD + GROWTH_INSERTS].iter().enumerate() {
                 index.insert(p).expect("growth stream is collision-free");
                 if i % 100 == 99 {
-                    index.rebalance_now();
+                    index.rebalance_now().unwrap();
                 }
             }
         });
@@ -404,7 +395,7 @@ fn recorded_histories_admit_witness_orderings_under_rebalance() {
         scope.spawn(move || {
             if let topk_core::TopK::Sharded(sharded) = recorder.handle() {
                 for _ in 0..8 {
-                    sharded.rebalance_now();
+                    sharded.rebalance_now().unwrap();
                     std::thread::yield_now();
                 }
             }
@@ -419,12 +410,13 @@ fn recorded_histories_admit_witness_orderings_under_rebalance() {
 
 #[test]
 fn read_side_runs_concurrently_and_exactly_matches() {
-    // Pure read concurrency: 8 threads hammer the same frozen index; every
-    // answer must equal the oracle's, and the logical-access counter must not
-    // lose a single increment (each query's accesses are all recorded).
+    // Pure read concurrency: 8 threads hammer the same frozen one-shard
+    // index, each on its own read stripe; every answer must equal the
+    // oracle's, and the logical-access counter must not lose a single
+    // increment (each query's accesses are all recorded).
     const THREADS: usize = 8;
     let device = Device::new(EmConfig::new(256, 256 * 256));
-    let index = ConcurrentTopK::new(&device, TopKConfig::for_tests());
+    let index = ShardedTopK::new(&device, TopKConfig::for_tests(), 1);
     let pts = points(7, 0, 6_000);
     index.bulk_build(&pts).unwrap();
     let oracle = Oracle::from_points(&pts);

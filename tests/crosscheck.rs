@@ -1,7 +1,7 @@
 //! Randomized cross-checks, generic over engines: every [`RankedIndex`]
 //! implementation — the paper's structure (both small-k engines, plus the
-//! concurrent wrapper) and both baselines — must agree with the in-memory
-//! oracle on every query, for arbitrary point sets and query parameters.
+//! sharded wrapper at one and four shards) and both baselines — must agree
+//! with the in-memory oracle on every query, for arbitrary point sets and query parameters.
 //! (Formerly proptest-based; now seeded random cases with the same shape,
 //! reproducible by construction.) Seeds come from `topk_testkit::Seed`:
 //! set `TOPK_SEED=<n>` to pin every case to one base seed, and every
@@ -11,8 +11,8 @@ use emsim::{Device, EmConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use topk::{
-    ConcurrentTopK, Oracle, Point, QueryRequest, RankedIndex, ShardedTopK, SmallKEngine, TopK,
-    TopKConfig, TopKError, TopKIndex,
+    Oracle, Point, QueryRequest, RankedIndex, ShardedTopK, SmallKEngine, TopK, TopKConfig,
+    TopKError, TopKIndex,
 };
 use topk_testkit::Seed;
 
@@ -46,8 +46,8 @@ fn engines(device: &Device) -> Vec<(&'static str, Box<dyn RankedIndex>)> {
         ("topk-polylog", Box::new(polylog)),
         ("topk-st12", Box::new(st12)),
         (
-            "concurrent",
-            Box::new(ConcurrentTopK::new(device, TopKConfig::for_tests())),
+            "sharded-1",
+            Box::new(ShardedTopK::new(device, TopKConfig::for_tests(), 1)),
         ),
         (
             "sharded",

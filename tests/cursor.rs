@@ -17,8 +17,8 @@ use emsim::{Device, EmConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use topk::{
-    ConcurrentTopK, Consistency, Point, QueryRequest, RankedIndex, ResumeToken, ShardedTopK, TopK,
-    TopKError, TopKIndex,
+    Consistency, Point, QueryRequest, RankedIndex, ResumeToken, ShardedTopK, TopK, TopKError,
+    TopKIndex,
 };
 use topk_testkit::Seed;
 use workload::{PointDistribution, PointGen};
@@ -29,8 +29,9 @@ fn device() -> Device {
     Device::new(EmConfig::new(256, 256 * 256))
 }
 
-/// Every topology the facade serves, on its own device: Single, Concurrent,
-/// and Sharded at 1, 4 and 16 shards.
+/// Every topology the facade serves, on its own device: Single, the
+/// `build_auto` default for this size (one shard), and Sharded at 1, 4 and
+/// 16 shards.
 fn topologies() -> Vec<(String, Device, TopK)> {
     let mut out = Vec::new();
     let dev = device();
@@ -41,12 +42,12 @@ fn topologies() -> Vec<(String, Device, TopK)> {
         .unwrap();
     out.push(("single".to_string(), dev, TopK::single(index)));
     let dev = device();
-    let index = ConcurrentTopK::builder()
+    let handle = TopK::builder()
         .device(&dev)
         .expected_n(N)
-        .build_concurrent()
+        .build_auto()
         .unwrap();
-    out.push(("concurrent".to_string(), dev, TopK::concurrent(index)));
+    out.push(("auto".to_string(), dev, handle));
     for shards in [1usize, 4, 16] {
         let dev = device();
         let index = ShardedTopK::builder()
@@ -203,15 +204,15 @@ fn strict_cursors_fail_over_an_interleaved_writer_and_per_round_continues() {
 
 #[test]
 fn per_round_cursors_see_writes_below_the_mark_and_skip_above() {
-    // Deterministic interleaving on the concurrent topology: after one page
+    // Deterministic interleaving on a one-shard index: after one page
     // [100, 99, 98, ...], an insert *above* the low-water mark is skipped
     // and an insert *below* it is picked up by a later round.
     let device = device();
     let index = Arc::new(
-        ConcurrentTopK::builder()
+        ShardedTopK::builder()
             .device(&device)
             .expected_n(256)
-            .build_concurrent()
+            .build_sharded()
             .unwrap(),
     );
     let pts: Vec<Point> = (1..=100u64).map(|i| Point::new(i * 10, i * 100)).collect();
@@ -238,18 +239,18 @@ fn per_round_cursors_see_writes_below_the_mark_and_skip_above() {
 #[test]
 fn cursors_come_from_arcs_and_the_ranked_index_extension() {
     // The acceptance shape: an owned cursor straight from an
-    // Arc<ConcurrentTopK> / Arc<ShardedTopK>, no facade in sight.
+    // Arc<ShardedTopK> at one and four shards, no facade in sight.
     let device = device();
-    let concurrent = Arc::new(ConcurrentTopK::new(&device, topk::TopKConfig::for_tests()));
+    let one_shard = Arc::new(ShardedTopK::new(&device, topk::TopKConfig::for_tests(), 1));
     let pts = PointGen::uniform(3).generate(300);
-    concurrent.bulk_build(&pts).unwrap();
-    let got: Vec<Point> = concurrent
+    one_shard.bulk_build(&pts).unwrap();
+    let got: Vec<Point> = one_shard
         .clone()
         .cursor(QueryRequest::range(0, u64::MAX).top(40))
         .unwrap()
         .map(Result::unwrap)
         .collect();
-    assert_eq!(got, concurrent.query(0, u64::MAX, 40).unwrap());
+    assert_eq!(got, one_shard.query(0, u64::MAX, 40).unwrap());
 
     let sharded = Arc::new(ShardedTopK::new(&device, topk::TopKConfig::for_tests(), 4));
     sharded.bulk_build(&pts).unwrap();

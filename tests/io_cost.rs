@@ -87,9 +87,15 @@ fn sharded_fan_out_reads_stay_within_per_shard_bound() {
     // regression that touches non-overlapping shards (or re-runs escalation
     // rounds per merged element) blows the bound immediately; a narrow
     // range must stay at the one-to-two-shard cost no matter how many
-    // shards exist.
+    // shards exist. One shard is the shape small and durable indexes serve
+    // from, so it is held to the same bound.
+    for shards in [1usize, 8] {
+        fan_out_reads_stay_within_per_shard_bound(shards);
+    }
+}
+
+fn fan_out_reads_stay_within_per_shard_bound(shards: usize) {
     let n = 40_000usize;
-    let shards = 8usize;
     // 64-frame pool, exact LRU: cold reads dominate and the replacement
     // policy is the deterministic one the bound constants were tuned against
     // (the default sharded CLOCK approximates it; see tests/pool_shards.rs
@@ -136,13 +142,49 @@ fn sharded_fan_out_reads_stay_within_per_shard_bound() {
                 assert!(res.len() <= k);
                 assert!(
                     cost.reads <= bound,
-                    "sharded query([{a},{b}], k={k}) over {overlap} shard(s) took {} \
+                    "{shards}-shard query([{a},{b}], k={k}) over {overlap} shard(s) took {} \
                      cold reads, bound {bound} (= {overlap} × {per_shard_bound}; \
                      log_B(n/S) = {log_b_shard_n:.2}, k/B = {:.2})",
                     cost.reads,
                     k as f64 / points_per_block
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn one_shard_queries_run_the_unsharded_one_shot_plan() {
+    // A query inside one shard runs that shard's own `TopKIndex::query`
+    // plan, not the stream merge: on a one-shard index built the same way
+    // as a bare index on its own device, every cold query must return the
+    // same answer for exactly the same physical reads (exact LRU makes the
+    // counts deterministic).
+    let n = 40_000usize;
+    let em = EmConfig::new(512, 512 * 64).exact_lru();
+    let mut pts = random_points(3, n);
+    pts.sort_unstable_by_key(|p| p.x);
+    let bare_device = Device::new(em);
+    let bare = TopKIndex::new(&bare_device, TopKConfig::default());
+    bare.bulk_build(&pts).unwrap();
+    let sharded_device = Device::new(em);
+    let sharded = ShardedTopK::new(&sharded_device, TopKConfig::default(), 1);
+    sharded.bulk_build(&pts).unwrap();
+
+    let mut rng = StdRng::seed_from_u64(31);
+    for &k in &[1usize, 10, 100, 1_000, 4_096] {
+        for _ in 0..4 {
+            let a = rng.gen_range(0..60_000u64);
+            let b = rng.gen_range(a..=120_000u64);
+            bare_device.drop_cache();
+            let (want, bare_cost) = bare_device.measure(|| bare.query(a, b, k).unwrap());
+            sharded_device.drop_cache();
+            let (got, sharded_cost) = sharded_device.measure(|| sharded.query(a, b, k).unwrap());
+            assert_eq!(got, want, "query([{a},{b}], k={k})");
+            assert_eq!(
+                sharded_cost.reads, bare_cost.reads,
+                "one-shard query([{a},{b}], k={k}) read a different page set than the bare index"
+            );
         }
     }
 }

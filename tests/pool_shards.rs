@@ -109,7 +109,7 @@ fn sharded_clock_misses_stay_near_exact_lru_on_every_distribution() {
 #[test]
 fn recorded_histories_check_green_on_every_topology() {
     // The stamp-window history checker must accept a straight-line recorded
-    // schedule on all five topologies: with PR 8's snapshot-pinned reads,
+    // schedule on all four topologies: with PR 8's snapshot-pinned reads,
     // every query's stamp window is still populated by the hooks, and every
     // answer must be explained by a committed version inside that window.
     let seed = Seed::from_env(0x5A4D);
@@ -152,7 +152,7 @@ fn recorded_histories_check_green_on_every_topology() {
 #[test]
 fn generated_traces_replay_green_on_every_topology_and_distribution() {
     // The full matrix: a serving-mix trace per distribution, replayed (with
-    // divergence shrinking) on all five topologies. This is the same
+    // divergence shrinking) on all four topologies. This is the same
     // harness the checked-in regression traces use; here it sweeps the
     // distributions the pool-shard bound above is tuned on, so a policy
     // change that corrupts results (not just miss counts) fails loudly.

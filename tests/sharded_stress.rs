@@ -5,7 +5,7 @@
 //! insert/delete/query/batch/cursor workloads — seeded traces from
 //! `topk_testkit::gen` under **all five** `workload::PointDistribution`s —
 //! and replays them against **every serving topology** (`single`,
-//! `concurrent`, `sharded-{1,4,16}`) under full differential checking
+//! `sharded-{1,4,16}`) under full differential checking
 //! against the `NaiveTopK` scan spec: every query answer, count, batch
 //! summary, cursor page and token round-trip is compared, with periodic
 //! length/ranking/invariant deep checks (this machinery previously lived

@@ -7,7 +7,7 @@
 //! `PilotPst::pull_up_if_needed` ordering bug this harness caught when it
 //! was built, plus a long cursor pagination (k far above the node cache,
 //! tiny pages, writes interleaved) pinning the stamp-gated frontier-carry
-//! read plane. Each trace replays against all five topologies
+//! read plane. Each trace replays against all four topologies
 //! ([`Topology::ALL`]) under full differential checking; a failure shrinks
 //! to `target/repro/<trace>-<topology>.trace` and panics with the one-line
 //! replay command.
