@@ -1364,9 +1364,17 @@ mod tests {
             .collect()
     }
 
+    fn assert_send_sync<T: Send + Sync>() {}
+
     #[test]
     fn sharded_is_send_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<ShardedTopK>();
+    }
+
+    #[test]
+    fn index_and_one_shard_handle_are_send_sync() {
+        // A one-shard ShardedTopK is the shared handle over a single
+        // TopKIndex, so both the index and the handle must cross threads.
         assert_send_sync::<TopKIndex>();
         assert_send_sync::<ShardedTopK>();
     }
