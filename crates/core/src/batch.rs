@@ -8,12 +8,15 @@
 //! just bookkeeping: a large batch validates against one `O(n/B)` scan
 //! instead of one `O(log_B n)` descent per op, and a batch that rewrites a
 //! sizable fraction of the set commits as a single global rebuild — the
-//! paper's own batched-maintenance tool. Applied through
-//! [`ShardedTopK::apply`](crate::ShardedTopK::apply) the batch
-//! additionally costs exactly one write-lock acquisition per affected shard.
-//! The `concurrent_reads` bench measures the combined effect.
+//! paper's own batched-maintenance tool. [`TopKIndex::apply`] and
+//! [`ShardedTopK::apply`](crate::ShardedTopK::apply) run this module's one
+//! validation pass (`validate`) and one commit (`SubBatch::commit`); on the
+//! sharded index the batch additionally costs exactly one write-lock
+//! acquisition per affected shard. The `concurrent_reads` bench measures the
+//! combined effect.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Mutex;
 
 use epst::Point;
 
@@ -104,16 +107,15 @@ pub struct BatchSummary {
     pub missing_deletes: usize,
 }
 
-/// A batch (or, on the sharded path, a per-shard sub-batch) whose size times
-/// this factor reaches the post-commit point count commits as one global
-/// rebuild instead of point-wise descents. One knob for both paths: tuning
-/// the crossover cannot silently diverge between
-/// [`TopKIndex::apply`] and [`ShardedTopK::apply`](crate::ShardedTopK::apply).
+/// A sub-batch whose resolved ops times this factor reach its shard's
+/// post-commit point count commits as one rebuild of the shard instead of
+/// point-wise descents. [`SubBatch::commit`] is the only reader, so the
+/// crossover cannot diverge between [`TopKIndex::apply`] and
+/// [`ShardedTopK::apply`](crate::ShardedTopK::apply).
 pub(crate) const REBUILD_CROSSOVER: u64 = 16;
 
-/// How batch validation looks up the pre-batch state of the index. Shared
-/// with the per-shard validation pass of
-/// [`ShardedTopK::apply`](crate::ShardedTopK::apply).
+/// How batch validation looks up the pre-batch state of one shard (a bare
+/// index is one shard).
 pub(crate) enum LiveView {
     /// Probe the index per operation: an `O(log_B n)` descent per insert or
     /// delete. Right for small batches.
@@ -127,7 +129,7 @@ pub(crate) enum LiveView {
 }
 
 impl LiveView {
-    pub(crate) fn for_batch(index: &TopKIndex, ops: usize) -> Self {
+    fn for_batch(index: &TopKIndex, ops: usize) -> Self {
         let block_words = index.device().block_words() as u64;
         let n = index.len();
         let scan_blocks = (n * Point::WORDS as u64) / block_words.max(1) + 1;
@@ -140,7 +142,7 @@ impl LiveView {
         }
     }
 
-    pub(crate) fn get(&self, index: &TopKIndex, x: u64) -> Option<Point> {
+    fn get(&self, index: &TopKIndex, x: u64) -> Option<Point> {
         match self {
             LiveView::Probe => index.get(x),
             LiveView::Scan(live) => live.get(&x).copied(),
@@ -148,40 +150,63 @@ impl LiveView {
     }
 }
 
-/// Validate `batch` against `index` (plus the batch's own earlier
-/// operations), then apply every operation and run the rebuild policy once.
-pub(crate) fn apply_to(index: &TopKIndex, batch: &UpdateBatch) -> Result<BatchSummary> {
-    // Pass 1: simulate. The overlays track what the batch has (virtually)
-    // changed so far, so "insert after in-batch delete of the same x" is
-    // legal and "insert colliding with an earlier in-batch insert" is not.
-    // Large batches validate against one O(n/B) scan instead of one
-    // O(log_B n) descent per op (see [`LiveView`]).
-    let view = LiveView::for_batch(index, batch.len());
+/// One shard's share of a validated batch: the shard, the validation pass's
+/// view of its pre-batch contents, and the ops that resolved against it, in
+/// batch order (missing deletes dropped).
+pub(crate) struct SubBatch<'a> {
+    index: &'a TopKIndex,
+    view: LiveView,
+    ops: Vec<UpdateOp>,
+}
+
+/// The validation pass of every batch: simulate `batch` in op order over
+/// `shards` (`route` gives the position of a point's shard), looking
+/// coordinates up in that shard's [`LiveView`] and scores in the registry
+/// `scores`, locked for the whole pass so racing writers cannot slip a
+/// duplicate in. Overlays carry the batch's own earlier ops ("insert after
+/// in-batch delete of the same x" is legal). Once every op has validated,
+/// the score delta is applied and the resolved ops return per shard.
+pub(crate) fn validate<'a>(
+    batch: &UpdateBatch,
+    scores: &Mutex<HashSet<u64>>,
+    shards: &[&'a TopKIndex],
+    route: impl Fn(Point) -> usize,
+) -> Result<(Vec<SubBatch<'a>>, BatchSummary)> {
+    let routes: Vec<usize> = batch.ops().iter().map(|op| route(op.point())).collect();
+    // Large batches validate against one O(n/B) scan of a shard instead of
+    // one O(log_B n) descent per op (see [`LiveView`]).
+    let mut subs: Vec<SubBatch<'a>> = shards
+        .iter()
+        .enumerate()
+        .map(|(j, &index)| SubBatch {
+            index,
+            view: LiveView::for_batch(index, routes.iter().filter(|&&r| r == j).count()),
+            ops: Vec::new(),
+        })
+        .collect();
+    let mut registry = scores.lock().unwrap();
     let mut x_overlay: HashMap<u64, Option<Point>> = HashMap::new();
     let mut score_overlay: HashMap<u64, bool> = HashMap::new();
-    let live_at = |x_overlay: &HashMap<u64, Option<Point>>, x: u64| -> Option<Point> {
-        match x_overlay.get(&x) {
-            Some(&slot) => slot,
-            None => view.get(index, x),
-        }
-    };
-    let score_live = |score_overlay: &HashMap<u64, bool>, s: u64| -> bool {
-        match score_overlay.get(&s) {
-            Some(&live) => live,
-            None => index.score_exists(s),
-        }
-    };
     let mut summary = BatchSummary::default();
-    for op in batch.ops() {
+    for (op, &j) in batch.ops().iter().zip(&routes) {
+        let sub = subs.get_mut(j).expect("route names one of the shards");
+        let x = op.point().x;
+        let live = match x_overlay.get(&x) {
+            Some(&slot) => slot,
+            None => sub.view.get(sub.index, x),
+        };
         match *op {
             UpdateOp::Insert(p) => {
-                if let Some(existing) = live_at(&x_overlay, p.x) {
+                if let Some(existing) = live {
                     return Err(TopKError::DuplicateX {
                         existing,
                         rejected: p,
                     });
                 }
-                if score_live(&score_overlay, p.score) {
+                if *score_overlay
+                    .get(&p.score)
+                    .unwrap_or(&registry.contains(&p.score))
+                {
                     return Err(TopKError::DuplicateScore {
                         score: p.score,
                         rejected: p,
@@ -195,61 +220,78 @@ pub(crate) fn apply_to(index: &TopKIndex, batch: &UpdateBatch) -> Result<BatchSu
                 // A non-matching delete is a runtime no-op, not a validation
                 // error; it is counted as a miss, exactly like the
                 // `Ok(false)` of a point-wise delete.
-                if live_at(&x_overlay, p.x) == Some(p) {
-                    x_overlay.insert(p.x, None);
-                    score_overlay.insert(p.score, false);
-                    summary.deleted += 1;
-                } else {
+                if live != Some(p) {
                     summary.missing_deletes += 1;
+                    continue;
                 }
+                x_overlay.insert(p.x, None);
+                score_overlay.insert(p.score, false);
+                summary.deleted += 1;
             }
         }
+        sub.ops.push(*op);
     }
-    // Pass 2: apply. A batch that rewrites a sizable fraction of the set is
-    // cheapest as one global rebuild — the paper's own batched-maintenance
-    // tool, `O((n/B)·log_B n)` I/Os for the whole batch instead of
-    // `O(log_B n)` descents across three components per op. The crossover
-    // (ops ≥ n/16) is conservative: measured per-op updates cost tens of
-    // microseconds against ~1µs per point for a rebuild at bench scales.
-    if let LiveView::Scan(mut live) = view {
-        let n_after = (index.len() + summary.inserted as u64).max(1);
-        if (batch.len() as u64) * REBUILD_CROSSOVER >= n_after {
-            for (x, slot) in x_overlay {
-                match slot {
-                    Some(p) => live.insert(x, p),
-                    None => live.remove(&x),
+    for (score, live) in score_overlay {
+        if live {
+            registry.insert(score);
+        } else {
+            registry.remove(&score);
+        }
+    }
+    Ok((subs, summary))
+}
+
+impl SubBatch<'_> {
+    /// The commit of every batch, run under the shard's write lock, ending
+    /// with the shard's journal commit. A sub-batch that rewrites a sizable
+    /// fraction of its shard (resolved ops ≥ n/16) commits as one rebuild —
+    /// the paper's own batched-maintenance tool, `O((n/B)·log_B n)` I/Os
+    /// instead of `O(log_B n)` descents across three components per op, and
+    /// from a `Scan` view without re-scanning the shard. Smaller ones apply
+    /// point-wise with one deferred rebuild check. A resolved delete that
+    /// misses means the components disagree: [`TopKError::Inconsistent`].
+    pub(crate) fn commit(self) -> Result<()> {
+        let SubBatch { index, view, ops } = self;
+        if ops.is_empty() {
+            return Ok(());
+        }
+        let inserted = ops
+            .iter()
+            .filter(|op| matches!(op, UpdateOp::Insert(_)))
+            .count() as u64;
+        let n_after = (index.len() + inserted).max(1);
+        if (ops.len() as u64) * REBUILD_CROSSOVER >= n_after {
+            let mut live = match view {
+                LiveView::Scan(live) => live,
+                LiveView::Probe => index.all_points().into_iter().map(|p| (p.x, p)).collect(),
+            };
+            for op in &ops {
+                match *op {
+                    UpdateOp::Insert(p) => live.insert(p.x, p),
+                    UpdateOp::Delete(p) => live.remove(&p.x),
                 };
             }
             let points: Vec<Point> = live.into_values().collect();
             index.rebuild_unvalidated(&points);
-            index.durable_commit()?;
-            return Ok(summary);
-        }
-    }
-    // Otherwise point-wise application, deferring the rebuild check to
-    // commit. Pass 1 already proved every op's outcome, so the runtime
-    // counts must agree with the simulated summary.
-    let mut applied = BatchSummary::default();
-    for op in batch.ops() {
-        match *op {
-            UpdateOp::Insert(p) => {
-                index.insert_validated(p);
-                applied.inserted += 1;
-            }
-            UpdateOp::Delete(p) => {
-                if index.delete_validated(p)? {
-                    applied.deleted += 1;
-                } else {
-                    applied.missing_deletes += 1;
+        } else {
+            for op in &ops {
+                match *op {
+                    UpdateOp::Insert(p) => index.insert_validated(p),
+                    UpdateOp::Delete(p) => {
+                        if !index.delete_validated(p)? {
+                            return Err(TopKError::Inconsistent {
+                                point: p,
+                                component: "batch-commit",
+                            });
+                        }
+                    }
                 }
             }
+            index.maybe_rebuild();
         }
+        index.maybe_compact_journal();
+        index.durable_commit()
     }
-    debug_assert_eq!(applied, summary, "validation must predict application");
-    index.maybe_rebuild();
-    index.maybe_compact_journal();
-    index.durable_commit()?;
-    Ok(summary)
 }
 
 #[cfg(test)]

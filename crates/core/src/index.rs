@@ -2,18 +2,24 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, Mutex};
 
 use emsim::Device;
 use epst::{top_k_by_score, PilotPst, Point, ThreeSidedPst};
 use kselect::{PolylogConfig, PolylogKSelect, RangeKSelect, St12Config, St12KSelect};
 
-use crate::batch::{BatchSummary, UpdateBatch};
+use crate::batch::{self, BatchSummary, SubBatch, UpdateBatch};
 use crate::builder::IndexBuilder;
 use crate::config::{SmallKEngine, TopKConfig};
 use crate::error::{Result, TopKError};
 use crate::persist::{DurableStore, OP_DELETE, OP_INSERT};
 use crate::query::{QueryRequest, TopKResults};
+
+/// The set of live scores, kept RAM-side purely to validate the model's
+/// distinct-scores precondition (DESIGN.md §5: validation metadata outside
+/// the EM space accounting). One per handle: a bare index owns its own, the
+/// shards of a [`ShardedTopK`](crate::ShardedTopK) share their handle's.
+pub(crate) type ScoreRegistry = Arc<Mutex<HashSet<u64>>>;
 
 /// The dynamic top-k range reporting index of Theorem 1. See the crate docs
 /// for the guarantees and an example.
@@ -38,11 +44,11 @@ pub struct TopKIndex {
     /// (insert, delete, rebuild). [`Consistency::Strict`](crate::Consistency)
     /// cursors compare it across fetch rounds to detect interleaved writes.
     version: AtomicU64,
-    /// The set of live scores, kept RAM-side purely to validate the model's
-    /// distinct-scores precondition on insert (DESIGN.md §5: validation
-    /// metadata lives outside the EM space accounting; coordinates are
-    /// validated structurally through the reporter instead).
-    scores: RwLock<HashSet<u64>>,
+    /// The registry this index validates scores against; coordinates are
+    /// validated structurally through the reporter. Only validation writes
+    /// it: inserts reserve, deletes release, a validated batch applies its
+    /// delta, a bulk build replaces it. Rebuilds leave it alone.
+    pub(crate) scores: ScoreRegistry,
     /// The operation journal when the index lives on a durable device
     /// ([`TopKIndex::open_durable`]); `None` on plain simulated devices.
     durable: Option<DurableStore>,
@@ -62,6 +68,16 @@ impl TopKIndex {
     /// against `config.expected_n` (the builder threads it through; the seed
     /// code hardcoded `1 << 20` here).
     pub fn new(device: &Device, config: TopKConfig) -> Self {
+        Self::with_registry(device, config, ScoreRegistry::default())
+    }
+
+    /// Create an empty index that validates scores against `scores`, a
+    /// registry shared with the other shards of one handle.
+    pub(crate) fn with_registry(
+        device: &Device,
+        config: TopKConfig,
+        scores: ScoreRegistry,
+    ) -> Self {
         let engine = config.resolve_engine(device.block_words(), config.expected_n);
         let small_k: Box<dyn RangeKSelect + Send + Sync> = match engine {
             SmallKEngine::Polylog | SmallKEngine::Auto => Box::new(PolylogKSelect::new(
@@ -84,7 +100,7 @@ impl TopKIndex {
             size_at_rebuild: AtomicU64::new(0),
             len: AtomicU64::new(0),
             version: AtomicU64::new(0),
-            scores: RwLock::new(HashSet::new()),
+            scores,
             durable: None,
             recovered: None,
         }
@@ -120,6 +136,7 @@ impl TopKIndex {
             // re-journal what the journal just told us.
             index.rebuild_unvalidated(&points);
         }
+        *index.scores.lock().unwrap() = points.iter().map(|p| p.score).collect();
         index.version.store(stamp, Ordering::Release);
         let index = TopKIndex {
             durable: Some(store),
@@ -218,7 +235,9 @@ impl TopKIndex {
                 rejected: p,
             });
         }
-        if self.score_exists(p.score) {
+        // Reserved only after the coordinate probe, so a point that repeats
+        // both reports its coordinate, as batches and bulk builds do.
+        if !self.scores.lock().unwrap().insert(p.score) {
             return Err(TopKError::DuplicateScore {
                 score: p.score,
                 rejected: p,
@@ -241,6 +260,7 @@ impl TopKIndex {
     pub fn delete(&self, p: Point) -> Result<bool> {
         let deleted = self.delete_validated(p)?;
         if deleted {
+            self.scores.lock().unwrap().remove(&p.score);
             self.maybe_rebuild();
             self.maybe_compact_journal();
             self.durable_commit()?;
@@ -256,24 +276,9 @@ impl TopKIndex {
     /// [`TopKError::DuplicateX`] / [`TopKError::DuplicateScore`] if `points`
     /// repeats a coordinate or a score; the index is unchanged in that case.
     pub fn bulk_build(&self, points: &[Point]) -> Result<()> {
-        let mut xs: HashMap<u64, Point> = HashMap::with_capacity(points.len());
-        let mut ss: HashSet<u64> = HashSet::with_capacity(points.len());
-        for &p in points {
-            if let Some(&existing) = xs.get(&p.x) {
-                return Err(TopKError::DuplicateX {
-                    existing,
-                    rejected: p,
-                });
-            }
-            xs.insert(p.x, p);
-            if !ss.insert(p.score) {
-                return Err(TopKError::DuplicateScore {
-                    score: p.score,
-                    rejected: p,
-                });
-            }
-        }
+        let (_, scores) = check_distinct(points)?;
         self.rebuild_unvalidated(points);
+        *self.scores.lock().unwrap() = scores;
         self.durable_commit()
     }
 
@@ -283,30 +288,23 @@ impl TopKIndex {
     /// runs once at commit instead of once per operation.
     ///
     /// Under concurrency, [`ShardedTopK::apply`](crate::ShardedTopK::apply)
-    /// wraps this in one write-lock acquisition per affected shard.
+    /// runs the same validation pass and commit over the affected shards,
+    /// with one write-lock acquisition per shard.
     pub fn apply(&self, batch: &UpdateBatch) -> Result<BatchSummary> {
-        crate::batch::apply_to(self, batch)
+        let (subs, summary) = batch::validate(batch, &self.scores, &[self], |_| 0)?;
+        subs.into_iter().try_for_each(SubBatch::commit)?;
+        Ok(summary)
     }
 
     // ----- internal update plumbing (shared with the batch path) -----
 
-    /// Whether `score` is live. Validation metadata only — costs no I/Os.
-    pub(crate) fn score_exists(&self, score: u64) -> bool {
-        self.scores.read().unwrap().contains(&score)
-    }
-
-    /// Every live score (validation metadata only — costs no I/Os).
-    pub(crate) fn live_scores(&self) -> HashSet<u64> {
-        self.scores.read().unwrap().clone()
-    }
-
     /// Insert into every component without validating or checking the
-    /// rebuild policy. The caller has already validated distinctness.
+    /// rebuild policy. The caller has already validated distinctness and
+    /// reserved the score.
     pub(crate) fn insert_validated(&self, p: Point) {
         self.pilot.insert(p);
         self.reporter.insert(p);
         self.small_k.insert(p);
-        self.scores.write().unwrap().insert(p.score);
         self.len.fetch_add(1, Ordering::Relaxed);
         let stamp = self.version.fetch_add(1, Ordering::Release) + 1;
         if let Some(d) = &self.durable {
@@ -314,7 +312,8 @@ impl TopKIndex {
         }
     }
 
-    /// Delete from every component without checking the rebuild policy.
+    /// Delete from every component without checking the rebuild policy or
+    /// releasing the score (the caller's validation owns the registry).
     pub(crate) fn delete_validated(&self, p: Point) -> Result<bool> {
         if !self.reporter.delete(p) {
             return Ok(false);
@@ -331,7 +330,6 @@ impl TopKIndex {
                 component: "small-k",
             });
         }
-        self.scores.write().unwrap().remove(&p.score);
         self.len.fetch_sub(1, Ordering::Relaxed);
         let stamp = self.version.fetch_add(1, Ordering::Release) + 1;
         if let Some(d) = &self.durable {
@@ -342,12 +340,13 @@ impl TopKIndex {
 
     /// Rebuild every component from `points` without re-validating
     /// distinctness (used by the global-rebuild path, whose points come out
-    /// of the structure itself, and by `bulk_build` after validation).
+    /// of the structure itself, and by `bulk_build` after validation). The
+    /// score registry is left alone: a rebuild never changes the score set,
+    /// and bulk builds and recovery set the registry themselves.
     pub(crate) fn rebuild_unvalidated(&self, points: &[Point]) {
         self.pilot.rebuild_all(points);
         self.reporter.rebuild_from_points(points);
         self.small_k.rebuild(points);
-        *self.scores.write().unwrap() = points.iter().map(|p| p.score).collect();
         self.len.store(points.len() as u64, Ordering::Relaxed);
         self.size_at_rebuild
             .store(points.len() as u64, Ordering::Relaxed);
@@ -544,14 +543,32 @@ impl TopKIndex {
         self.small_k.as_ref()
     }
 
-    /// Run the internal consistency checks of every component (test support).
+    /// Run the internal consistency checks of every component, and check
+    /// that the score registry holds exactly the stored points' scores
+    /// (test support).
     pub fn check_invariants(&self) {
+        self.check_components();
+        let stored: HashSet<u64> = self.all_points().iter().map(|p| p.score).collect();
+        assert_eq!(
+            stored.len() as u64,
+            self.len(),
+            "two stored points share a score"
+        );
+        assert_eq!(
+            *self.scores.lock().unwrap(),
+            stored,
+            "score registry drifted from the stored points"
+        );
+    }
+
+    /// The component checks alone: a shard's registry is its handle's, so
+    /// [`ShardedTopK`](crate::ShardedTopK) checks it against every shard.
+    pub(crate) fn check_components(&self) {
         self.pilot.check_invariants();
         self.reporter.check_invariants();
         assert_eq!(self.pilot.len(), self.len());
         assert_eq!(self.reporter.len(), self.len());
         assert_eq!(self.small_k.len(), self.len());
-        assert_eq!(self.scores.read().unwrap().len() as u64, self.len());
     }
 }
 
@@ -599,6 +616,42 @@ impl std::fmt::Debug for TopKIndex {
             .field("config", &self.config)
             .finish_non_exhaustive()
     }
+}
+
+/// The distinctness check of both bulk builds; returns `points` sorted by
+/// coordinate (the sharded build splits on that order) and their scores.
+/// Repeats are detected on the sorted copy and the score set, so a valid
+/// input costs no coordinate hashing; only an invalid one is rescanned, to
+/// report its first violation in input order, coordinate first within a
+/// point, as point inserts and batches report theirs.
+pub(crate) fn check_distinct(points: &[Point]) -> Result<(Vec<Point>, HashSet<u64>)> {
+    let mut sorted = points.to_vec();
+    sorted.sort_unstable_by_key(|p| p.x);
+    let scores: HashSet<u64> = points.iter().map(|p| p.score).collect();
+    let x_repeats = sorted
+        .iter()
+        .zip(sorted.iter().skip(1))
+        .any(|(a, b)| a.x == b.x);
+    if x_repeats || scores.len() < points.len() {
+        let mut xs: HashMap<u64, Point> = HashMap::new();
+        let mut seen: HashSet<u64> = HashSet::new();
+        for &p in points {
+            if let Some(&existing) = xs.get(&p.x) {
+                return Err(TopKError::DuplicateX {
+                    existing,
+                    rejected: p,
+                });
+            }
+            xs.insert(p.x, p);
+            if !seen.insert(p.score) {
+                return Err(TopKError::DuplicateScore {
+                    score: p.score,
+                    rejected: p,
+                });
+            }
+        }
+    }
+    Ok((sorted, scores))
 }
 
 /// Shared argument validation for the eager and streaming query paths.

@@ -2,17 +2,18 @@
 //!
 //! [`ShardedTopK`] range-partitions the coordinate space into `S ≥ 1`
 //! shards — each an independent [`TopKIndex`] behind its own striped
-//! reader–writer lock — with a router keeping the split points and per-shard
-//! counts. One shard is the right shape for small indexes and for every
-//! durable one; more shards let writers scale with cores:
+//! reader–writer lock — with a router keeping the split points. One shard is
+//! the right shape for small indexes and for every durable one; more shards
+//! let writers scale with cores:
 //!
-//! * **updates** route to exactly one shard and take only that shard's write
-//!   lock, so writers on different shards proceed in parallel;
-//! * **batches** ([`ShardedTopK::apply`]) split by shard, validate once
-//!   against the global model preconditions, and commit the per-shard
-//!   sub-batches *in parallel*, each with its own deferred rebuild check —
-//!   readers observe either the pre-batch or the post-batch state of every
-//!   affected shard, never anything in between;
+//! * **updates** route to exactly one shard, take only that shard's write
+//!   lock and run [`TopKIndex::insert`] / [`TopKIndex::delete`] there, so
+//!   writers on different shards proceed in parallel;
+//! * **batches** ([`ShardedTopK::apply`]) run the validation pass and commit
+//!   of [`TopKIndex::apply`] over the affected shards: one pass in op order,
+//!   then the per-shard sub-batches commit *in parallel*, each with its own
+//!   deferred rebuild check — readers observe either the pre-batch or the
+//!   post-batch state of every affected shard, never anything in between;
 //! * **queries** lock only the shards overlapping `[x1, x2]`. A range inside
 //!   one shard runs that shard's one-shot [`TopKIndex`] plan; a fan-out
 //!   merges the per-shard streaming [`TopKResults`] through a k-bounded
@@ -42,33 +43,36 @@
 //! an operation that holds any shard lock and sees its snapshot's epoch knows
 //! the routing cannot have moved under it (and retries on the rare miss).
 //!
-//! Lock order is global and acyclic — shards in ascending id order (within a
-//! shard, stripes in ascending order), then the score registry, then the
-//! router cell's stripes (written only by the repartition paths) — so the
-//! fan-out, the parallel commit and the rebalance cannot deadlock. The global
-//! distinct-scores precondition (which no single shard can check alone) is
-//! enforced against a RAM-side score registry, the same validation-metadata
-//! device [`TopKIndex`] uses per-index (DESIGN.md §5).
+//! The global distinct-scores precondition, which no single shard can check
+//! alone, needs no code of its own here: every shard validates against one
+//! RAM-side score registry that the handle hands to all of them
+//! (DESIGN.md §5), so a shard's own insert, delete and batch validation
+//! check the whole index. The registry is only ever locked by a path that
+//! already holds its shard locks, and is released before they are. Lock
+//! order is therefore global and acyclic — shards in ascending id order
+//! (within a shard, stripes in ascending order), then the score registry,
+//! then the router cell's stripes (written only by the repartition paths) —
+//! so the fan-out, the parallel commit and the rebalance cannot deadlock.
 //!
 //! A durable index is one shard opened with [`TopKIndex::open_durable`]: the
 //! device has one write-ahead journal, so every path that mutates a shard
 //! ends by committing that shard's journal (a no-op on RAM devices).
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use emsim::Device;
 use epst::Point;
 
-use crate::batch::{BatchSummary, LiveView, UpdateBatch, UpdateOp};
+use crate::batch::{self, BatchSummary, UpdateBatch};
 use crate::builder::IndexBuilder;
 use crate::config::TopKConfig;
 use crate::cursor::QueryCursor;
 use crate::error::{Result, TopKError};
 use crate::facade::TopK;
-use crate::index::{validate_query, TopKIndex};
+use crate::index::{check_distinct, validate_query, ScoreRegistry, TopKIndex};
 use crate::query::{QueryRequest, TopKResults};
 use crate::stripe::{thread_stripe, STRIPES};
 
@@ -194,10 +198,12 @@ struct ReadStripe {
     inner: RwLock<()>,
 }
 
-/// A shard's [`TopKIndex`] behind a striped reader–writer lock (module docs):
-/// [`ShardLock::read`] holds the calling thread's stripe, [`ShardLock::write`]
-/// every stripe in ascending order. `TopKIndex`'s mutating operations take
-/// `&self` (interior mutability), so both guards just deref to the index.
+/// One shard: a [`TopKIndex`] behind a striped reader–writer lock (module
+/// docs). [`ShardLock::read`] holds the calling thread's stripe,
+/// [`ShardLock::write`] every stripe in ascending order. `TopKIndex`'s
+/// mutating operations take `&self` (interior mutability), so both guards
+/// just deref to the index, and its lock-free `len` feeds the rebalance
+/// policy and [`ShardedTopK::len`] without taking the lock.
 struct ShardLock {
     index: TopKIndex,
     stripes: Box<[ReadStripe]>,
@@ -266,16 +272,6 @@ impl Deref for ShardWrite<'_> {
     }
 }
 
-/// One shard: an independent [`TopKIndex`] behind its own striped lock, plus
-/// a lock-free occupancy counter feeding the rebalance policy and [`len`]
-/// without touching the shard lock.
-///
-/// [`len`]: ShardedTopK::len
-struct Shard {
-    index: ShardLock,
-    count: AtomicU64,
-}
-
 /// A range-sharded [`TopKIndex`] for concurrent serving: updates lock only
 /// the shard owning their coordinate, queries lock the overlapping shards and
 /// merge lazily across them. The module-level docs describe the architecture
@@ -311,13 +307,9 @@ pub struct ShardedTopK {
     /// publish) under every shard write lock. Operations validate their
     /// snapshot against it after acquiring shard locks — see module docs.
     epoch: AtomicU64,
-    shards: Box<[Shard]>,
-    /// The global distinct-scores registry (validation metadata, DESIGN.md
-    /// §5): per-shard indexes can only check their own scores, so the model's
-    /// global precondition is enforced here. Never acquired while waiting on
-    /// the router or a shard lock from a path that already holds it, so it
-    /// sits last in the lock order.
-    scores: Mutex<HashSet<u64>>,
+    /// The shards, in coordinate order. All of them validate against one
+    /// shared score registry (module docs).
+    shards: Box<[ShardLock]>,
     /// Collapses concurrent rebalance attempts into one.
     rebalancing: AtomicBool,
     /// Global commit stamp: bumped once per committed write (point op,
@@ -341,33 +333,33 @@ impl ShardedTopK {
     /// Create an empty sharded index on `device` with `shards` range
     /// partitions (callers normally go through the builder, which validates
     /// and supplies defaults). Each shard resolves its engine against
-    /// `expected_n / shards`.
+    /// `expected_n / shards`, and all of them share one score registry.
     pub fn new(device: &Device, config: TopKConfig, shards: usize) -> Self {
         let shards = shards.max(1);
         let shard_config = TopKConfig {
             expected_n: (config.expected_n / shards).max(1),
             ..config
         };
+        let scores = ScoreRegistry::default();
         let indexes = (0..shards)
-            .map(|_| TopKIndex::new(device, shard_config))
+            .map(|_| TopKIndex::with_registry(device, shard_config, Arc::clone(&scores)))
             .collect();
         Self::from_shards(device, config, indexes)
     }
 
     /// Open (or create) the durable index on `device` as one shard: the
     /// device has a single write-ahead journal, which
-    /// [`TopKIndex::open_durable`] replays into the shard.
+    /// [`TopKIndex::open_durable`] replays into the shard. The shard's
+    /// registry, seeded from the recovered points, is the handle's.
     pub(crate) fn open_durable(device: &Device, config: TopKConfig) -> Result<Self> {
         let index = TopKIndex::open_durable(device, config)?;
         Ok(Self::from_shards(device, config, vec![index]))
     }
 
-    /// Assemble the index over `indexes`, one per shard, seeding the
-    /// occupancy counters and the score registry from their contents. A
-    /// recovered shard resumes the commit stamp at its recovered stamp, so
-    /// stamps never go backwards across a restart.
+    /// Assemble the index over `indexes`, one per shard, which already share
+    /// one score registry. A recovered shard resumes the commit stamp at its
+    /// recovered stamp, so stamps never go backwards across a restart.
     fn from_shards(device: &Device, config: TopKConfig, indexes: Vec<TopKIndex>) -> Self {
-        let scores = indexes.iter().flat_map(TopKIndex::live_scores).collect();
         let stamp = indexes
             .iter()
             .filter_map(TopKIndex::recovered_stamp)
@@ -378,14 +370,7 @@ impl ShardedTopK {
             config,
             router: RouterCell::new(Router::even(indexes.len(), 0)),
             epoch: AtomicU64::new(0),
-            shards: indexes
-                .into_iter()
-                .map(|index| Shard {
-                    count: AtomicU64::new(index.len()),
-                    index: ShardLock::new(index),
-                })
-                .collect(),
-            scores: Mutex::new(scores),
+            shards: indexes.into_iter().map(ShardLock::new).collect(),
             rebalancing: AtomicBool::new(false),
             commits: AtomicU64::new(stamp),
         }
@@ -421,15 +406,12 @@ impl ShardedTopK {
     pub fn recovered_stamp(&self) -> Option<u64> {
         self.shards
             .first()
-            .and_then(|s| s.index.read().recovered_stamp())
+            .and_then(|index| index.read().recovered_stamp())
     }
 
     /// Current per-shard occupancy (lock-free; feeds the rebalance policy).
     pub fn shard_lens(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.count.load(Ordering::Relaxed))
-            .collect()
+        self.shards.iter().map(|s| s.index.len()).collect()
     }
 
     /// How many shards a query over `[x1, x2]` fans out to (0 for an
@@ -444,12 +426,9 @@ impl ShardedTopK {
         hi - lo + 1
     }
 
-    /// Number of stored points (sum of the lock-free shard counters).
+    /// Number of stored points (sum of the shards' lock-free lengths).
     pub fn len(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.count.load(Ordering::Relaxed))
-            .sum()
+        self.shards.iter().map(|s| s.index.len()).sum()
     }
 
     /// Whether the index is empty.
@@ -462,7 +441,7 @@ impl ShardedTopK {
     pub fn space_blocks(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.index.read().space_blocks())
+            .map(|index| index.read().space_blocks())
             .sum()
     }
 
@@ -478,7 +457,7 @@ impl ShardedTopK {
     pub fn read(&self) -> ShardedReadGuard<'_> {
         loop {
             let router = self.router.snapshot();
-            let guards: Vec<_> = self.shards.iter().map(|s| s.index.read()).collect();
+            let guards: Vec<_> = self.shards.iter().map(|index| index.read()).collect();
             // With every shard read-held, a repartition cannot commit; an
             // unchanged epoch therefore proves the snapshot is current.
             if self.epoch.load(Ordering::Acquire) != router.epoch {
@@ -509,7 +488,7 @@ impl ShardedTopK {
                 .get(lo..=hi)
                 .expect("router overlap yields in-range shard ids")
                 .iter()
-                .map(|s| s.index.read())
+                .map(|index| index.read())
                 .collect();
             // A repartition publishes under *all* shard write locks; holding
             // any covered shard read lock with an unchanged epoch proves the
@@ -573,25 +552,16 @@ impl ShardedTopK {
 
     // ----- updates -----
 
-    /// Insert a point: take only the owning shard's write lock, validate the
-    /// coordinate structurally there and the score against the global
-    /// registry, then commit. Writers for different shards proceed in
-    /// parallel.
-    ///
-    /// The validation, the commit and the occupancy-counter bump all happen
-    /// under the owning shard's write lock, and a concurrent
-    /// [`ShardedTopK::bulk_build`] or rebalance (which take *every* shard's
-    /// write lock to publish) serialises cleanly before or after the whole
-    /// insert — it can neither erase an in-flight score registration nor
-    /// recount a shard between the commit and its counter update. The insert
-    /// validates its routing snapshot's epoch after taking the shard lock
-    /// and retries if a repartition slipped in between.
+    /// Insert a point: take only the owning shard's write lock and run
+    /// [`TopKIndex::insert`] there, which checks the score against the
+    /// registry every shard shares. Writers for different shards proceed in
+    /// parallel; a bulk build or rebalance (every shard's write lock)
+    /// serialises before or after the whole insert.
     ///
     /// # Errors
     ///
-    /// [`TopKError::DuplicateX`] / [`TopKError::DuplicateScore`], with the
-    /// same precedence (coordinate first) as [`TopKIndex::insert`]; the
-    /// index is unchanged in that case.
+    /// [`TopKError::DuplicateX`] / [`TopKError::DuplicateScore`], exactly as
+    /// on [`TopKIndex::insert`]; the index is unchanged in that case.
     pub fn insert(&self, p: Point) -> Result<()> {
         self.insert_inner(p).map(|_| ())
     }
@@ -600,47 +570,12 @@ impl ShardedTopK {
     /// received (assigned while the shard write lock is held, so stamps
     /// order commits).
     fn insert_inner(&self, p: Point) -> Result<u64> {
-        loop {
-            let router = self.router.snapshot();
-            let si = router.shard_of(p.x);
-            let shard = self
-                .shards
-                .get(si)
-                .expect("router routes to an existing shard");
-            let guard = shard.index.write();
-            if self.epoch.load(Ordering::Acquire) != router.epoch {
-                continue; // routing moved under us: drop the guard, re-route
-            }
-            if let Some(existing) = guard.get(p.x) {
-                return Err(TopKError::DuplicateX {
-                    existing,
-                    rejected: p,
-                });
-            }
-            {
-                let mut scores = self.scores.lock().unwrap();
-                if scores.contains(&p.score) {
-                    return Err(TopKError::DuplicateScore {
-                        score: p.score,
-                        rejected: p,
-                    });
-                }
-                scores.insert(p.score);
-            }
-            guard.insert_validated(p);
-            guard.maybe_rebuild();
-            shard.count.fetch_add(1, Ordering::Relaxed);
-            let stamp = self.commits.fetch_add(1, Ordering::Release) + 1;
-            guard.maybe_compact_journal();
-            guard.durable_commit()?;
-            drop(guard);
-            self.maybe_rebalance()?;
-            return Ok(stamp);
-        }
+        let stamp = self.write_point(p.x, |index| index.insert(p))?;
+        Ok(stamp.expect("a successful insert moves its shard's version"))
     }
 
     /// Delete a point (exact coordinate and score); `Ok(false)` if absent.
-    /// Takes only the owning shard's write lock.
+    /// Runs [`TopKIndex::delete`] under the owning shard's write lock.
     ///
     /// # Errors
     ///
@@ -652,29 +587,36 @@ impl ShardedTopK {
     /// The delete path, reporting the global commit stamp when the point
     /// was present (no stamp is burned for a miss).
     fn delete_inner(&self, p: Point) -> Result<Option<u64>> {
+        self.write_point(p.x, |index| index.delete(p).map(drop))
+    }
+
+    /// Run `write` on the shard owning coordinate `x` under its write lock,
+    /// the routing epoch validated, and return the write's global commit
+    /// stamp: a write that moved the shard's version is stamped before the
+    /// lock drops, even when its journal commit then failed; a rejected
+    /// insert or a missing delete is not. A successful, stamped write then
+    /// runs the rebalance check with the lock released.
+    fn write_point(&self, x: u64, write: impl Fn(&TopKIndex) -> Result<()>) -> Result<Option<u64>> {
         loop {
             let router = self.router.snapshot();
-            let si = router.shard_of(p.x);
-            let shard = self
+            let index = self
                 .shards
-                .get(si)
+                .get(router.shard_of(x))
                 .expect("router routes to an existing shard");
-            let guard = shard.index.write();
+            let guard = index.write();
             if self.epoch.load(Ordering::Acquire) != router.epoch {
                 continue; // routing moved under us: drop the guard, re-route
             }
-            if !guard.delete_validated(p)? {
-                return Ok(None);
-            }
-            guard.maybe_rebuild();
-            shard.count.fetch_sub(1, Ordering::Relaxed);
-            self.scores.lock().unwrap().remove(&p.score);
-            let stamp = self.commits.fetch_add(1, Ordering::Release) + 1;
-            guard.maybe_compact_journal();
-            guard.durable_commit()?;
+            let version = guard.version();
+            let outcome = write(&guard);
+            let stamp = (guard.version() != version)
+                .then(|| self.commits.fetch_add(1, Ordering::Release) + 1);
             drop(guard);
-            self.maybe_rebalance()?;
-            return Ok(Some(stamp));
+            outcome?;
+            if stamp.is_some() {
+                self.maybe_rebalance()?;
+            }
+            return Ok(stamp);
         }
     }
 
@@ -685,41 +627,25 @@ impl ShardedTopK {
     ///
     /// # Errors
     ///
-    /// [`TopKError::DuplicateX`] / [`TopKError::DuplicateScore`]; the index
-    /// is unchanged in that case.
+    /// [`TopKError::DuplicateX`] / [`TopKError::DuplicateScore`], the first
+    /// violation in input order exactly as on [`TopKIndex::bulk_build`];
+    /// the index is unchanged in that case.
     pub fn bulk_build(&self, points: &[Point]) -> Result<()> {
-        let mut sorted = points.to_vec();
-        sorted.sort_unstable_by_key(|p| p.x);
-        for (a, b) in sorted.iter().zip(sorted.iter().skip(1)) {
-            if a.x == b.x {
-                return Err(TopKError::DuplicateX {
-                    existing: *a,
-                    rejected: *b,
-                });
-            }
-        }
-        let mut score_set: HashSet<u64> = HashSet::with_capacity(sorted.len());
-        for &p in &sorted {
-            if !score_set.insert(p.score) {
-                return Err(TopKError::DuplicateScore {
-                    score: p.score,
-                    rejected: p,
-                });
-            }
-        }
+        let (sorted, scores) = check_distinct(points)?;
         // Every shard write lock, ascending: excludes all readers, writers
         // and any concurrent repartition for the whole replace-and-publish.
-        let guards: Vec<_> = self.shards.iter().map(|s| s.index.write()).collect();
-        *self.scores.lock().unwrap() = score_set;
+        let guards: Vec<_> = self.shards.iter().map(|index| index.write()).collect();
+        let first = guards.first().expect("an index has at least one shard");
+        *first.scores.lock().unwrap() = scores;
         self.repartition(&guards, &sorted)
     }
 
     /// Apply a whole [`UpdateBatch`] atomically across shards: the batch is
-    /// routed, validated once against the global preconditions (and its own
-    /// earlier operations), and the per-shard sub-batches are committed **in
-    /// parallel**, each running its own deferred rebuild check at commit.
-    /// All affected shards stay write-locked until every sub-commit is done,
-    /// so readers observe either the pre-batch or the post-batch state.
+    /// routed, the affected shards are write-locked, and the validation pass
+    /// and per-shard commit of [`TopKIndex::apply`] run over them, the
+    /// sub-commits **in parallel**. All affected shards stay write-locked
+    /// until every sub-commit is done, so readers observe either the
+    /// pre-batch or the post-batch state.
     ///
     /// # Errors
     ///
@@ -738,179 +664,55 @@ impl ShardedTopK {
         if batch.is_empty() {
             return Ok((BatchSummary::default(), None));
         }
-        let (shard_of, affected, guards) = loop {
+        let (router, affected, guards) = loop {
             let router = self.router.snapshot();
-            let shard_of: Vec<usize> = batch
+            let mut affected: Vec<usize> = batch
                 .ops()
                 .iter()
                 .map(|op| router.shard_of(op.point().x))
                 .collect();
-            let mut affected: Vec<usize> = shard_of.clone();
             affected.sort_unstable();
             affected.dedup();
             // Ascending acquisition keeps the global lock order acyclic.
             let guards: Vec<_> = affected
                 .iter()
-                .map(|&i| {
-                    self.shards
-                        .get(i)
-                        .expect("affected ids come from the router")
-                        .index
-                        .write()
-                })
+                .map(|&i| self.shards.get(i).expect("the router names shards"))
+                .map(|index| index.write())
                 .collect();
             // Routing validated under the shard write locks, as on the
             // point-wise paths: retry if a repartition moved the splits
             // between the snapshot and the lock acquisition.
             if self.epoch.load(Ordering::Acquire) == router.epoch {
-                break (shard_of, affected, guards);
+                break (router, affected, guards);
             }
         };
-        let mut per_shard_ops = vec![0usize; affected.len()];
-        for (op, &si) in batch.ops().iter().zip(&shard_of) {
-            let j = affected
-                .binary_search(&si)
-                .map_err(|_| TopKError::Inconsistent {
-                    point: op.point(),
-                    component: "shard router",
-                })?;
-            *per_shard_ops
-                .get_mut(j)
-                .expect("binary_search hit is in range") += 1;
-        }
-        let views: Vec<LiveView> = guards
-            .iter()
-            .zip(&per_shard_ops)
-            .map(|(g, &ops)| LiveView::for_batch(g, ops))
-            .collect();
+        let indexes: Vec<&TopKIndex> = guards.iter().map(|guard| &**guard).collect();
+        let first = indexes.first().expect("a non-empty batch affects a shard");
+        let (subs, summary) = batch::validate(batch, &first.scores, &indexes, |p| {
+            affected.partition_point(|&i| i < router.shard_of(p.x))
+        })?;
 
-        // Pass 1: simulate the whole batch in order. Coordinate lookups
-        // route to the owning shard's view; scores check the global registry
-        // (held for the rest of validation so racing point inserts cannot
-        // slip a duplicate in between).
-        let mut scores = self.scores.lock().unwrap();
-        let mut x_overlay: HashMap<u64, Option<Point>> = HashMap::new();
-        let mut score_overlay: HashMap<u64, bool> = HashMap::new();
-        let mut resolved: Vec<Vec<UpdateOp>> = vec![Vec::new(); affected.len()];
-        let mut summary = BatchSummary::default();
-        for (op, &si) in batch.ops().iter().zip(&shard_of) {
-            let j = affected
-                .binary_search(&si)
-                .map_err(|_| TopKError::Inconsistent {
-                    point: op.point(),
-                    component: "shard router",
-                })?;
-            let live_at = |x_overlay: &HashMap<u64, Option<Point>>, x: u64| match x_overlay.get(&x)
-            {
-                Some(&slot) => slot,
-                None => views
-                    .get(j)
-                    .zip(guards.get(j))
-                    .and_then(|(view, guard)| view.get(guard, x)),
-            };
-            match *op {
-                UpdateOp::Insert(p) => {
-                    if let Some(existing) = live_at(&x_overlay, p.x) {
-                        return Err(TopKError::DuplicateX {
-                            existing,
-                            rejected: p,
-                        });
-                    }
-                    let score_live = *score_overlay
-                        .get(&p.score)
-                        .unwrap_or(&scores.contains(&p.score));
-                    if score_live {
-                        return Err(TopKError::DuplicateScore {
-                            score: p.score,
-                            rejected: p,
-                        });
-                    }
-                    x_overlay.insert(p.x, Some(p));
-                    score_overlay.insert(p.score, true);
-                    resolved
-                        .get_mut(j)
-                        .expect("binary_search hit is in range")
-                        .push(*op);
-                    summary.inserted += 1;
-                }
-                UpdateOp::Delete(p) => {
-                    if live_at(&x_overlay, p.x) == Some(p) {
-                        x_overlay.insert(p.x, None);
-                        score_overlay.insert(p.score, false);
-                        resolved
-                            .get_mut(j)
-                            .expect("binary_search hit is in range")
-                            .push(*op);
-                        summary.deleted += 1;
-                    } else {
-                        summary.missing_deletes += 1;
-                    }
-                }
-            }
-        }
-        // Validation succeeded: commit the score delta and release the
-        // registry before the (possibly long) structural commit.
-        for (&score, &live) in &score_overlay {
-            if live {
-                scores.insert(score);
-            } else {
-                scores.remove(&score);
-            }
-        }
-        drop(scores);
-
-        // Pass 2: commit each shard's sub-batch, in parallel when the batch
-        // spans shards. Each commit runs its shard's deferred rebuild check
-        // once, and a sub-batch rewriting ≥ 1/16 of its shard commits as one
-        // shard rebuild (the same crossover knob as the unsharded batch
-        // path, reusing the validation pass's scan of the shard when one
-        // was taken).
-        if affected.len() == 1 {
-            let view = views.into_iter().next().expect("one affected shard");
-            let guard = guards.first().expect("one affected shard");
-            let ops = resolved.first().expect("one affected shard");
-            commit_shard(guard, ops, view)?;
-        } else {
-            let first_error: Mutex<Option<TopKError>> = Mutex::new(None);
-            std::thread::scope(|scope| {
-                for ((guard, ops), view) in guards.iter().zip(&resolved).zip(views) {
-                    let index: &TopKIndex = guard;
-                    let first_error = &first_error;
-                    scope.spawn(move || {
-                        if let Err(e) = commit_shard(index, ops, view) {
-                            first_error.lock().unwrap().get_or_insert(e);
-                        }
-                    });
-                }
-            });
-            if let Some(e) = first_error.into_inner().unwrap() {
-                return Err(e);
-            }
-        }
-        for (&si, ops) in affected.iter().zip(&resolved) {
-            let (mut ins, mut del) = (0u64, 0u64);
-            for op in ops {
-                match op {
-                    UpdateOp::Insert(_) => ins += 1,
-                    UpdateOp::Delete(_) => del += 1,
-                }
-            }
-            let count = &self
-                .shards
-                .get(si)
-                .expect("affected ids come from the router")
-                .count;
-            count.fetch_add(ins, Ordering::Relaxed);
-            count.fetch_sub(del, Ordering::Relaxed);
+        // Commit each shard's sub-batch, in parallel when the batch spans
+        // shards.
+        match <[_; 1]>::try_from(subs) {
+            Ok([sub]) => sub.commit()?,
+            Err(subs) => std::thread::scope(|scope| {
+                let commits: Vec<_> = subs
+                    .into_iter()
+                    .map(|sub| scope.spawn(move || sub.commit()))
+                    .collect();
+                commits.into_iter().try_for_each(|commit| {
+                    commit
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+            })?,
         }
         // A batch of nothing but missing deletes changed no data: bumping
         // the stamp would spuriously invalidate strict cursors for a no-op
         // (the point-wise paths only bump on actual mutations).
-        let stamp = if summary.inserted > 0 || summary.deleted > 0 {
-            Some(self.commits.fetch_add(1, Ordering::Release) + 1)
-        } else {
-            None
-        };
+        let stamp = (summary.inserted + summary.deleted > 0)
+            .then(|| self.commits.fetch_add(1, Ordering::Release) + 1);
         drop(guards);
         self.maybe_rebalance()?;
         Ok((summary, stamp))
@@ -955,7 +757,7 @@ impl ShardedTopK {
     ///
     /// [`TopKError::Storage`] if a durable shard's journal commit fails.
     pub fn rebalance_now(&self) -> Result<()> {
-        let guards: Vec<_> = self.shards.iter().map(|s| s.index.write()).collect();
+        let guards: Vec<_> = self.shards.iter().map(|index| index.write()).collect();
         let mut all: Vec<Point> = guards.iter().flat_map(|g| g.all_points()).collect();
         all.sort_unstable_by_key(|p| p.x);
         self.repartition(&guards, &all)
@@ -981,9 +783,6 @@ impl ShardedTopK {
             // are allocated by the thread that goes on to update them.
             first.rebuild_unvalidated(first_slice);
         });
-        for (shard, slice) in self.shards.iter().zip(&slices) {
-            shard.count.store(slice.len() as u64, Ordering::Relaxed);
-        }
         // Publish before the epoch bump: a snapshot loaded in between
         // carries the *new* epoch and validates once the bump lands.
         self.router.publish(&new_router);
@@ -997,16 +796,21 @@ impl ShardedTopK {
     }
 
     /// Run every shard's internal consistency checks and verify the routing
-    /// and occupancy bookkeeping (test support).
+    /// and the score registry: every shard shares one registry, and it
+    /// holds exactly the scores stored across the shards (test support).
     pub fn check_invariants(&self) {
         let pinned = self.read();
+        let first = pinned
+            .guards
+            .first()
+            .expect("an index has at least one shard");
+        let mut stored = HashSet::new();
         let mut total = 0u64;
-        for (i, (index, shard)) in pinned.guards.iter().zip(self.shards.iter()).enumerate() {
-            index.check_invariants();
-            assert_eq!(
-                index.len(),
-                shard.count.load(Ordering::Relaxed),
-                "shard {i} occupancy counter drifted"
+        for (i, index) in pinned.guards.iter().enumerate() {
+            index.check_components();
+            assert!(
+                Arc::ptr_eq(&index.scores, &first.scores),
+                "shard {i} validates against a registry of its own"
             );
             for p in index.all_points() {
                 assert_eq!(
@@ -1016,10 +820,20 @@ impl ShardedTopK {
                     p.x,
                     p.score
                 );
+                stored.insert(p.score);
             }
             total += index.len();
         }
-        assert_eq!(self.scores.lock().unwrap().len() as u64, total);
+        assert_eq!(
+            stored.len() as u64,
+            total,
+            "two stored points share a score"
+        );
+        assert_eq!(
+            *first.scores.lock().unwrap(),
+            stored,
+            "score registry drifted from the shards' stored points"
+        );
     }
 }
 
@@ -1075,62 +889,6 @@ impl std::fmt::Debug for ShardedTopK {
     }
 }
 
-/// Apply a validated per-shard sub-batch: the same commit strategy (and the
-/// same [`REBUILD_CROSSOVER`](crate::batch::REBUILD_CROSSOVER) knob) as the
-/// unsharded batch path — point-wise below the crossover, one shard rebuild
-/// above it (sized on the *resolved* ops, misses already dropped) — then
-/// commit the shard's journal. `view` is the validation pass's view of this
-/// shard; a `Scan` view already holds the full point map, so the rebuild
-/// path never re-scans the shard it was just validated against.
-fn commit_shard(index: &TopKIndex, ops: &[UpdateOp], view: LiveView) -> Result<()> {
-    if ops.is_empty() {
-        return Ok(());
-    }
-    let inserted = ops
-        .iter()
-        .filter(|op| matches!(op, UpdateOp::Insert(_)))
-        .count() as u64;
-    let n_after = (index.len() + inserted).max(1);
-    if (ops.len() as u64) * crate::batch::REBUILD_CROSSOVER >= n_after {
-        let mut live: HashMap<u64, Point> = match view {
-            LiveView::Scan(live) => live,
-            LiveView::Probe => index.all_points().into_iter().map(|p| (p.x, p)).collect(),
-        };
-        for op in ops {
-            match *op {
-                UpdateOp::Insert(p) => {
-                    live.insert(p.x, p);
-                }
-                UpdateOp::Delete(p) => {
-                    live.remove(&p.x);
-                }
-            }
-        }
-        let points: Vec<Point> = live.into_values().collect();
-        index.rebuild_unvalidated(&points);
-    } else {
-        for op in ops {
-            match *op {
-                UpdateOp::Insert(p) => index.insert_validated(p),
-                // Validation proved presence under the held write lock, so a
-                // miss here means the components disagree — the same fatal
-                // condition `delete_validated` itself reports.
-                UpdateOp::Delete(p) => {
-                    if !index.delete_validated(p)? {
-                        return Err(TopKError::Inconsistent {
-                            point: p,
-                            component: "sharded-commit",
-                        });
-                    }
-                }
-            }
-        }
-        index.maybe_rebuild();
-    }
-    index.maybe_compact_journal();
-    index.durable_commit()
-}
-
 /// Split `sorted` (ascending by coordinate) into per-shard slices according
 /// to `router`'s split points.
 fn partition_sorted<'a>(sorted: &'a [Point], router: &Router) -> Vec<&'a [Point]> {
@@ -1178,16 +936,10 @@ impl ShardedReadGuard<'_> {
     /// The same validation as [`TopKIndex::query`].
     pub fn stream(&self, request: QueryRequest) -> Result<ShardedResults<'_>> {
         request.validate()?;
-        let (lo, hi) = self.router.overlap(request.x1(), request.x2());
-        let lo = lo.max(self.base);
-        let hi = hi.min(self.base + self.guards.len().saturating_sub(1));
+        let (lo, hi) = self.overlap_held(request.x1(), request.x2());
         let mut streams = Vec::with_capacity(hi.saturating_sub(lo) + 1);
         for i in lo..=hi {
-            let guard = self
-                .guards
-                .get(i - self.base)
-                .expect("span clamped to the held guards");
-            streams.push(guard.stream(request.clone())?);
+            streams.push(self.shard(i).stream(request.clone())?);
         }
         Ok(ShardedResults::new(streams, request.k()))
     }
@@ -1237,16 +989,9 @@ impl ShardedReadGuard<'_> {
         if x1 > x2 {
             return Err(TopKError::InvertedRange { x1, x2 });
         }
-        let (lo, hi) = self.router.overlap(x1, x2);
-        let lo = lo.max(self.base);
-        let hi = hi.min(self.base + self.guards.len().saturating_sub(1));
+        let (lo, hi) = self.overlap_held(x1, x2);
         Ok((lo..=hi)
-            .map(|i| {
-                self.guards
-                    .get(i - self.base)
-                    .expect("span clamped to the held guards")
-                    .count_unvalidated(x1, x2)
-            })
+            .map(|i| self.shard(i).count_unvalidated(x1, x2))
             .sum())
     }
 }
@@ -1343,7 +1088,7 @@ impl std::iter::FusedIterator for ShardedResults<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Oracle;
+    use crate::{Oracle, UpdateOp};
     use emsim::EmConfig;
     use rand::rngs::StdRng;
     use rand::{seq::SliceRandom, Rng, SeedableRng};
@@ -1543,10 +1288,12 @@ mod tests {
             .insert(Point::new(999_999_999, someone.score))
             .unwrap_err();
         assert!(matches!(err, TopKError::DuplicateScore { .. }));
-        // A rejected insert rolls its score reservation back.
-        index.insert(Point::new(999_999_999, 999_999_997)).unwrap();
-        assert!(index.delete(Point::new(999_999_999, 999_999_997)).unwrap());
-        assert!(!index.delete(Point::new(999_999_999, 999_999_997)).unwrap());
+        // Neither rejected insert reserved anything: the first one's score
+        // and the second one's coordinate are still free.
+        let fresh = Point::new(999_999_999, 999_999_999);
+        index.insert(fresh).unwrap();
+        assert!(index.delete(fresh).unwrap());
+        assert!(!index.delete(fresh).unwrap());
         assert_eq!(index.len(), 1200);
         index.check_invariants();
     }

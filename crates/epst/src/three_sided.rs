@@ -176,13 +176,6 @@ impl ThreeSidedPst {
         emsim::dir_get_or_insert(&self.map, node, || self.pages.alloc(CachePage::default()))
     }
 
-    #[allow(dead_code)] // kept for symmetry with ensure_page; used by future compaction
-    fn drop_page(&self, node: NodeId) {
-        if let Some(p) = self.map.write().unwrap().remove(&node) {
-            self.pages.free(p);
-        }
-    }
-
     /// Recompute the parent-side summary of `child` inside `parent`'s page.
     fn refresh_summary(&self, parent: NodeId, child: NodeId) {
         let child_page = self.page_of(child);

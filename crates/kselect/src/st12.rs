@@ -69,8 +69,6 @@ impl Page for SketchChunk {
 pub struct St12KSelect {
     device: Device,
     name: String,
-    #[allow(dead_code)] // recorded for introspection / experiment reports
-    config: St12Config,
     base: WbbTree<u64>,
     leaves: BlockFile<LeafPage>,
     leaf_of: RwLock<HashMap<NodeId, PageId>>,
@@ -97,7 +95,6 @@ impl St12KSelect {
         let s = Self {
             device: device.clone(),
             name: name.to_string(),
-            config,
             base,
             leaves,
             leaf_of: RwLock::new(HashMap::new()),

@@ -1,9 +1,10 @@
 //! Batched-update acceptance tests: [`UpdateBatch`] applied through
-//! `apply()` must be *observation-equivalent* to the same operations applied
-//! point-wise — same answers, same counts, same misses — cross-checked
-//! against the oracle under seeded randomized workloads; and under a
-//! one-shard [`ShardedTopK`], concurrent readers must only ever observe
-//! pre-batch or post-batch states, never a torn middle.
+//! `apply()` — on a bare index and across the shards of a four-shard
+//! [`ShardedTopK`] — must be *observation-equivalent* to the same operations
+//! applied point-wise — same answers, same counts, same misses —
+//! cross-checked against the oracle under seeded randomized workloads; and
+//! under a one-shard [`ShardedTopK`], concurrent readers must only ever
+//! observe pre-batch or post-batch states, never a torn middle.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -63,8 +64,12 @@ fn batched_apply_is_observation_equivalent_to_pointwise() {
         let initial: Vec<Point> = (0..1_500u64).map(point).collect();
         let pointwise = TopKIndex::new(&device(), TopKConfig::for_tests());
         let batched = TopKIndex::new(&device(), TopKConfig::for_tests());
+        // Random deletes fall in every shard, so the sharded batches cross
+        // shards and commit their sub-batches in parallel.
+        let sharded = ShardedTopK::new(&device(), TopKConfig::for_tests(), 4);
         pointwise.bulk_build(&initial).unwrap();
         batched.bulk_build(&initial).unwrap();
+        sharded.bulk_build(&initial).unwrap();
         let mut oracle = Oracle::from_points(&initial);
 
         let mut live: Vec<u64> = (0..1_500).collect();
@@ -100,6 +105,16 @@ fn batched_apply_is_observation_equivalent_to_pointwise() {
             assert_eq!(batched_summary, expect, "seed {seed} round {round}");
             assert_eq!(batched.len(), pointwise.len(), "seed {seed} round {round}");
             assert_eq!(batched.len(), oracle.len() as u64);
+            let sharded_summary = sharded.apply(&batch).unwrap();
+            assert_eq!(
+                sharded_summary, expect,
+                "sharded: seed {seed} round {round}"
+            );
+            assert_eq!(
+                sharded.len(),
+                oracle.len() as u64,
+                "seed {seed} round {round}"
+            );
 
             // Observation equivalence: random queries agree across all three.
             for _ in 0..12 {
@@ -118,14 +133,25 @@ fn batched_apply_is_observation_equivalent_to_pointwise() {
                     "pointwise: seed {seed} round {round} [{a},{b}] k={k}"
                 );
                 assert_eq!(
+                    sharded.query(a, b, k).unwrap(),
+                    expect,
+                    "sharded: seed {seed} round {round} [{a},{b}] k={k}"
+                );
+                assert_eq!(
                     batched.count_in_range(a, b).unwrap(),
                     oracle.count(a, b) as u64,
                     "seed {seed} round {round}"
+                );
+                assert_eq!(
+                    sharded.count_in_range(a, b).unwrap(),
+                    oracle.count(a, b) as u64,
+                    "sharded: seed {seed} round {round}"
                 );
             }
         }
         batched.check_invariants();
         pointwise.check_invariants();
+        sharded.check_invariants();
     }
 }
 

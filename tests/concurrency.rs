@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use emsim::{Device, EmConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use topk_core::{Oracle, Point, ShardedTopK, TopKConfig, UpdateBatch, UpdateOp};
+use topk_core::{Oracle, Point, ShardedTopK, TopKConfig, TopKError, UpdateBatch, UpdateOp};
 use topk_testkit::Seed;
 
 fn points(seed: u64, lo: u64, n: u64) -> Vec<Point> {
@@ -406,6 +406,99 @@ fn recorded_histories_admit_witness_orderings_under_rebalance() {
     let report = check(&history).unwrap_or_else(|v| panic!("{v}; {context}"));
     assert_eq!(report.queries, READERS * 80, "{context}");
     assert!(report.writes > 0, "{context}");
+}
+
+#[test]
+fn writers_on_different_shards_racing_for_one_score_admit_one_winner() {
+    // Every shard validates scores against the one registry its handle
+    // shares, so writers on different shards racing for one score — a
+    // point insert per shard plus a batch — must leave exactly one winner,
+    // and every loser must get `DuplicateScore` for its own point.
+    const SHARDS: u64 = 4;
+    const ROUNDS: u64 = 40;
+    let seed = Seed::from_env(0x5C0E);
+    let context = format!("seed={seed}; {}", seed.repro("concurrency"));
+    let mut rng = StdRng::seed_from_u64(seed.derive(13));
+    let device = Device::new(EmConfig::new(256, 256 * 256));
+    let index = ShardedTopK::new(&device, TopKConfig::for_tests(), SHARDS as usize);
+    // An index that was never bulk-built keeps its even splits, and the few
+    // winners stay far below the rebalance floor: shard i owns the
+    // coordinates from i · step on.
+    let step = u64::MAX / SHARDS;
+    let base = rng.gen_range(0..1u64 << 40) * 2 * ROUNDS;
+    let mut expected_len = 0;
+    for round in 0..ROUNDS {
+        let score = base + 2 * round;
+        let contenders: Vec<Point> = (0..SHARDS)
+            .map(|i| Point::new(i * step + 4 * round + 1, score))
+            .collect();
+        for pair in contenders.windows(2) {
+            assert_eq!(
+                index.overlapping_shards(pair[0].x, pair[1].x),
+                2,
+                "{context}"
+            );
+        }
+        // The batch carries the contested score on a random shard, plus a
+        // point with a free score on another, so it commits across shards
+        // when it wins.
+        let contested = Point::new(rng.gen_range(0..SHARDS) * step + 4 * round + 2, score);
+        let filler = Point::new(rng.gen_range(0..SHARDS) * step + 4 * round + 3, score + 1);
+        let batch = UpdateBatch::new().insert(contested).insert(filler);
+        let start = std::sync::Barrier::new(contenders.len() + 1);
+        let (inserts, applied) = std::thread::scope(|scope| {
+            let inserts: Vec<_> = contenders
+                .iter()
+                .map(|&p| {
+                    let (index, start) = (&index, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        index.insert(p)
+                    })
+                })
+                .collect();
+            let applied = scope.spawn(|| {
+                start.wait();
+                index.apply(&batch)
+            });
+            let inserts: Vec<_> = inserts.into_iter().map(|h| h.join().unwrap()).collect();
+            (inserts, applied.join().unwrap())
+        });
+        let mut winners = Vec::new();
+        for (p, outcome) in contenders.iter().zip(inserts) {
+            match outcome {
+                Ok(()) => winners.push(*p),
+                Err(e) => assert_eq!(
+                    e,
+                    TopKError::DuplicateScore {
+                        score,
+                        rejected: *p
+                    },
+                    "round {round}; {context}"
+                ),
+            }
+        }
+        match applied {
+            Ok(summary) => {
+                assert_eq!(summary.inserted, 2, "round {round}; {context}");
+                winners.push(contested);
+                expected_len += 1;
+            }
+            Err(e) => assert_eq!(
+                e,
+                TopKError::DuplicateScore {
+                    score,
+                    rejected: contested
+                },
+                "round {round}; {context}"
+            ),
+        }
+        assert_eq!(winners.len(), 1, "round {round}: {winners:?}; {context}");
+        expected_len += 1;
+        assert_eq!(index.len(), expected_len, "round {round}; {context}");
+        assert_eq!(index.get(winners[0].x), Some(winners[0]), "{context}");
+        index.check_invariants();
+    }
 }
 
 #[test]

@@ -129,10 +129,43 @@ fn every_engine_rejects_misuse_identically() {
     let device = Device::new(EmConfig::new(128, 128 * 128));
     let engines = engines(&device);
     let pts = distinct_points(vec![(5, 9), (100, 3), (42, 77)]);
+    // A bulk build reports its first violation in input order, coordinate
+    // before score within a point, on every topology of the paper's
+    // structure. (The baselines keep their own rules.)
+    let bad_builds = [
+        (
+            vec![Point::new(1, 10), Point::new(2, 10), Point::new(1, 20)],
+            TopKError::DuplicateScore {
+                score: 10,
+                rejected: Point::new(2, 10),
+            },
+        ),
+        (
+            vec![
+                Point::new(9, 1),
+                Point::new(3, 2),
+                Point::new(9, 3),
+                Point::new(3, 4),
+            ],
+            TopKError::DuplicateX {
+                existing: Point::new(9, 1),
+                rejected: Point::new(9, 3),
+            },
+        ),
+    ];
     for populate in [false, true] {
         for (name, engine) in &engines {
             if populate {
                 engine.bulk_build(&pts).unwrap();
+            }
+            if !matches!(*name, "naive" | "ram-pst") {
+                for (input, expect) in &bad_builds {
+                    assert_eq!(
+                        engine.bulk_build(input).unwrap_err(),
+                        *expect,
+                        "{name} (populated: {populate}): bulk_build {input:?}"
+                    );
+                }
             }
             assert_eq!(
                 engine.query(9, 3, 5).unwrap_err(),
