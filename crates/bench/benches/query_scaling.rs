@@ -50,24 +50,31 @@ fn main() {
         );
     }
 
-    // Dense k sweep at fixed n (every power of two through the small-k →
-    // large-k crossover at l = 128): adjacent steps make a residual k-cliff
-    // visible as a throughput drop between neighbours, which is what the CI
-    // perf-sanity gate checks.
-    println!("\nquery_scaling/topk_by_k — k sweep at n = 32768, 25% selectivity");
-    println!("{:>12} {:>16} {:>16}", "k", "queries/sec", "us/query");
+    // Dense k sweep at fixed n (every power of two through paper mode's
+    // small-k → large-k crossover at l = 128): adjacent steps make a
+    // residual k-cliff visible as a throughput drop between neighbours,
+    // which is what the CI perf-sanity gate checks. `topk_by_k` is paper
+    // mode (the E2 reproduction), `serving_by_k` the same sweep on the
+    // serving default, whose pilot drain serves every k.
     let pts = uniform_points(11, 1 << 15);
-    let index = build_index(small_machine(), SmallKEngine::Polylog, 128, &pts);
-    for &k in &[1usize, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096] {
-        let queries = QueryGen::new(0.25, k, 5).generate(&pts, 8);
-        let qps = queries_per_sec(&index, &queries);
-        println!("{k:>12} {qps:>16.0} {:>16.1}", 1e6 / qps);
-        rows.push(
-            JsonRow::new("topk_by_k", "queries_per_sec", qps)
-                .topology("single")
-                .threads(1)
-                .param(format!("k={k}")),
-        );
+    for (scenario, engine) in [
+        ("topk_by_k", SmallKEngine::Polylog),
+        ("serving_by_k", SmallKEngine::Pilot),
+    ] {
+        println!("\nquery_scaling/{scenario} — k sweep at n = 32768, 25% selectivity");
+        println!("{:>12} {:>16} {:>16}", "k", "queries/sec", "us/query");
+        let index = build_index(small_machine(), engine, 128, &pts);
+        for &k in &[1usize, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096] {
+            let queries = QueryGen::new(0.25, k, 5).generate(&pts, 8);
+            let qps = queries_per_sec(&index, &queries);
+            println!("{k:>12} {qps:>16.0} {:>16.1}", 1e6 / qps);
+            rows.push(
+                JsonRow::new(scenario, "queries_per_sec", qps)
+                    .topology("single")
+                    .threads(1)
+                    .param(format!("k={k}")),
+            );
+        }
     }
 
     topk_bench::json::save_if_requested("query_scaling", &rows);

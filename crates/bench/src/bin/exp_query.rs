@@ -1,6 +1,6 @@
 //! Experiments E1 and E2: query I/O cost vs n (fixed k) and vs k (fixed n),
 //! for the combined index, the naive scan baseline and the RAM-model PST.
-//! Prints the markdown tables recorded in EXPERIMENTS.md.
+//! Prints its markdown tables to stdout.
 //!
 //! The device-measured engines are driven through [`RankedIndex`], so the
 //! measurement loop is written once; the RAM PST is priced separately in

@@ -1,5 +1,8 @@
 //! CI perf-sanity gate: a quick k-sweep on a small index that fails (exit
 //! code 1) if queries/sec drops by more than 4× between adjacent k steps.
+//! The sweep runs on both builds: the serving default, whose pilot drain
+//! serves every k, and paper mode (the §3.3 small-k path below the
+//! crossover l = 128), whose regime switch a cliff could hide in.
 //!
 //! This is a cliff detector, not a benchmark. The incremental-escalation
 //! work (persistent descent frontier + bulk pulls, DESIGN.md §6) makes
@@ -25,6 +28,7 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use epst::Point;
 use topk_bench::{build_index, read_qps, small_machine, uniform_points};
 use topk_core::{RankedIndex, ShardedTopK, SmallKEngine};
 use workload::{Query, QueryGen};
@@ -44,7 +48,7 @@ const SCALING_WINDOW: Duration = Duration::from_millis(250);
 /// reader threads (see [`topk_bench::read_qps`] for the harness
 /// discipline). Returns the achieved ratio, or `None` when the host cannot
 /// express 4-way parallelism and the gate was skipped.
-fn read_scaling_ratio(pts: &[epst::Point]) -> Option<f64> {
+fn read_scaling_ratio(pts: &[Point]) -> Option<f64> {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     if cores < 4 {
         let note = format!(
@@ -108,15 +112,9 @@ fn queries_per_sec(index: &dyn RankedIndex, queries: &[Query]) -> f64 {
     best
 }
 
-fn main() -> ExitCode {
-    // Same machine and crossover as the query_scaling k sweep, smaller n
-    // for speed. Selectivity 0.25 puts ~4096 points in a typical window,
-    // so the k = 2048 step still does real deep-pull work.
-    let n = 1usize << 14;
-    let pts = uniform_points(11, n);
-    let index = build_index(small_machine(), SmallKEngine::Polylog, 128, &pts);
-
-    println!("perf_sanity — k sweep at n = {n}, 25% selectivity");
+/// The k sweep on one build: prints one row per k and returns the worst
+/// adjacent-step drop as `(previous k, k, ratio)`.
+fn worst_adjacent_drop(index: &dyn RankedIndex, pts: &[Point]) -> (usize, usize, f64) {
     println!(
         "{:>8} {:>14} {:>12} {:>10}",
         "k", "queries/sec", "us/query", "step"
@@ -124,8 +122,8 @@ fn main() -> ExitCode {
     let mut prev: Option<(usize, f64)> = None;
     let mut worst: Option<(usize, usize, f64)> = None;
     for k in (0..=11).map(|e| 1usize << e) {
-        let queries = QueryGen::new(0.25, k, 5).generate(&pts, 8);
-        let qps = queries_per_sec(&index, &queries);
+        let queries = QueryGen::new(0.25, k, 5).generate(pts, 8);
+        let qps = queries_per_sec(index, &queries);
         let step = prev.map(|(_, p)| p / qps);
         println!(
             "{k:>8} {qps:>14.0} {:>12.1} {:>10}",
@@ -139,18 +137,39 @@ fn main() -> ExitCode {
         }
         prev = Some((k, qps));
     }
+    worst.expect("sweep has at least two steps")
+}
 
-    let (pk, k, s) = worst.expect("sweep has at least two steps");
-    if s > MAX_ADJACENT_DROP {
-        eprintln!(
-            "perf_sanity FAIL: throughput dropped {s:.2}x from k = {pk} to k = {k} \
-             (gate: {MAX_ADJACENT_DROP}x) — a k-cliff is back in the query hot path"
-        );
+fn main() -> ExitCode {
+    // Same machine and crossover as the query_scaling k sweep, smaller n
+    // for speed. Selectivity 0.25 puts ~4096 points in a typical window,
+    // so the k = 2048 step still does real deep-pull work.
+    let n = 1usize << 14;
+    let pts = uniform_points(11, n);
+    let mut cliff = false;
+    for (build, engine) in [
+        ("serving default", SmallKEngine::Pilot),
+        ("paper mode", SmallKEngine::Polylog),
+    ] {
+        let index = build_index(small_machine(), engine, 128, &pts);
+        println!("perf_sanity — {build}: k sweep at n = {n}, 25% selectivity");
+        let (pk, k, s) = worst_adjacent_drop(&index, &pts);
+        if s > MAX_ADJACENT_DROP {
+            eprintln!(
+                "perf_sanity FAIL ({build}): throughput dropped {s:.2}x from k = {pk} to \
+                 k = {k} (gate: {MAX_ADJACENT_DROP}x) — a k-cliff is back in the query hot path"
+            );
+            cliff = true;
+        } else {
+            println!(
+                "perf_sanity OK ({build}): worst adjacent drop {s:.2}x (k = {pk} -> {k}), \
+                 gate {MAX_ADJACENT_DROP}x\n"
+            );
+        }
+    }
+    if cliff {
         return ExitCode::FAILURE;
     }
-    println!(
-        "perf_sanity OK: worst adjacent drop {s:.2}x (k = {pk} -> {k}), gate {MAX_ADJACENT_DROP}x"
-    );
 
     match read_scaling_ratio(&pts) {
         Some(ratio) if ratio < MIN_READ_SCALING => {

@@ -2,8 +2,8 @@
 //!
 //! Shared plumbing for the experiment binaries (`exp_*`) and the Criterion
 //! benches: structure construction, per-operation I/O measurement, and
-//! markdown/CSV table output. Every table and figure of EXPERIMENTS.md is
-//! regenerated by one of the binaries in `src/bin/`.
+//! markdown/CSV table output. The binaries in `src/bin/` print their
+//! experiment tables to stdout.
 //!
 //! The measurement helpers are generic over [`RankedIndex`], so the same
 //! code paths measure the paper's structure and the `baselines` engines.

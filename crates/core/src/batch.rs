@@ -246,7 +246,7 @@ impl SubBatch<'_> {
     /// with the shard's journal commit. A sub-batch that rewrites a sizable
     /// fraction of its shard (resolved ops ≥ n/16) commits as one rebuild —
     /// the paper's own batched-maintenance tool, `O((n/B)·log_B n)` I/Os
-    /// instead of `O(log_B n)` descents across three components per op, and
+    /// instead of `O(log_B n)` descents across every component per op, and
     /// from a `Scan` view without re-scanning the shard. Smaller ones apply
     /// point-wise with one deferred rebuild check. A resolved delete that
     /// misses means the components disagree: [`TopKError::Inconsistent`].

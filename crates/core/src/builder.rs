@@ -94,20 +94,29 @@ impl IndexBuilder {
         self
     }
 
-    /// The anticipated number of stored points; [`SmallKEngine::Auto`] is
-    /// resolved against it (the paper's `lg n ≤ B^(1/6)` regime boundary).
+    /// The anticipated number of stored points. It sizes the default shard
+    /// count of [`IndexBuilder::build_sharded`], and in paper mode
+    /// [`SmallKEngine::Auto`] is resolved against it (the paper's
+    /// `lg n ≤ B^(1/6)` regime boundary).
     pub fn expected_n(mut self, n: usize) -> Self {
         self.config.expected_n = n;
         self
     }
 
-    /// Which small-`k` engine to use (default: [`SmallKEngine::Auto`]).
+    /// Serving default or paper mode. The default,
+    /// [`SmallKEngine::Pilot`], builds no k-selector and serves every `k`
+    /// from the §2 pilot drain; [`SmallKEngine::Auto`], `Polylog` or `St12`
+    /// select paper mode, Theorem 1's full build, which reproduces the
+    /// paper's `O(log_B n + k/B)` small-`k` bound but measures slower
+    /// (DESIGN.md §3.6).
     pub fn small_k(mut self, engine: SmallKEngine) -> Self {
         self.config.small_k_engine = engine;
         self
     }
 
-    /// The crossover `l` between the small-`k` and pilot-set query paths.
+    /// The crossover `l` between paper mode's small-`k` and pilot-set query
+    /// paths. The serving default has no crossover and uses `l` only as the
+    /// size of a lazy stream's first pilot round.
     pub fn crossover_l(mut self, l: usize) -> Self {
         self.config.l = l;
         self
@@ -284,6 +293,7 @@ mod tests {
     fn expected_n_drives_auto_engine_resolution() {
         // Huge blocks relative to a tiny expected n → lg n ≤ B^(1/6) → ST12.
         let st12 = TopKIndex::builder()
+            .small_k(SmallKEngine::Auto)
             .block_words(1 << 20)
             .pool_bytes(1 << 26)
             .expected_n(8)
@@ -293,6 +303,7 @@ mod tests {
         // The default expected n on the same machine stays in the paper's
         // main regime → the §3.3 polylog structure.
         let polylog = TopKIndex::builder()
+            .small_k(SmallKEngine::Auto)
             .block_words(1 << 20)
             .pool_bytes(1 << 26)
             .expected_n(1 << 20)

@@ -1,16 +1,29 @@
 //! Configuration of the combined index.
 
-/// Which approximate range k-selection structure backs the small-`k` path.
+/// Which structure serves `k < l` — in effect, whether the index runs the
+/// serving default or the paper's Theorem 1 build ("paper mode").
+///
+/// The default, [`SmallKEngine::Pilot`], builds no k-selector and answers
+/// every `k` from the §2 pilot drain: `O(lg n + k/B)` query I/Os for every
+/// `k`, and each update maintains two structures instead of three. The other
+/// variants are paper mode: they build Theorem 1's approximate range
+/// k-selection structure and route `k < l` through the §3.3 reduction for
+/// its `O(log_B n + k/B)` bound. Paper mode measures slower at every size
+/// tried (DESIGN.md §3.6); it exists to reproduce the paper. Both modes
+/// return the same answers, and a durable directory written in one reopens
+/// in the other (the journal records points, not structures).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SmallKEngine {
-    /// Follow the paper's Theorem 1 dispatch: use the Sheng–Tao-style
+    /// The serving default: no k-selector; the pilot drain serves every `k`.
+    Pilot,
+    /// Paper mode with Theorem 1's dispatch: use the Sheng–Tao-style
     /// structure when `lg n ≤ B^(1/6)` (very large blocks), and the new §3.3
     /// structure otherwise.
     Auto,
-    /// Always use the paper's new §3.3 structure (Lemma 4).
+    /// Paper mode, always with the paper's new §3.3 structure (Lemma 4).
     Polylog,
-    /// Always use the Sheng–Tao 2012-style baseline (useful for the
-    /// comparison experiments).
+    /// Paper mode, always with the Sheng–Tao 2012-style baseline (useful for
+    /// the comparison experiments).
     St12,
 }
 
@@ -18,20 +31,23 @@ pub enum SmallKEngine {
 /// [`IndexBuilder`](crate::IndexBuilder) rather than by hand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopKConfig {
-    /// The `l = O(polylg n)` parameter: the largest `k` served by the
-    /// small-`k` path; larger `k` go to the pilot-set structure of §2. The
+    /// The `l = O(polylg n)` parameter of paper mode: `k < l` is served by
+    /// the small-`k` path, larger `k` by the pilot-set structure of §2. The
     /// paper sets the crossover at `Θ(B·lg n)`; at laptop scale the value is
-    /// configurable (see DESIGN.md §3 on parameter scaling).
+    /// configurable (see DESIGN.md §3 on parameter scaling). The serving
+    /// default ([`SmallKEngine::Pilot`]) has no crossover and reads `l` only
+    /// as the size of a lazy stream's first pilot round.
     pub l: usize,
-    /// Which small-`k` engine to use.
+    /// Serving default or paper mode, and paper mode's small-`k` engine.
     pub small_k_engine: SmallKEngine,
     /// Rebuild everything after the live size drifts by this factor from the
     /// size at the last rebuild (the paper's global rebuilding).
     pub rebuild_factor: u64,
     /// The anticipated number of stored points, used to resolve
     /// [`SmallKEngine::Auto`] against the paper's `lg n ≤ B^(1/6)` regime
-    /// boundary at construction time. The answer-correctness of the index
-    /// never depends on this value — only which engine serves small `k`.
+    /// boundary at construction time (and to size the default shard count).
+    /// The answer-correctness of the index never depends on this value —
+    /// only which engine serves small `k` in paper mode.
     pub expected_n: usize,
 }
 
@@ -39,7 +55,7 @@ impl Default for TopKConfig {
     fn default() -> Self {
         Self {
             l: 256,
-            small_k_engine: SmallKEngine::Auto,
+            small_k_engine: SmallKEngine::Pilot,
             rebuild_factor: 2,
             expected_n: 1 << 20,
         }
@@ -57,7 +73,8 @@ impl TopKConfig {
 
     /// Resolve [`SmallKEngine::Auto`] for a machine with the given block size
     /// (in words) and an expected input size `n`: the paper uses the
-    /// Sheng–Tao structure exactly when `lg n ≤ B^(1/6)`.
+    /// Sheng–Tao structure exactly when `lg n ≤ B^(1/6)`. Every other
+    /// engine, the serving default included, passes through.
     pub fn resolve_engine(&self, block_words: usize, n: usize) -> SmallKEngine {
         match self.small_k_engine {
             SmallKEngine::Auto => {
@@ -80,7 +97,10 @@ mod tests {
 
     #[test]
     fn auto_resolution_follows_regime_boundary() {
-        let cfg = TopKConfig::default();
+        let cfg = TopKConfig {
+            small_k_engine: SmallKEngine::Auto,
+            ..TopKConfig::default()
+        };
         // Realistic block sizes put us in the B < lg^6 n regime → polylog.
         assert_eq!(cfg.resolve_engine(512, 1 << 20), SmallKEngine::Polylog);
         // Astronomically large blocks relative to n → the ST12 structure is

@@ -32,19 +32,21 @@
 //! # Incremental rounds
 //!
 //! The cursor does not re-run a top-`cap` query per round. It keeps a
-//! stamp-gated [`FrontierCache`]: one resumable engine drain
-//! ([`ThreeSidedDrain`] / [`PilotDrain`]) per canonical range — per
-//! overlapping `(range, shard)` pair on the sharded topology — plus the
-//! heads of a k-way merge over them. A round re-acquires the topology's
-//! read side, and if the observed version stamp equals the cached one
-//! (no write committed in between, so every saved frontier still describes
-//! the live trees) it resumes the merge exactly where the previous round
-//! stopped: only pages *below* the previous low-water mark are touched,
-//! so paginating `k` points in `r` rounds costs `O(log_B n + k/B)` I/Os
-//! total, not per round. When the stamp moved, [`Consistency::PerRound`]
-//! rebuilds the drains with the low-water score as their ceiling (the next
-//! round is a fresh threshold-set of the *current* state below the mark),
-//! and [`Consistency::Strict`] surfaces the invalidation instead.
+//! stamp-gated [`FrontierCache`]: one resumable engine drain per canonical
+//! range — per overlapping `(range, shard)` pair on the sharded topology —
+//! plus the heads of a k-way merge over them. The drain is a [`PilotDrain`]
+//! by default; in paper mode a cursor with `k < l` drains the three-sided
+//! reporter ([`ThreeSidedDrain`]) instead, as the eager query path would.
+//! A round re-acquires the topology's read side, and if the observed
+//! version stamp equals the cached one (no write committed in between, so
+//! every saved frontier still describes the live trees) it resumes the
+//! merge exactly where the previous round stopped: only pages *below* the
+//! previous low-water mark are touched, so paginating `k` points in `r`
+//! rounds costs one query's I/Os total, not per round. When the stamp
+//! moved, [`Consistency::PerRound`] rebuilds the drains with the low-water
+//! score as their ceiling (the next round is a fresh threshold-set of the
+//! *current* state below the mark), and [`Consistency::Strict`] surfaces
+//! the invalidation instead.
 //!
 //! # Resume tokens
 //!
@@ -352,9 +354,9 @@ struct Lane<'g> {
 }
 
 /// One lane's resumable drain, over whichever engine serves the cursor's
-/// total ask: the §2 pilot structure when `k` is large enough to amortize
-/// its fixed `lg n` constant, the three-sided reporter otherwise — the same
-/// dispatch as the eager query path.
+/// total ask — the same dispatch as the eager query path: the §2 pilot
+/// structure by default, and in paper mode for `k < l` the three-sided
+/// reporter.
 enum RangeDrain {
     Rep(ThreeSidedDrain),
     Pilot(PilotDrain),
@@ -362,10 +364,10 @@ enum RangeDrain {
 
 impl RangeDrain {
     fn open(lane: &Lane<'_>, k: usize, lo: u64, hi: u64) -> Self {
-        if k >= lane.index.config().l {
-            RangeDrain::Pilot(lane.index.pilot().drain_window(lane.x1, lane.x2, lo, hi))
-        } else {
+        if lane.index.small_k_for(k).is_some() {
             RangeDrain::Rep(lane.index.reporter().drain_window(lane.x1, lane.x2, lo, hi))
+        } else {
+            RangeDrain::Pilot(lane.index.pilot().drain_window(lane.x1, lane.x2, lo, hi))
         }
     }
 

@@ -1,4 +1,5 @@
-//! The combined Theorem 1 index.
+//! The combined index: the serving default (pilot drain for every `k`) or,
+//! in paper mode, Theorem 1's full build.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,13 +31,17 @@ pub(crate) type ScoreRegistry = Arc<Mutex<HashSet<u64>>>;
 pub struct TopKIndex {
     device: Device,
     config: TopKConfig,
-    /// §2 structure, used for `k ≥ l` (the paper's `k = Ω(B·lg n)` regime).
+    /// §2 structure: serves every `k` by default, and `k ≥ l` (the paper's
+    /// `k = Ω(B·lg n)` regime) in paper mode.
     pilot: PilotPst,
-    /// 3-sided reporting substrate of the small-`k` reduction.
+    /// 3-sided reporting structure: the coordinate index behind `get`,
+    /// counts and delete's membership test, and the substrate of the
+    /// small-`k` reduction in paper mode.
     reporter: ThreeSidedPst,
-    /// Approximate range k-selection structure for small `k`. The `Send +
-    /// Sync` bounds are what make the whole index shareable across threads.
-    small_k: Box<dyn RangeKSelect + Send + Sync>,
+    /// Paper mode's approximate range k-selection structure for `k < l`;
+    /// `None` under the serving default ([`SmallKEngine::Pilot`]). The `Send
+    /// + Sync` bounds are what make the whole index shareable across threads.
+    small_k: Option<Box<dyn RangeKSelect + Send + Sync>>,
     /// Live size at the last global rebuild, for the rebuild policy.
     size_at_rebuild: AtomicU64,
     len: AtomicU64,
@@ -64,9 +69,10 @@ impl TopKIndex {
         IndexBuilder::new()
     }
 
-    /// Create an empty index on `device`. [`SmallKEngine::Auto`] is resolved
-    /// against `config.expected_n` (the builder threads it through; the seed
-    /// code hardcoded `1 << 20` here).
+    /// Create an empty index on `device`. The default configuration builds
+    /// the serving default (no k-selector; the pilot drain answers every
+    /// `k`); a paper-mode [`SmallKEngine`] builds Theorem 1's k-selector too,
+    /// with [`SmallKEngine::Auto`] resolved against `config.expected_n`.
     pub fn new(device: &Device, config: TopKConfig) -> Self {
         Self::with_registry(device, config, ScoreRegistry::default())
     }
@@ -79,17 +85,18 @@ impl TopKIndex {
         scores: ScoreRegistry,
     ) -> Self {
         let engine = config.resolve_engine(device.block_words(), config.expected_n);
-        let small_k: Box<dyn RangeKSelect + Send + Sync> = match engine {
-            SmallKEngine::Polylog | SmallKEngine::Auto => Box::new(PolylogKSelect::new(
+        let small_k: Option<Box<dyn RangeKSelect + Send + Sync>> = match engine {
+            SmallKEngine::Pilot => None,
+            SmallKEngine::Polylog | SmallKEngine::Auto => Some(Box::new(PolylogKSelect::new(
                 device,
                 "topk.polylog",
                 PolylogConfig::for_device(device, config.l),
-            )),
-            SmallKEngine::St12 => Box::new(St12KSelect::new(
+            ))),
+            SmallKEngine::St12 => Some(Box::new(St12KSelect::new(
                 device,
                 "topk.st12",
                 St12Config::for_device(device),
-            )),
+            ))),
         };
         Self {
             device: device.clone(),
@@ -202,13 +209,14 @@ impl TopKIndex {
 
     /// Space occupied by all components, in blocks.
     pub fn space_blocks(&self) -> u64 {
-        (self.pilot.space_blocks() + self.reporter.space_blocks() + self.small_k.space_blocks())
-            as u64
+        let small_k = self.small_k.as_ref().map_or(0, |s| s.space_blocks());
+        (self.pilot.space_blocks() + self.reporter.space_blocks() + small_k) as u64
     }
 
-    /// Name of the active small-`k` engine (for experiment reports).
+    /// Name of the active small-`k` engine (for experiment reports):
+    /// `"pilot"` under the serving default.
     pub fn small_k_engine_name(&self) -> &'static str {
-        self.small_k.name()
+        self.small_k.as_ref().map_or("pilot", |s| s.name())
     }
 
     /// The point stored at coordinate `x`, if any (`O(log_B n)` I/Os).
@@ -304,7 +312,9 @@ impl TopKIndex {
     pub(crate) fn insert_validated(&self, p: Point) {
         self.pilot.insert(p);
         self.reporter.insert(p);
-        self.small_k.insert(p);
+        if let Some(s) = &self.small_k {
+            s.insert(p);
+        }
         self.len.fetch_add(1, Ordering::Relaxed);
         let stamp = self.version.fetch_add(1, Ordering::Release) + 1;
         if let Some(d) = &self.durable {
@@ -324,7 +334,7 @@ impl TopKIndex {
                 component: "pilot",
             });
         }
-        if !self.small_k.delete(p) {
+        if self.small_k.as_ref().is_some_and(|s| !s.delete(p)) {
             return Err(TopKError::Inconsistent {
                 point: p,
                 component: "small-k",
@@ -346,7 +356,9 @@ impl TopKIndex {
     pub(crate) fn rebuild_unvalidated(&self, points: &[Point]) {
         self.pilot.rebuild_all(points);
         self.reporter.rebuild_from_points(points);
-        self.small_k.rebuild(points);
+        if let Some(s) = &self.small_k {
+            s.rebuild(points);
+        }
         self.len.store(points.len() as u64, Ordering::Relaxed);
         self.size_at_rebuild
             .store(points.len() as u64, Ordering::Relaxed);
@@ -409,9 +421,11 @@ impl TopKIndex {
     /// Report the `k` highest-scoring points with `x ∈ [x1, x2]`, sorted by
     /// descending score (fewer if the range holds fewer points).
     ///
-    /// Cost: `O(log_B n + k/B)` I/Os for `k ≤ l`, `O(lg n + k/B)` I/Os beyond
-    /// (Theorem 1's dispatch). To consume the answer incrementally — paying
-    /// only for the prefix actually taken — use [`TopKIndex::stream`].
+    /// Cost: `O(lg n + k/B)` I/Os from the §2 pilot drain for every `k` by
+    /// default; in paper mode, `O(log_B n + k/B)` for `k < l` and
+    /// `O(lg n + k/B)` beyond (Theorem 1's dispatch). To consume the answer
+    /// incrementally — paying only for the prefix actually taken — use
+    /// [`TopKIndex::stream`].
     ///
     /// # Errors
     ///
@@ -427,9 +441,10 @@ impl TopKIndex {
     }
 
     /// Stream the answer to `request` lazily, in descending score order: see
-    /// [`TopKResults`]. The §3.3 retry/fallback rounds (and, for large `k`,
-    /// the pilot fetches) run only as the caller demands more points, so
-    /// taking a short prefix of a large `k` never materializes the rest.
+    /// [`TopKResults`]. The pilot fetches (and, for `k < l` in paper mode, the
+    /// §3.3 retry/fallback rounds) run only as the caller demands more
+    /// points, so taking a short prefix of a large `k` never materializes the
+    /// rest.
     ///
     /// The iterator borrows the index; on a
     /// [`ShardedTopK`](crate::ShardedTopK), stream through a read
@@ -459,23 +474,23 @@ impl TopKIndex {
     }
 
     /// The eager query path. `query()` keeps the seed's single-shot plan
-    /// (first §3.3 round targets rank `k`; large `k` fetched in one pilot
-    /// pass), so its I/O profile is unchanged; [`TopKIndex::stream`] trades
+    /// (one pilot pass; in paper mode, a first §3.3 round that targets rank
+    /// `k`), so its I/O profile is unchanged; [`TopKIndex::stream`] trades
     /// up to one extra doubling pass on full consumption for laziness.
     pub(crate) fn query_unvalidated(&self, x1: u64, x2: u64, k: usize) -> Vec<Point> {
         if k == 0 || x1 > x2 || self.is_empty() {
             return Vec::new();
         }
-        if k >= self.config.l {
-            // Large k: one bulk pull from a §2 pilot drain, O(lg n + k/B).
-            // The best-first drain replaces `query_top_k`'s fixed-size heap
+        let Some(selector) = self.small_k_for(k) else {
+            // One bulk pull from a §2 pilot drain, O(lg n + k/B). The
+            // best-first drain replaces `query_top_k`'s fixed-size heap
             // selection + sibling expansion, whose Θ(φ·lg n) constant made
             // every k ≥ l query pay the k = Θ(B·lg n) worst case (the
             // "k-cliff" in BENCH_query_scaling.json).
             let mut out = Vec::with_capacity(k.min(self.len() as usize));
             self.pilot.drain(x1, x2).pull(&self.pilot, k, &mut out);
             return out;
-        }
+        };
         let total = self.reporter.count_in_range(x1, x2);
         if total == 0 {
             return Vec::new();
@@ -493,7 +508,7 @@ impl TopKIndex {
         // fallback reports the whole range.
         let mut target = k as u64;
         for _ in 0..8 {
-            let tau = self.small_k.select(x1, x2, target);
+            let tau = selector.select(x1, x2, target);
             let tau = tau.unwrap_or_default();
             let pts = self.reporter.query(x1, x2, tau);
             if pts.len() >= want || tau == 0 {
@@ -539,8 +554,10 @@ impl TopKIndex {
         &self.pilot
     }
 
-    pub(crate) fn small_k(&self) -> &(dyn RangeKSelect + Send + Sync) {
-        self.small_k.as_ref()
+    /// The one regime predicate: paper mode's k-selector when it serves
+    /// `k` (it exists and `k < l`), `None` when the pilot drain does.
+    pub(crate) fn small_k_for(&self, k: usize) -> Option<&(dyn RangeKSelect + Send + Sync)> {
+        self.small_k.as_deref().filter(|_| k < self.config.l)
     }
 
     /// Run the internal consistency checks of every component, and check
@@ -568,7 +585,9 @@ impl TopKIndex {
         self.reporter.check_invariants();
         assert_eq!(self.pilot.len(), self.len());
         assert_eq!(self.reporter.len(), self.len());
-        assert_eq!(self.small_k.len(), self.len());
+        if let Some(s) = &self.small_k {
+            assert_eq!(s.len(), self.len());
+        }
     }
 }
 
@@ -612,7 +631,7 @@ impl std::fmt::Debug for TopKIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TopKIndex")
             .field("len", &self.len())
-            .field("engine", &self.small_k.name())
+            .field("engine", &self.small_k_engine_name())
             .field("config", &self.config)
             .finish_non_exhaustive()
     }
@@ -759,6 +778,51 @@ mod tests {
                 component: "pilot",
             }
         );
+    }
+
+    #[test]
+    fn serving_default_builds_and_maintains_no_k_selector() {
+        let pts: Vec<Point> = (1..=3_000u64).map(|i| Point::new(i * 5, i * 7)).collect();
+        let paper = TopKConfig {
+            small_k_engine: SmallKEngine::Auto,
+            ..TopKConfig::default()
+        };
+        for (config, paper_mode) in [(TopKConfig::default(), false), (paper, true)] {
+            let dev = device();
+            let index = TopKIndex::new(&dev, config);
+            index.bulk_build(&pts).unwrap();
+            for i in 1..=40u64 {
+                index.insert(Point::new(i * 5 + 1, 100_000 + i)).unwrap();
+                assert!(index.delete(Point::new(i * 10, i * 14)).unwrap());
+            }
+            index
+                .apply(
+                    &UpdateBatch::new()
+                        .insert(Point::new(3, 1))
+                        .delete(pts[2_000]),
+                )
+                .unwrap();
+            index.check_invariants();
+            let kselect_pages: u64 = dev
+                .space_breakdown()
+                .into_iter()
+                .filter(|(name, _)| {
+                    name.starts_with("topk.polylog") || name.starts_with("topk.st12")
+                })
+                .map(|(_, pages)| pages)
+                .sum();
+            let pilot_and_reporter =
+                (index.pilot.space_blocks() + index.reporter.space_blocks()) as u64;
+            if paper_mode {
+                assert!(kselect_pages > 0, "paper mode builds the k-selector");
+                assert!(index.space_blocks() > pilot_and_reporter);
+                assert!(index.small_k_engine_name().contains("polylog"));
+            } else {
+                assert_eq!(kselect_pages, 0, "the serving default built a k-selector");
+                assert_eq!(index.space_blocks(), pilot_and_reporter);
+                assert_eq!(index.small_k_engine_name(), "pilot");
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * `insert` / `delete` in `O(log_B n)` amortized I/Os (Theorem 1 — the
 //!   paper's headline improvement over the `O(log_B² n)` of Sheng & Tao 2012),
 //! * `query(x1, x2, k)`: the `k` highest-scoring points with `x ∈ [x1, x2]`,
-//!   in `O(log_B n + k/B)` I/Os for small `k` and `O(lg n + k/B) = O(k/B)`
-//!   I/Os once `k = Ω(B·lg n)`,
+//!   in `O(lg n + k/B)` I/Os for every `k` by default, and in paper mode in
+//!   Theorem 1's `O(log_B n + k/B)` (`O(lg n + k/B) = O(k/B)` once
+//!   `k = Ω(B·lg n)`),
 //! * linear space (`O(n/B)` blocks).
 //!
 //! The API is builder-first, fallible, batched and streaming:
@@ -35,18 +36,25 @@
 //!   [`Consistency`] picks the exact contract when writes interleave
 //!   between rounds (DESIGN.md §6).
 //!
-//! Internally the index combines the three components of the paper exactly as
-//! Theorem 1 prescribes:
+//! Internally the index is built from the paper's components. The serving
+//! default ([`SmallKEngine::Pilot`]) keeps two of them:
 //!
-//! 1. the pilot-set priority search tree of §2 ([`epst::PilotPst`]) for large
-//!    `k`,
-//! 2. an approximate range k-selection structure for small `k` — either the
-//!    paper's new §3.3 structure ([`kselect::PolylogKSelect`]) or, when
-//!    `lg n ≤ B^(1/6)`, the Sheng–Tao-style structure
-//!    ([`kselect::St12KSelect`]) — combined with
-//! 3. a 3-sided reporting structure ([`epst::ThreeSidedPst`]) through the
-//!    standard reduction (find an approximate rank-`k` score threshold, report
-//!    everything above it, keep the exact top `k`).
+//! 1. the pilot-set priority search tree of §2 ([`epst::PilotPst`]), whose
+//!    drain answers every `k`, and
+//! 2. a 3-sided reporting structure ([`epst::ThreeSidedPst`]), the coordinate
+//!    index behind duplicate checks, [`TopKIndex::get`], counts and deletes.
+//!
+//! *Paper mode* ([`IndexBuilder::small_k`] with [`SmallKEngine::Auto`],
+//! `Polylog` or `St12`) combines all three exactly as Theorem 1 prescribes:
+//! the pilot structure serves `k ≥ l`, and an approximate range k-selection
+//! structure — either the paper's new §3.3 structure
+//! ([`kselect::PolylogKSelect`]) or, when `lg n ≤ B^(1/6)`, the
+//! Sheng–Tao-style structure ([`kselect::St12KSelect`]) — serves `k < l`
+//! through the standard reduction over the 3-sided structure (find an
+//! approximate rank-`k` score threshold, report everything above it, keep
+//! the exact top `k`). Paper mode reproduces the paper's bound; the default
+//! measures faster at every size tried and spares every update the
+//! k-selector's maintenance (DESIGN.md §3.6). Both return the same answers.
 //!
 //! [`TopKIndex`] is `Send + Sync`; concurrent traffic is served by
 //! [`ShardedTopK`] (range shards behind striped reader–writer locks: parallel

@@ -4,17 +4,19 @@
 //! the answer lazily in descending score order. Laziness is the point: the
 //! seed's `query()` materialized a full `Vec<Point>` even when the caller
 //! consumed three results, and its §3.3 retry/fallback path could end up
-//! reporting the *whole range*. The iterator instead fetches in rounds — an
-//! escalating rank-threshold round for small `k`, a doubling pilot fetch for
-//! large `k` — and runs a round only when the caller actually demands more
-//! points, so a short prefix of a large `k` never pays for the rest.
+//! reporting the *whole range*. The iterator instead fetches in rounds — a
+//! doubling pilot fetch, or in paper mode for `k < l` an escalating
+//! rank-threshold round — and runs a round only when the caller actually
+//! demands more points, so a short prefix of a large `k` never pays for the
+//! rest.
 //!
-//! Escalation is *incremental*: the small-`k` rounds carry a low-water mark
-//! and fetch only the band of scores below the previous threshold
-//! ([`epst::ThreeSidedPst::query_band`]), and the large-`k` rounds pull from
-//! a persistent [`PilotDrain`] descent frontier — no round re-descends from
-//! the root or re-materializes the already-emitted prefix, so consuming `k`
-//! points costs `O(log_B n + k/B)` I/Os total regardless of round count.
+//! Escalation is *incremental*: the pilot rounds pull from a persistent
+//! [`PilotDrain`] descent frontier, and paper mode's small-`k` rounds carry a
+//! low-water mark and fetch only the band of scores below the previous
+//! threshold ([`epst::ThreeSidedPst::query_band`]) — no round re-descends
+//! from the root or re-materializes the already-emitted prefix, so consuming
+//! `k` points costs one query's I/Os (`O(lg n + k/B)` from the pilot drain,
+//! `O(log_B n + k/B)` from the §3.3 rounds) regardless of round count.
 //!
 //! Because every round's points form a prefix of the global descending-score
 //! order, per-shard [`TopKResults`] streams also compose: a
@@ -24,6 +26,7 @@
 //! as far as the merge consumes it — from its own saved frontier.
 
 use epst::{PilotDrain, Point};
+use kselect::RangeKSelect;
 
 use crate::cursor::ResumeToken;
 use crate::error::{Result, TopKError};
@@ -267,15 +270,16 @@ impl QueryRequest {
 /// escalation state *across* rounds — the §3.3 rounds a low-water mark so a
 /// round fetches only the band of scores below the previous threshold, the
 /// §2 rounds a saved [`PilotDrain`] descent frontier — so the total work for
-/// `k` results is `O(log_B n + k/B)` I/Os no matter how many rounds deliver
-/// them.
-enum FetchState {
+/// `k` results is one query's I/Os no matter how many rounds deliver them.
+enum FetchState<'a> {
     /// Nothing fetched yet; the first demand decides the regime.
     Start,
-    /// §3.3 reduction rounds: select an approximate rank-`target` score
-    /// threshold, report the band between it and the previous round's
-    /// threshold (`low_water`, `u64::MAX` before the first round), emit it.
+    /// Paper mode's §3.3 reduction rounds: select an approximate
+    /// rank-`target` score threshold with `selector`, report the band between
+    /// it and the previous round's threshold (`low_water`, `u64::MAX` before
+    /// the first round), emit it.
     SmallK {
+        selector: &'a (dyn RangeKSelect + Send + Sync),
         target: u64,
         attempts: u32,
         low_water: u64,
@@ -295,8 +299,9 @@ enum FetchState {
 /// all live points in range with score at least some `τ` — and such a set is
 /// always a prefix of the global descending-score order. The iterator
 /// therefore emits each batch's unseen suffix and only escalates (doubling
-/// the target rank or the pilot fetch size) when the caller keeps demanding
-/// points, capping at the seed's whole-range fallback after eight rounds.
+/// the pilot fetch size, or in paper mode the target rank, which caps at the
+/// seed's whole-range fallback after eight rounds) when the caller keeps
+/// demanding points.
 ///
 /// The iterator borrows the index; under
 /// [`ShardedTopK`](crate::ShardedTopK), stream through a read guard held for
@@ -317,7 +322,7 @@ pub struct TopKResults<'a> {
     /// grown to the round size.
     buf: Vec<Point>,
     pos: usize,
-    state: FetchState,
+    state: FetchState<'a>,
 }
 
 impl<'a> TopKResults<'a> {
@@ -376,18 +381,17 @@ impl<'a> TopKResults<'a> {
     fn refill(&mut self) {
         match self.state {
             FetchState::Done => {}
-            FetchState::Start => {
-                if self.k >= self.index.config().l {
+            FetchState::Start => match self.index.small_k_for(self.k) {
+                Some(selector) => self.refill_small_first(selector),
+                None => {
                     let drain = self.index.pilot().drain(self.x1, self.x2);
                     self.state = FetchState::LargeK {
                         drain,
                         next_n: self.index.config().l.max(1),
                     };
                     self.refill_large();
-                } else {
-                    self.refill_small_first();
                 }
-            }
+            },
             FetchState::SmallK { .. } => self.refill_small_rounds(),
             FetchState::LargeK { .. } => self.refill_large(),
         }
@@ -395,7 +399,7 @@ impl<'a> TopKResults<'a> {
 
     /// First small-`k` fetch: decide between the whole-range case
     /// (`total ≤ k`) and the §3.3 reduction rounds.
-    fn refill_small_first(&mut self) {
+    fn refill_small_first(&mut self, selector: &'a (dyn RangeKSelect + Send + Sync)) {
         let total = self.index.reporter().count_in_range(self.x1, self.x2);
         if total == 0 {
             self.state = FetchState::Done;
@@ -407,6 +411,7 @@ impl<'a> TopKResults<'a> {
             return;
         }
         self.state = FetchState::SmallK {
+            selector,
             target: self.k as u64,
             attempts: 0,
             low_water: u64::MAX,
@@ -422,6 +427,7 @@ impl<'a> TopKResults<'a> {
     fn refill_small_rounds(&mut self) {
         loop {
             let FetchState::SmallK {
+                selector,
                 target,
                 attempts,
                 low_water,
@@ -435,15 +441,14 @@ impl<'a> TopKResults<'a> {
                 self.finish_band();
                 return;
             }
-            let tau = self
-                .index
-                .small_k()
+            let tau = selector
                 .select(self.x1, self.x2, target)
                 .unwrap_or_default();
             if tau >= low_water && low_water != u64::MAX {
                 // The approximate rank threshold did not move below the
                 // previous round's; escalate without touching any page.
                 self.state = FetchState::SmallK {
+                    selector,
                     target: target.saturating_mul(2),
                     attempts: attempts + 1,
                     low_water,
@@ -458,6 +463,7 @@ impl<'a> TopKResults<'a> {
                 return;
             }
             self.state = FetchState::SmallK {
+                selector,
                 target: target.saturating_mul(2),
                 attempts: attempts + 1,
                 low_water: tau,
@@ -529,14 +535,25 @@ impl std::iter::FusedIterator for TopKResults<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Oracle, TopKConfig};
+    use crate::{Oracle, SmallKEngine, TopKConfig};
     use emsim::{Device, EmConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// The serving default and paper mode, whose §3.3 rounds serve `k < l`.
+    const ENGINES: [SmallKEngine; 2] = [SmallKEngine::Pilot, SmallKEngine::Polylog];
+
     fn build(n: u64) -> (Device, TopKIndex, Oracle) {
+        build_in(n, TopKConfig::for_tests().small_k_engine)
+    }
+
+    fn build_in(n: u64, small_k_engine: SmallKEngine) -> (Device, TopKIndex, Oracle) {
         let device = Device::new(EmConfig::new(256, 256 * 256));
-        let index = TopKIndex::new(&device, TopKConfig::for_tests());
+        let config = TopKConfig {
+            small_k_engine,
+            ..TopKConfig::for_tests()
+        };
+        let index = TopKIndex::new(&device, config);
         let mut pts = Vec::new();
         for i in 0..n {
             let x = (i * 7919) % (8 * n.max(1)) + 1;
@@ -578,38 +595,43 @@ mod tests {
 
     #[test]
     fn full_consumption_matches_eager_query_across_regimes() {
-        let (_d, index, oracle) = build(3000);
-        let mut rng = StdRng::seed_from_u64(3);
-        // k below, at, and above the crossover l = 64; narrow and wide ranges.
-        for &k in &[1usize, 5, 63, 64, 65, 200, 1000, 5000] {
-            for _ in 0..6 {
-                let a = rng.gen_range(0..24_000u64);
-                let b = rng.gen_range(a..=24_000u64);
-                let streamed: Vec<Point> = index
-                    .stream(QueryRequest::range(a, b).top(k))
-                    .unwrap()
-                    .collect();
-                assert_eq!(streamed, index.query(a, b, k).unwrap(), "[{a},{b}] k={k}");
-                assert_eq!(streamed, oracle.query(a, b, k), "[{a},{b}] k={k}");
+        for engine in ENGINES {
+            let (_d, index, oracle) = build_in(3000, engine);
+            let mut rng = StdRng::seed_from_u64(3);
+            // k below, at, and above the crossover l = 64; narrow and wide ranges.
+            for &k in &[1usize, 5, 63, 64, 65, 200, 1000, 5000] {
+                for _ in 0..6 {
+                    let a = rng.gen_range(0..24_000u64);
+                    let b = rng.gen_range(a..=24_000u64);
+                    let streamed: Vec<Point> = index
+                        .stream(QueryRequest::range(a, b).top(k))
+                        .unwrap()
+                        .collect();
+                    let at = format!("{engine:?} [{a},{b}] k={k}");
+                    assert_eq!(streamed, index.query(a, b, k).unwrap(), "{at}");
+                    assert_eq!(streamed, oracle.query(a, b, k), "{at}");
+                }
             }
         }
     }
 
     #[test]
     fn partial_consumption_yields_the_exact_prefix() {
-        let (_d, index, oracle) = build(2000);
-        for &(k, take) in &[(50usize, 3usize), (200, 7), (1500, 10), (1500, 1)] {
-            let got: Vec<Point> = index
-                .stream(QueryRequest::range(0, u64::MAX).top(k))
-                .unwrap()
-                .take(take)
-                .collect();
-            let full = oracle.query(0, u64::MAX, k);
-            assert_eq!(
-                got,
-                full[..take.min(full.len())].to_vec(),
-                "k={k} take={take}"
-            );
+        for engine in ENGINES {
+            let (_d, index, oracle) = build_in(2000, engine);
+            for &(k, take) in &[(50usize, 3usize), (200, 7), (1500, 10), (1500, 1)] {
+                let got: Vec<Point> = index
+                    .stream(QueryRequest::range(0, u64::MAX).top(k))
+                    .unwrap()
+                    .take(take)
+                    .collect();
+                let full = oracle.query(0, u64::MAX, k);
+                assert_eq!(
+                    got,
+                    full[..take.min(full.len())].to_vec(),
+                    "{engine:?} k={k} take={take}"
+                );
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! # workload — deterministic workload generators for the experiments
 //!
-//! Everything takes an explicit seed so that every row of EXPERIMENTS.md can
-//! be regenerated exactly.
+//! Everything takes an explicit seed so that every row the experiment
+//! binaries print to stdout can be regenerated exactly.
 
 use epst::Point;
 use rand::rngs::StdRng;

@@ -9,9 +9,9 @@ use topk::{Point, QueryRequest, ResumeToken, TopK, TopKError};
 
 fn main() -> Result<(), TopKError> {
     // A machine with 4 KiB blocks (512 words of 8 bytes) and 16 MiB of
-    // memory; `build_auto()` owns device construction, resolves the small-k
-    // engine against the expected input size, and picks the shard count of
-    // the concurrent topology the same way.
+    // memory; `build_auto()` owns device construction and picks the shard
+    // count of the concurrent topology from the expected input size. The
+    // default build answers every k from the pilot drain.
     let n = 100_000u64;
     let index = TopK::builder()
         .block_words(512)

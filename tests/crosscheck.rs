@@ -1,6 +1,7 @@
 //! Randomized cross-checks, generic over engines: every [`RankedIndex`]
-//! implementation — the paper's structure (both small-k engines, plus the
-//! sharded wrapper at one and four shards) and both baselines — must agree
+//! implementation — the paper's structure (the serving default, paper mode
+//! with both small-k engines, plus the sharded wrapper at one and four
+//! shards in both modes) and both baselines — must agree
 //! with the in-memory oracle on every query, for arbitrary point sets and query parameters.
 //! (Formerly proptest-based; now seeded random cases with the same shape,
 //! reproducible by construction.) Seeds come from `topk_testkit::Seed`:
@@ -52,6 +53,17 @@ fn engines(device: &Device) -> Vec<(&'static str, Box<dyn RankedIndex>)> {
         (
             "sharded",
             Box::new(ShardedTopK::new(device, TopKConfig::for_tests(), 4)),
+        ),
+        (
+            "sharded-paper",
+            Box::new(ShardedTopK::new(
+                device,
+                TopKConfig {
+                    small_k_engine: SmallKEngine::Polylog,
+                    ..TopKConfig::for_tests()
+                },
+                4,
+            )),
         ),
         (
             "naive",

@@ -4,11 +4,24 @@
 //! component structures, boundary leaves, the select-retry loop); what it must
 //! *not* absorb is a regression to range-scan behaviour, which at these
 //! parameters costs thousands of reads.
+//!
+//! Every test runs on both builds: the serving default, whose pilot drain
+//! serves every `k`, and paper mode (Theorem 1's full build). Both are held
+//! to the same bound rule.
 
 use emsim::{Device, EmConfig};
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, Rng, SeedableRng};
-use topk_core::{Point, ShardedTopK, TopKConfig, TopKIndex};
+use topk_core::{Point, ShardedTopK, SmallKEngine, TopKConfig, TopKIndex};
+
+/// The serving default and paper mode.
+fn configs() -> [(&'static str, TopKConfig); 2] {
+    let paper = TopKConfig {
+        small_k_engine: SmallKEngine::Auto,
+        ..TopKConfig::default()
+    };
+    [("default", TopKConfig::default()), ("paper", paper)]
+}
 
 fn random_points(seed: u64, n: usize) -> Vec<Point> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -24,6 +37,12 @@ fn random_points(seed: u64, n: usize) -> Vec<Point> {
 
 #[test]
 fn cold_query_reads_stay_within_log_plus_output_bound() {
+    for (mode, config) in configs() {
+        cold_query_reads_stay_within_bound(mode, config);
+    }
+}
+
+fn cold_query_reads_stay_within_bound(mode: &str, config: TopKConfig) {
     let n = 40_000usize;
     // 64-frame pool, exact LRU: cold reads dominate and the replacement
     // policy is the deterministic one the bound constants were tuned against
@@ -31,9 +50,10 @@ fn cold_query_reads_stay_within_log_plus_output_bound() {
     // for the cross-policy miss-rate bound).
     let em = EmConfig::new(512, 512 * 64).exact_lru();
     let device = Device::new(em);
-    let index = TopKIndex::new(&device, TopKConfig::default());
+    let index = TopKIndex::new(&device, config);
     let pts = random_points(3, n);
     index.bulk_build(&pts).unwrap();
+    let domain = 3 * n as u64;
 
     // The bound follows Theorem 1's dispatch: `C · (log_B n + k/B + 1)` reads
     // for k below the crossover `l`, and `C' · (lg n + k/B + 1)` beyond it
@@ -55,21 +75,36 @@ fn cold_query_reads_stay_within_log_plus_output_bound() {
     // set the per-point merge reads — a stale-threshold regression that
     // over-expands toward a range scan trips the bound.
     let mut rng = StdRng::seed_from_u64(9);
+    let mut dyadic = StdRng::seed_from_u64(10);
     for &k in &[1usize, 10, 100, 1_000, 4_000, 4_096] {
         let bound = if k < crossover {
             (C_SMALL * (log_b_n + k as f64 / points_per_block + 1.0)).ceil() as u64
         } else {
             (C_LARGE * (lg_n + k as f64 / points_per_block + 1.0)).ceil() as u64
         };
-        for _ in 0..5 {
-            let a = rng.gen_range(0..60_000u64);
-            let b = rng.gen_range(a..=120_000u64);
+        let mut ranges: Vec<(u64, u64)> = (0..5)
+            .map(|_| {
+                let a = rng.gen_range(0..60_000u64);
+                (a, rng.gen_range(a..=120_000u64))
+            })
+            .collect();
+        // Dyadic narrow ranges: 0.01% of the domain centred on j·domain/2^i
+        // (odd j), straddling high base-tree boundaries — the shape that
+        // maximizes the pilot drain's hanging subtrees, where its `lg n`
+        // term is worst.
+        let half_width = domain / 20_000;
+        for i in 1..=12u32 {
+            let j = 2 * dyadic.gen_range(0..1u64 << (i - 1)) + 1;
+            let centre = (j * domain) >> i;
+            ranges.push((centre - half_width, centre + half_width));
+        }
+        for (a, b) in ranges {
             device.drop_cache();
             let (res, cost) = device.measure(|| index.query(a, b, k).unwrap());
             assert!(res.len() <= k);
             assert!(
                 cost.reads <= bound,
-                "query([{a},{b}], k={k}) took {} cold reads, bound {bound} \
+                "{mode}: query([{a},{b}], k={k}) took {} cold reads, bound {bound} \
                  (log_B n = {log_b_n:.2}, k/B = {:.2})",
                 cost.reads,
                 k as f64 / points_per_block
@@ -89,12 +124,14 @@ fn sharded_fan_out_reads_stay_within_per_shard_bound() {
     // range must stay at the one-to-two-shard cost no matter how many
     // shards exist. One shard is the shape small and durable indexes serve
     // from, so it is held to the same bound.
-    for shards in [1usize, 8] {
-        fan_out_reads_stay_within_per_shard_bound(shards);
+    for (mode, config) in configs() {
+        for shards in [1usize, 8] {
+            fan_out_reads_stay_within_per_shard_bound(mode, config, shards);
+        }
     }
 }
 
-fn fan_out_reads_stay_within_per_shard_bound(shards: usize) {
+fn fan_out_reads_stay_within_per_shard_bound(mode: &str, config: TopKConfig, shards: usize) {
     let n = 40_000usize;
     // 64-frame pool, exact LRU: cold reads dominate and the replacement
     // policy is the deterministic one the bound constants were tuned against
@@ -104,6 +141,7 @@ fn fan_out_reads_stay_within_per_shard_bound(shards: usize) {
     let device = Device::new(em);
     let index = ShardedTopK::builder()
         .device(&device)
+        .small_k(config.small_k_engine)
         .shards(shards)
         .expected_n(n)
         .build_sharded()
@@ -142,7 +180,7 @@ fn fan_out_reads_stay_within_per_shard_bound(shards: usize) {
                 assert!(res.len() <= k);
                 assert!(
                     cost.reads <= bound,
-                    "{shards}-shard query([{a},{b}], k={k}) over {overlap} shard(s) took {} \
+                    "{mode}: {shards}-shard query([{a},{b}], k={k}) over {overlap} shard(s) took {} \
                      cold reads, bound {bound} (= {overlap} × {per_shard_bound}; \
                      log_B(n/S) = {log_b_shard_n:.2}, k/B = {:.2})",
                     cost.reads,
@@ -160,15 +198,21 @@ fn one_shard_queries_run_the_unsharded_one_shot_plan() {
     // as a bare index on its own device, every cold query must return the
     // same answer for exactly the same physical reads (exact LRU makes the
     // counts deterministic).
+    for (mode, config) in configs() {
+        one_shard_query_matches_bare(mode, config);
+    }
+}
+
+fn one_shard_query_matches_bare(mode: &str, config: TopKConfig) {
     let n = 40_000usize;
     let em = EmConfig::new(512, 512 * 64).exact_lru();
     let mut pts = random_points(3, n);
     pts.sort_unstable_by_key(|p| p.x);
     let bare_device = Device::new(em);
-    let bare = TopKIndex::new(&bare_device, TopKConfig::default());
+    let bare = TopKIndex::new(&bare_device, config);
     bare.bulk_build(&pts).unwrap();
     let sharded_device = Device::new(em);
-    let sharded = ShardedTopK::new(&sharded_device, TopKConfig::default(), 1);
+    let sharded = ShardedTopK::new(&sharded_device, config, 1);
     sharded.bulk_build(&pts).unwrap();
 
     let mut rng = StdRng::seed_from_u64(31);
@@ -180,10 +224,11 @@ fn one_shard_queries_run_the_unsharded_one_shot_plan() {
             let (want, bare_cost) = bare_device.measure(|| bare.query(a, b, k).unwrap());
             sharded_device.drop_cache();
             let (got, sharded_cost) = sharded_device.measure(|| sharded.query(a, b, k).unwrap());
-            assert_eq!(got, want, "query([{a},{b}], k={k})");
+            assert_eq!(got, want, "{mode}: query([{a},{b}], k={k})");
             assert_eq!(
                 sharded_cost.reads, bare_cost.reads,
-                "one-shard query([{a},{b}], k={k}) read a different page set than the bare index"
+                "{mode}: one-shard query([{a},{b}], k={k}) read a different page set than \
+                 the bare index"
             );
         }
     }
