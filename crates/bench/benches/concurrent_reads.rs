@@ -30,9 +30,7 @@ use std::time::{Duration, Instant};
 
 use topk_bench::json::JsonRow;
 use topk_bench::{small_machine, uniform_points};
-use topk_core::{
-    Point, QueryRequest, RankedIndex, ShardedTopK, SmallKEngine, UpdateBatch, UpdateOp,
-};
+use topk_core::{Point, QueryRequest, RankedIndex, ShardedTopK, UpdateBatch, UpdateOp};
 use workload::QueryGen;
 
 /// Build a one-shard index preloaded with the first `n` of `n + extra`
@@ -44,8 +42,6 @@ fn build(n: usize, extra: usize) -> (ShardedTopK, Vec<Point>, Vec<Point>) {
     let device = emsim::Device::new(small_machine());
     let index = ShardedTopK::builder()
         .device(&device)
-        .small_k(SmallKEngine::Polylog)
-        .crossover_l(64)
         .expected_n(n + extra)
         .shards(1)
         .build_sharded()
@@ -345,8 +341,6 @@ fn main() {
         let device = emsim::Device::new(small_machine());
         let one_shard = ShardedTopK::builder()
             .device(&device)
-            .small_k(SmallKEngine::Polylog)
-            .crossover_l(64)
             .expected_n(preload.len() * 2)
             .shards(1)
             .build_sharded()
@@ -357,8 +351,6 @@ fn main() {
         let device = emsim::Device::new(small_machine());
         let sharded = ShardedTopK::builder()
             .device(&device)
-            .small_k(SmallKEngine::Polylog)
-            .crossover_l(64)
             .expected_n(preload.len() * 2)
             .shards(TERRITORIES)
             .build_sharded()

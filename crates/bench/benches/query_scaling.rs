@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use topk_bench::json::JsonRow;
-use topk_bench::{build_index, small_machine, uniform_points};
+use topk_bench::{build_index, build_serving, small_machine, uniform_points};
 use topk_core::{RankedIndex, SmallKEngine};
 use workload::{Query, QueryGen};
 
@@ -50,23 +50,23 @@ fn main() {
         );
     }
 
-    // Dense k sweep at fixed n (every power of two through paper mode's
+    // Dense k sweep at fixed n (every power of two through Theorem 1's
     // small-k → large-k crossover at l = 128): adjacent steps make a
     // residual k-cliff visible as a throughput drop between neighbours,
-    // which is what the CI perf-sanity gate checks. `topk_by_k` is paper
-    // mode (the E2 reproduction), `serving_by_k` the same sweep on the
-    // serving default, whose pilot drain serves every k.
+    // which is what the CI perf-sanity gate checks. `topk_by_k` is
+    // `TheoremOne` (the E2 reproduction), `serving_by_k` the same sweep on
+    // the serving index, whose pilot drain serves every k.
     let pts = uniform_points(11, 1 << 15);
-    for (scenario, engine) in [
-        ("topk_by_k", SmallKEngine::Polylog),
-        ("serving_by_k", SmallKEngine::Pilot),
-    ] {
+    let theorem_one = build_index(small_machine(), SmallKEngine::Polylog, 128, &pts);
+    let serving = build_serving(small_machine(), &pts);
+    let builds: [(&str, &dyn RankedIndex); 2] =
+        [("topk_by_k", &theorem_one), ("serving_by_k", &serving)];
+    for (scenario, index) in builds {
         println!("\nquery_scaling/{scenario} — k sweep at n = 32768, 25% selectivity");
         println!("{:>12} {:>16} {:>16}", "k", "queries/sec", "us/query");
-        let index = build_index(small_machine(), engine, 128, &pts);
         for &k in &[1usize, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096] {
             let queries = QueryGen::new(0.25, k, 5).generate(&pts, 8);
-            let qps = queries_per_sec(&index, &queries);
+            let qps = queries_per_sec(index, &queries);
             println!("{k:>12} {qps:>16.0} {:>16.1}", 1e6 / qps);
             rows.push(
                 JsonRow::new(scenario, "queries_per_sec", qps)

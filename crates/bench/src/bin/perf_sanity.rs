@@ -1,8 +1,8 @@
 //! CI perf-sanity gate: a quick k-sweep on a small index that fails (exit
 //! code 1) if queries/sec drops by more than 4× between adjacent k steps.
-//! The sweep runs on both builds: the serving default, whose pilot drain
-//! serves every k, and paper mode (the §3.3 small-k path below the
-//! crossover l = 128), whose regime switch a cliff could hide in.
+//! The sweep runs on both builds: the serving index, whose pilot drain
+//! serves every k, and Theorem 1's `TheoremOne` (the §3.3 small-k path below
+//! the crossover l = 128), whose regime switch a cliff could hide in.
 //!
 //! This is a cliff detector, not a benchmark. The incremental-escalation
 //! work (persistent descent frontier + bulk pulls, DESIGN.md §6) makes
@@ -29,7 +29,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use epst::Point;
-use topk_bench::{build_index, read_qps, small_machine, uniform_points};
+use topk_bench::{build_index, build_serving, read_qps, small_machine, uniform_points};
 use topk_core::{RankedIndex, ShardedTopK, SmallKEngine};
 use workload::{Query, QueryGen};
 
@@ -67,8 +67,6 @@ fn read_scaling_ratio(pts: &[Point]) -> Option<f64> {
     let device = emsim::Device::new(small_machine());
     let index = ShardedTopK::builder()
         .device(&device)
-        .small_k(SmallKEngine::Polylog)
-        .crossover_l(64)
         .expected_n(pts.len())
         .shards(1)
         .build_sharded()
@@ -147,13 +145,13 @@ fn main() -> ExitCode {
     let n = 1usize << 14;
     let pts = uniform_points(11, n);
     let mut cliff = false;
-    for (build, engine) in [
-        ("serving default", SmallKEngine::Pilot),
-        ("paper mode", SmallKEngine::Polylog),
-    ] {
-        let index = build_index(small_machine(), engine, 128, &pts);
+    let serving = build_serving(small_machine(), &pts);
+    let theorem_one = build_index(small_machine(), SmallKEngine::Polylog, 128, &pts);
+    let builds: [(&str, &dyn RankedIndex); 2] =
+        [("serving default", &serving), ("Theorem 1", &theorem_one)];
+    for (build, index) in builds {
         println!("perf_sanity — {build}: k sweep at n = {n}, 25% selectivity");
-        let (pk, k, s) = worst_adjacent_drop(&index, &pts);
+        let (pk, k, s) = worst_adjacent_drop(index, &pts);
         if s > MAX_ADJACENT_DROP {
             eprintln!(
                 "perf_sanity FAIL ({build}): throughput dropped {s:.2}x from k = {pk} to \

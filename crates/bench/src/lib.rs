@@ -10,7 +10,7 @@
 
 use emsim::{Device, EmConfig};
 use epst::Point;
-use topk_core::{Oracle, RankedIndex, SmallKEngine, TopKIndex};
+use topk_core::{Oracle, RankedIndex, SmallKEngine, TheoremOne, TopKConfig, TopKIndex};
 use workload::{PointGen, Query};
 
 /// Default machine used by the experiments: 4 KiB blocks (512 words), 16 MiB
@@ -24,13 +24,26 @@ pub fn small_machine() -> EmConfig {
     EmConfig::new(256, 256 * 256)
 }
 
-/// Build a fresh index over `points` on a new device with `em` parameters.
-pub fn build_index(em: EmConfig, engine: SmallKEngine, l: usize, points: &[Point]) -> TopKIndex {
-    let device = Device::new(em);
+/// Build Theorem 1's full build over `points` on a new device with `em`
+/// parameters: `engine` serves `k < l`, the pilot drain the rest.
+pub fn build_index(em: EmConfig, engine: SmallKEngine, l: usize, points: &[Point]) -> TheoremOne {
+    let config = TopKConfig {
+        l,
+        expected_n: points.len().max(1),
+        ..TopKConfig::default()
+    };
+    let index = TheoremOne::new(&Device::new(em), config, engine);
+    index
+        .bulk_build(points)
+        .expect("workload points are distinct by construction");
+    index
+}
+
+/// Build the serving index over `points` on a new device with `em`
+/// parameters: the pilot drain serves every `k`.
+pub fn build_serving(em: EmConfig, points: &[Point]) -> TopKIndex {
     let index = TopKIndex::builder()
-        .device(&device)
-        .small_k(engine)
-        .crossover_l(l)
+        .device(&Device::new(em))
         .expected_n(points.len().max(1))
         .build()
         .expect("bench index parameters are valid");

@@ -1,18 +1,17 @@
 //! Fluent construction of indexes.
 //!
 //! The seed API made every caller perform a two-step dance — build an
-//! [`emsim::Device`], then pair it with a [`TopKConfig`] — and resolved the
-//! automatic engine choice against a hardcoded `n = 2^20`. [`IndexBuilder`]
-//! owns both steps: machine shape (`block_words`, `pool_bytes`), workload
-//! shape (`expected_n`, `small_k`, `crossover_l`), and engine resolution,
-//! with validation at `build()` time instead of panics later.
+//! [`emsim::Device`], then pair it with a [`TopKConfig`]. [`IndexBuilder`]
+//! owns both steps: machine shape (`block_words`, `pool_bytes`) and workload
+//! shape (`expected_n`, `crossover_l`, `shards`), with validation at
+//! `build()` time instead of panics later.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use emsim::{Device, EmConfig};
 
-use crate::config::{SmallKEngine, TopKConfig};
+use crate::config::TopKConfig;
 use crate::error::{Result, TopKError};
 use crate::facade::TopK;
 use crate::index::TopKIndex;
@@ -95,28 +94,16 @@ impl IndexBuilder {
     }
 
     /// The anticipated number of stored points. It sizes the default shard
-    /// count of [`IndexBuilder::build_sharded`], and in paper mode
-    /// [`SmallKEngine::Auto`] is resolved against it (the paper's
-    /// `lg n ≤ B^(1/6)` regime boundary).
+    /// count of [`IndexBuilder::build_sharded`].
     pub fn expected_n(mut self, n: usize) -> Self {
         self.config.expected_n = n;
         self
     }
 
-    /// Serving default or paper mode. The default,
-    /// [`SmallKEngine::Pilot`], builds no k-selector and serves every `k`
-    /// from the §2 pilot drain; [`SmallKEngine::Auto`], `Polylog` or `St12`
-    /// select paper mode, Theorem 1's full build, which reproduces the
-    /// paper's `O(log_B n + k/B)` small-`k` bound but measures slower
-    /// (DESIGN.md §3.6).
-    pub fn small_k(mut self, engine: SmallKEngine) -> Self {
-        self.config.small_k_engine = engine;
-        self
-    }
-
-    /// The crossover `l` between paper mode's small-`k` and pilot-set query
-    /// paths. The serving default has no crossover and uses `l` only as the
-    /// size of a lazy stream's first pilot round.
+    /// [`TopKConfig::l`]: the size of a lazy stream's first pilot round
+    /// (later rounds double), in a bare index and in each shard stream a
+    /// [`ShardedTopK`] fan-out merges. The name is Theorem 1's crossover,
+    /// which [`TheoremOne`](crate::TheoremOne) reads from the same field.
     pub fn crossover_l(mut self, l: usize) -> Self {
         self.config.l = l;
         self
@@ -287,29 +274,6 @@ mod tests {
             index.insert(Point::new(i, i * 7)).unwrap();
         }
         assert_eq!(index.query(1, 50, 3).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn expected_n_drives_auto_engine_resolution() {
-        // Huge blocks relative to a tiny expected n → lg n ≤ B^(1/6) → ST12.
-        let st12 = TopKIndex::builder()
-            .small_k(SmallKEngine::Auto)
-            .block_words(1 << 20)
-            .pool_bytes(1 << 26)
-            .expected_n(8)
-            .build()
-            .unwrap();
-        assert!(st12.small_k_engine_name().contains("st12"));
-        // The default expected n on the same machine stays in the paper's
-        // main regime → the §3.3 polylog structure.
-        let polylog = TopKIndex::builder()
-            .small_k(SmallKEngine::Auto)
-            .block_words(1 << 20)
-            .pool_bytes(1 << 26)
-            .expected_n(1 << 20)
-            .build()
-            .unwrap();
-        assert!(polylog.small_k_engine_name().contains("polylog"));
     }
 
     #[test]

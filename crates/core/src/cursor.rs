@@ -11,8 +11,8 @@
 //!
 //! # The per-round threshold-set contract
 //!
-//! The paper's central guarantee makes this sound: every batch the engines
-//! produce is a *score-threshold set* — all live points in range with score
+//! The paper's central guarantee makes this sound: every batch a pilot drain
+//! produces is a *score-threshold set* — all live points in range with score
 //! at least some `τ` — and such a set is always a prefix of the descending
 //! score order. A cursor position is therefore fully described by `(emitted
 //! count, low-water mark)` where the mark is the `(score, x)` of the last
@@ -32,21 +32,18 @@
 //! # Incremental rounds
 //!
 //! The cursor does not re-run a top-`cap` query per round. It keeps a
-//! stamp-gated [`FrontierCache`]: one resumable engine drain per canonical
+//! stamp-gated [`FrontierCache`]: one resumable [`PilotDrain`] per canonical
 //! range — per overlapping `(range, shard)` pair on the sharded topology —
-//! plus the heads of a k-way merge over them. The drain is a [`PilotDrain`]
-//! by default; in paper mode a cursor with `k < l` drains the three-sided
-//! reporter ([`ThreeSidedDrain`]) instead, as the eager query path would.
-//! A round re-acquires the topology's read side, and if the observed
-//! version stamp equals the cached one (no write committed in between, so
-//! every saved frontier still describes the live trees) it resumes the
-//! merge exactly where the previous round stopped: only pages *below* the
-//! previous low-water mark are touched, so paginating `k` points in `r`
-//! rounds costs one query's I/Os total, not per round. When the stamp
-//! moved, [`Consistency::PerRound`] rebuilds the drains with the low-water
-//! score as their ceiling (the next round is a fresh threshold-set of the
-//! *current* state below the mark), and [`Consistency::Strict`] surfaces
-//! the invalidation instead.
+//! plus the heads of a k-way merge over them. A round re-acquires the
+//! topology's read side, and if the observed version stamp equals the cached
+//! one (no write committed in between, so every saved frontier still
+//! describes the live trees) it resumes the merge exactly where the previous
+//! round stopped: only pages *below* the previous low-water mark are
+//! touched, so paginating `k` points in `r` rounds costs one query's I/Os
+//! total, not per round. When the stamp moved, [`Consistency::PerRound`]
+//! rebuilds the drains with the low-water score as their ceiling (the next
+//! round is a fresh threshold-set of the *current* state below the mark),
+//! and [`Consistency::Strict`] surfaces the invalidation instead.
 //!
 //! # Resume tokens
 //!
@@ -67,7 +64,7 @@
 use std::collections::BinaryHeap;
 use std::str::FromStr;
 
-use epst::{PilotDrain, Point, ThreeSidedDrain};
+use epst::{PilotDrain, Point};
 
 use crate::error::{Result, TopKError};
 use crate::facade::TopK;
@@ -231,7 +228,6 @@ impl QueryCursor {
                     &lanes,
                     stamp,
                     need,
-                    self.k,
                     self.min_score,
                     self.low_water,
                 )
@@ -263,7 +259,6 @@ impl QueryCursor {
                     &lanes,
                     stamp,
                     need,
-                    self.k,
                     self.min_score,
                     self.low_water,
                 )
@@ -353,46 +348,24 @@ struct Lane<'g> {
     index: &'g TopKIndex,
 }
 
-/// One lane's resumable drain, over whichever engine serves the cursor's
-/// total ask — the same dispatch as the eager query path: the §2 pilot
-/// structure by default, and in paper mode for `k < l` the three-sided
-/// reporter.
-enum RangeDrain {
-    Rep(ThreeSidedDrain),
-    Pilot(PilotDrain),
+/// The lane drain's next point, if any. The merge consumes lanes one point
+/// at a time, so a lane is only ever descended as far as the merge actually
+/// emits from it.
+fn pull_one(drain: &mut PilotDrain, lane: &Lane<'_>, scratch: &mut Vec<Point>) -> Option<Point> {
+    scratch.clear();
+    drain.pull(lane.index.pilot(), 1, scratch);
+    scratch.pop()
 }
 
-impl RangeDrain {
-    fn open(lane: &Lane<'_>, k: usize, lo: u64, hi: u64) -> Self {
-        if lane.index.small_k_for(k).is_some() {
-            RangeDrain::Rep(lane.index.reporter().drain_window(lane.x1, lane.x2, lo, hi))
-        } else {
-            RangeDrain::Pilot(lane.index.pilot().drain_window(lane.x1, lane.x2, lo, hi))
-        }
-    }
-
-    /// The drain's next point, if any. The merge consumes lanes one point
-    /// at a time, so a lane is only ever descended as far as the merge
-    /// actually emits from it.
-    fn pull_one(&mut self, index: &TopKIndex, scratch: &mut Vec<Point>) -> Option<Point> {
-        scratch.clear();
-        match self {
-            RangeDrain::Rep(d) => d.pull(index.reporter(), 1, scratch),
-            RangeDrain::Pilot(d) => d.pull(index.pilot(), 1, scratch),
-        };
-        scratch.pop()
-    }
-}
-
-/// The cursor's saved position *inside* the engines: one resumable drain
-/// per lane plus the pending head of each (pulled but not yet emitted),
+/// The cursor's saved position *inside* the pilot structures: one resumable
+/// drain per lane plus the pending head of each (pulled but not yet emitted),
 /// all valid exactly while the index's version stamp equals `stamp` —
 /// equal stamps witness that no write committed, so the saved frontiers
 /// still describe the live trees. A round that observes the same stamp
 /// resumes here and touches only pages below the previous low-water mark.
 struct FrontierCache {
     stamp: u64,
-    drains: Vec<RangeDrain>,
+    drains: Vec<PilotDrain>,
     /// The k-way merge heads, one per non-exhausted lane (`slot` indexes
     /// `drains`). Persisted so a point pulled at a round boundary is
     /// emitted by the next round instead of being lost.
@@ -411,7 +384,6 @@ fn round(
     lanes: &[Lane<'_>],
     stamp: u64,
     need: usize,
-    k: usize,
     min_score: u64,
     low_water: Option<(u64, u64)>,
 ) -> (Vec<Point>, bool) {
@@ -420,13 +392,17 @@ fn round(
     if !reuse {
         // `hi` is exclusive, so the mark's own score is not re-emitted.
         let hi = low_water.map_or(u64::MAX, |(score, _)| score);
-        let mut drains: Vec<RangeDrain> = lanes
+        let mut drains: Vec<PilotDrain> = lanes
             .iter()
-            .map(|lane| RangeDrain::open(lane, k, min_score, hi))
+            .map(|lane| {
+                lane.index
+                    .pilot()
+                    .drain_window(lane.x1, lane.x2, min_score, hi)
+            })
             .collect();
         let mut heads = BinaryHeap::with_capacity(drains.len());
         for (slot, (drain, lane)) in drains.iter_mut().zip(lanes).enumerate() {
-            if let Some(point) = drain.pull_one(lane.index, &mut scratch) {
+            if let Some(point) = pull_one(drain, lane, &mut scratch) {
                 heads.push(MergeEntry { point, slot });
             }
         }
@@ -446,7 +422,7 @@ fn round(
             .drains
             .get_mut(slot)
             .zip(lanes.get(slot))
-            .and_then(|(drain, lane)| drain.pull_one(lane.index, &mut scratch))
+            .and_then(|(drain, lane)| pull_one(drain, lane, &mut scratch))
         {
             cache.heads.push(MergeEntry { point: next, slot });
         }

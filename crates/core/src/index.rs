@@ -1,17 +1,16 @@
-//! The combined index: the serving default (pilot drain for every `k`) or,
-//! in paper mode, Theorem 1's full build.
+//! The serving index: the §2 pilot drain answers every `k`, and the 3-sided
+//! structure is the coordinate index.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use emsim::Device;
-use epst::{top_k_by_score, PilotPst, Point, ThreeSidedPst};
-use kselect::{PolylogConfig, PolylogKSelect, RangeKSelect, St12Config, St12KSelect};
+use epst::{PilotPst, Point, ThreeSidedPst};
 
 use crate::batch::{self, BatchSummary, SubBatch, UpdateBatch};
 use crate::builder::IndexBuilder;
-use crate::config::{SmallKEngine, TopKConfig};
+use crate::config::TopKConfig;
 use crate::error::{Result, TopKError};
 use crate::persist::{DurableStore, OP_DELETE, OP_INSERT};
 use crate::query::{QueryRequest, TopKResults};
@@ -22,8 +21,8 @@ use crate::query::{QueryRequest, TopKResults};
 /// shards of a [`ShardedTopK`](crate::ShardedTopK) share their handle's.
 pub(crate) type ScoreRegistry = Arc<Mutex<HashSet<u64>>>;
 
-/// The dynamic top-k range reporting index of Theorem 1. See the crate docs
-/// for the guarantees and an example.
+/// The dynamic top-k range reporting index. See the crate docs for the
+/// guarantees and an example.
 ///
 /// Constructed with [`TopKIndex::builder`]; all operations return
 /// [`Result`], rejecting misuse (duplicate coordinates or scores, inverted
@@ -31,17 +30,11 @@ pub(crate) type ScoreRegistry = Arc<Mutex<HashSet<u64>>>;
 pub struct TopKIndex {
     device: Device,
     config: TopKConfig,
-    /// §2 structure: serves every `k` by default, and `k ≥ l` (the paper's
-    /// `k = Ω(B·lg n)` regime) in paper mode.
+    /// §2 structure: its drain serves every `k`.
     pilot: PilotPst,
     /// 3-sided reporting structure: the coordinate index behind `get`,
-    /// counts and delete's membership test, and the substrate of the
-    /// small-`k` reduction in paper mode.
+    /// counts and delete's membership test.
     reporter: ThreeSidedPst,
-    /// Paper mode's approximate range k-selection structure for `k < l`;
-    /// `None` under the serving default ([`SmallKEngine::Pilot`]). The `Send
-    /// + Sync` bounds are what make the whole index shareable across threads.
-    small_k: Option<Box<dyn RangeKSelect + Send + Sync>>,
     /// Live size at the last global rebuild, for the rebuild policy.
     size_at_rebuild: AtomicU64,
     len: AtomicU64,
@@ -69,10 +62,7 @@ impl TopKIndex {
         IndexBuilder::new()
     }
 
-    /// Create an empty index on `device`. The default configuration builds
-    /// the serving default (no k-selector; the pilot drain answers every
-    /// `k`); a paper-mode [`SmallKEngine`] builds Theorem 1's k-selector too,
-    /// with [`SmallKEngine::Auto`] resolved against `config.expected_n`.
+    /// Create an empty index on `device`.
     pub fn new(device: &Device, config: TopKConfig) -> Self {
         Self::with_registry(device, config, ScoreRegistry::default())
     }
@@ -84,26 +74,11 @@ impl TopKIndex {
         config: TopKConfig,
         scores: ScoreRegistry,
     ) -> Self {
-        let engine = config.resolve_engine(device.block_words(), config.expected_n);
-        let small_k: Option<Box<dyn RangeKSelect + Send + Sync>> = match engine {
-            SmallKEngine::Pilot => None,
-            SmallKEngine::Polylog | SmallKEngine::Auto => Some(Box::new(PolylogKSelect::new(
-                device,
-                "topk.polylog",
-                PolylogConfig::for_device(device, config.l),
-            ))),
-            SmallKEngine::St12 => Some(Box::new(St12KSelect::new(
-                device,
-                "topk.st12",
-                St12Config::for_device(device),
-            ))),
-        };
         Self {
             device: device.clone(),
             config,
             pilot: PilotPst::new(device, "topk.pilot"),
             reporter: ThreeSidedPst::new(device, "topk.reporter"),
-            small_k,
             size_at_rebuild: AtomicU64::new(0),
             len: AtomicU64::new(0),
             version: AtomicU64::new(0),
@@ -207,16 +182,9 @@ impl TopKIndex {
         self.len() == 0
     }
 
-    /// Space occupied by all components, in blocks.
+    /// Space occupied by both components, in blocks.
     pub fn space_blocks(&self) -> u64 {
-        let small_k = self.small_k.as_ref().map_or(0, |s| s.space_blocks());
-        (self.pilot.space_blocks() + self.reporter.space_blocks() + small_k) as u64
-    }
-
-    /// Name of the active small-`k` engine (for experiment reports):
-    /// `"pilot"` under the serving default.
-    pub fn small_k_engine_name(&self) -> &'static str {
-        self.small_k.as_ref().map_or("pilot", |s| s.name())
+        (self.pilot.space_blocks() + self.reporter.space_blocks()) as u64
     }
 
     /// The point stored at coordinate `x`, if any (`O(log_B n)` I/Os).
@@ -237,20 +205,7 @@ impl TopKIndex {
     /// model's distinctness preconditions would be violated; the index is
     /// unchanged in that case.
     pub fn insert(&self, p: Point) -> Result<()> {
-        if let Some(existing) = self.get(p.x) {
-            return Err(TopKError::DuplicateX {
-                existing,
-                rejected: p,
-            });
-        }
-        // Reserved only after the coordinate probe, so a point that repeats
-        // both reports its coordinate, as batches and bulk builds do.
-        if !self.scores.lock().unwrap().insert(p.score) {
-            return Err(TopKError::DuplicateScore {
-                score: p.score,
-                rejected: p,
-            });
-        }
+        self.reserve(p)?;
         self.insert_validated(p);
         self.maybe_rebuild();
         self.maybe_compact_journal();
@@ -304,7 +259,27 @@ impl TopKIndex {
         Ok(summary)
     }
 
-    // ----- internal update plumbing (shared with the batch path) -----
+    // ----- internal update plumbing (shared with batches and `TheoremOne`) -----
+
+    /// A point insert's validation: the duplicate-coordinate probe, then
+    /// the score reservation. On `Err` nothing was reserved.
+    pub(crate) fn reserve(&self, p: Point) -> Result<()> {
+        if let Some(existing) = self.get(p.x) {
+            return Err(TopKError::DuplicateX {
+                existing,
+                rejected: p,
+            });
+        }
+        // Reserved only after the coordinate probe, so a point that repeats
+        // both reports its coordinate, as batches and bulk builds do.
+        if !self.scores.lock().unwrap().insert(p.score) {
+            return Err(TopKError::DuplicateScore {
+                score: p.score,
+                rejected: p,
+            });
+        }
+        Ok(())
+    }
 
     /// Insert into every component without validating or checking the
     /// rebuild policy. The caller has already validated distinctness and
@@ -312,9 +287,6 @@ impl TopKIndex {
     pub(crate) fn insert_validated(&self, p: Point) {
         self.pilot.insert(p);
         self.reporter.insert(p);
-        if let Some(s) = &self.small_k {
-            s.insert(p);
-        }
         self.len.fetch_add(1, Ordering::Relaxed);
         let stamp = self.version.fetch_add(1, Ordering::Release) + 1;
         if let Some(d) = &self.durable {
@@ -334,12 +306,6 @@ impl TopKIndex {
                 component: "pilot",
             });
         }
-        if self.small_k.as_ref().is_some_and(|s| !s.delete(p)) {
-            return Err(TopKError::Inconsistent {
-                point: p,
-                component: "small-k",
-            });
-        }
         self.len.fetch_sub(1, Ordering::Relaxed);
         let stamp = self.version.fetch_add(1, Ordering::Release) + 1;
         if let Some(d) = &self.durable {
@@ -356,9 +322,6 @@ impl TopKIndex {
     pub(crate) fn rebuild_unvalidated(&self, points: &[Point]) {
         self.pilot.rebuild_all(points);
         self.reporter.rebuild_from_points(points);
-        if let Some(s) = &self.small_k {
-            s.rebuild(points);
-        }
         self.len.store(points.len() as u64, Ordering::Relaxed);
         self.size_at_rebuild
             .store(points.len() as u64, Ordering::Relaxed);
@@ -373,14 +336,18 @@ impl TopKIndex {
     /// The paper's global rebuilding: once the live size has doubled or halved
     /// relative to the last rebuild, rebuild every component. Amortized over
     /// the `Ω(n)` updates in between this costs `O(log_B n)` per update.
-    pub(crate) fn maybe_rebuild(&self) {
+    /// Returns the points a rebuild ran on, so [`TheoremOne`](crate::TheoremOne)
+    /// can rebuild its k-selector from the same set.
+    pub(crate) fn maybe_rebuild(&self) -> Option<Vec<Point>> {
         let n0 = self.size_at_rebuild.load(Ordering::Relaxed).max(64);
         let n = self.len();
         let factor = self.config.rebuild_factor.max(2);
         if n > factor * n0 || (n0 >= 128 && n < n0 / factor) {
             let pts = self.reporter.all_points();
             self.rebuild_unvalidated(&pts);
+            return Some(pts);
         }
+        None
     }
 
     /// Compact the journal once it outgrows the live set. Workloads that
@@ -421,11 +388,9 @@ impl TopKIndex {
     /// Report the `k` highest-scoring points with `x ∈ [x1, x2]`, sorted by
     /// descending score (fewer if the range holds fewer points).
     ///
-    /// Cost: `O(lg n + k/B)` I/Os from the §2 pilot drain for every `k` by
-    /// default; in paper mode, `O(log_B n + k/B)` for `k < l` and
-    /// `O(lg n + k/B)` beyond (Theorem 1's dispatch). To consume the answer
-    /// incrementally — paying only for the prefix actually taken — use
-    /// [`TopKIndex::stream`].
+    /// Cost: `O(lg n + k/B)` I/Os from the §2 pilot drain, for every `k`.
+    /// To consume the answer incrementally — paying only for the prefix
+    /// actually taken — use [`TopKIndex::stream`].
     ///
     /// # Errors
     ///
@@ -441,10 +406,9 @@ impl TopKIndex {
     }
 
     /// Stream the answer to `request` lazily, in descending score order: see
-    /// [`TopKResults`]. The pilot fetches (and, for `k < l` in paper mode, the
-    /// §3.3 retry/fallback rounds) run only as the caller demands more
-    /// points, so taking a short prefix of a large `k` never materializes the
-    /// rest.
+    /// [`TopKResults`]. The pilot fetches run only as the caller demands
+    /// more points, so taking a short prefix of a large `k` never
+    /// materializes the rest.
     ///
     /// The iterator borrows the index; on a
     /// [`ShardedTopK`](crate::ShardedTopK), stream through a read
@@ -473,51 +437,20 @@ impl TopKIndex {
         crate::cursor::QueryCursor::new(crate::facade::TopK::Single(self), request)
     }
 
-    /// The eager query path. `query()` keeps the seed's single-shot plan
-    /// (one pilot pass; in paper mode, a first §3.3 round that targets rank
-    /// `k`), so its I/O profile is unchanged; [`TopKIndex::stream`] trades
-    /// up to one extra doubling pass on full consumption for laziness.
+    /// The eager query path: one bulk pull from a §2 pilot drain,
+    /// `O(lg n + k/B)`, so its I/O profile is the seed's single-shot plan;
+    /// [`TopKIndex::stream`] trades up to one extra doubling pass on full
+    /// consumption for laziness. The best-first drain replaces
+    /// `query_top_k`'s fixed-size heap selection + sibling expansion, whose
+    /// `Θ(φ·lg n)` constant made every query pay the `k = Θ(B·lg n)` worst
+    /// case (the "k-cliff" in BENCH_query_scaling.json).
     pub(crate) fn query_unvalidated(&self, x1: u64, x2: u64, k: usize) -> Vec<Point> {
         if k == 0 || x1 > x2 || self.is_empty() {
             return Vec::new();
         }
-        let Some(selector) = self.small_k_for(k) else {
-            // One bulk pull from a §2 pilot drain, O(lg n + k/B). The
-            // best-first drain replaces `query_top_k`'s fixed-size heap
-            // selection + sibling expansion, whose Θ(φ·lg n) constant made
-            // every k ≥ l query pay the k = Θ(B·lg n) worst case (the
-            // "k-cliff" in BENCH_query_scaling.json).
-            let mut out = Vec::with_capacity(k.min(self.len() as usize));
-            self.pilot.drain(x1, x2).pull(&self.pilot, k, &mut out);
-            return out;
-        };
-        let total = self.reporter.count_in_range(x1, x2);
-        if total == 0 {
-            return Vec::new();
-        }
-        let want = (k as u64).min(total) as usize;
-        if total <= k as u64 {
-            // Small output: report the whole range.
-            let pts = self.reporter.query(x1, x2, 0);
-            return top_k_by_score(pts, k);
-        }
-        // The reduction of §3.3: get an approximate rank-k threshold, report
-        // everything above it, keep the exact top k. If the approximation
-        // under-delivers (possible when the AURS preconditions are violated,
-        // see DESIGN.md §3), double the target rank and retry; the final
-        // fallback reports the whole range.
-        let mut target = k as u64;
-        for _ in 0..8 {
-            let tau = selector.select(x1, x2, target);
-            let tau = tau.unwrap_or_default();
-            let pts = self.reporter.query(x1, x2, tau);
-            if pts.len() >= want || tau == 0 {
-                return top_k_by_score(pts, k);
-            }
-            target = target.saturating_mul(2);
-        }
-        let pts = self.reporter.query(x1, x2, 0);
-        top_k_by_score(pts, k)
+        let mut out = Vec::with_capacity(k.min(self.len() as usize));
+        self.pilot.drain(x1, x2).pull(&self.pilot, k, &mut out);
+        out
     }
 
     /// Number of points with `x ∈ [x1, x2]` (`O(log_B n)` I/Os).
@@ -544,7 +477,7 @@ impl TopKIndex {
         self.reporter.all_points()
     }
 
-    // ----- component access for the streaming query path -----
+    // ----- component access for the streaming paths and `TheoremOne` -----
 
     pub(crate) fn reporter(&self) -> &ThreeSidedPst {
         &self.reporter
@@ -552,12 +485,6 @@ impl TopKIndex {
 
     pub(crate) fn pilot(&self) -> &PilotPst {
         &self.pilot
-    }
-
-    /// The one regime predicate: paper mode's k-selector when it serves
-    /// `k` (it exists and `k < l`), `None` when the pilot drain does.
-    pub(crate) fn small_k_for(&self, k: usize) -> Option<&(dyn RangeKSelect + Send + Sync)> {
-        self.small_k.as_deref().filter(|_| k < self.config.l)
     }
 
     /// Run the internal consistency checks of every component, and check
@@ -585,9 +512,6 @@ impl TopKIndex {
         self.reporter.check_invariants();
         assert_eq!(self.pilot.len(), self.len());
         assert_eq!(self.reporter.len(), self.len());
-        if let Some(s) = &self.small_k {
-            assert_eq!(s.len(), self.len());
-        }
     }
 }
 
@@ -631,7 +555,6 @@ impl std::fmt::Debug for TopKIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TopKIndex")
             .field("len", &self.len())
-            .field("engine", &self.small_k_engine_name())
             .field("config", &self.config)
             .finish_non_exhaustive()
     }
@@ -783,46 +706,32 @@ mod tests {
     #[test]
     fn serving_default_builds_and_maintains_no_k_selector() {
         let pts: Vec<Point> = (1..=3_000u64).map(|i| Point::new(i * 5, i * 7)).collect();
-        let paper = TopKConfig {
-            small_k_engine: SmallKEngine::Auto,
-            ..TopKConfig::default()
-        };
-        for (config, paper_mode) in [(TopKConfig::default(), false), (paper, true)] {
-            let dev = device();
-            let index = TopKIndex::new(&dev, config);
-            index.bulk_build(&pts).unwrap();
-            for i in 1..=40u64 {
-                index.insert(Point::new(i * 5 + 1, 100_000 + i)).unwrap();
-                assert!(index.delete(Point::new(i * 10, i * 14)).unwrap());
-            }
-            index
-                .apply(
-                    &UpdateBatch::new()
-                        .insert(Point::new(3, 1))
-                        .delete(pts[2_000]),
-                )
-                .unwrap();
-            index.check_invariants();
-            let kselect_pages: u64 = dev
-                .space_breakdown()
-                .into_iter()
-                .filter(|(name, _)| {
-                    name.starts_with("topk.polylog") || name.starts_with("topk.st12")
-                })
-                .map(|(_, pages)| pages)
-                .sum();
-            let pilot_and_reporter =
-                (index.pilot.space_blocks() + index.reporter.space_blocks()) as u64;
-            if paper_mode {
-                assert!(kselect_pages > 0, "paper mode builds the k-selector");
-                assert!(index.space_blocks() > pilot_and_reporter);
-                assert!(index.small_k_engine_name().contains("polylog"));
-            } else {
-                assert_eq!(kselect_pages, 0, "the serving default built a k-selector");
-                assert_eq!(index.space_blocks(), pilot_and_reporter);
-                assert_eq!(index.small_k_engine_name(), "pilot");
-            }
+        let dev = device();
+        let index = TopKIndex::new(&dev, TopKConfig::default());
+        index.bulk_build(&pts).unwrap();
+        for i in 1..=40u64 {
+            index.insert(Point::new(i * 5 + 1, 100_000 + i)).unwrap();
+            assert!(index.delete(Point::new(i * 10, i * 14)).unwrap());
         }
+        index
+            .apply(
+                &UpdateBatch::new()
+                    .insert(Point::new(3, 1))
+                    .delete(pts[2_000]),
+            )
+            .unwrap();
+        index.check_invariants();
+        let kselect_pages: u64 = dev
+            .space_breakdown()
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("topk.polylog") || name.starts_with("topk.st12"))
+            .map(|(_, pages)| pages)
+            .sum();
+        let pilot_and_reporter =
+            (index.pilot.space_blocks() + index.reporter.space_blocks()) as u64;
+        assert_eq!(kselect_pages, 0, "the serving default built a k-selector");
+        assert_eq!(index.space_blocks(), pilot_and_reporter);
+        assert_eq!(crate::RankedIndex::engine_name(&index), "pilot");
     }
 
     #[test]

@@ -9,15 +9,15 @@
 //! * `insert` / `delete` in `O(log_B n)` amortized I/Os (Theorem 1 — the
 //!   paper's headline improvement over the `O(log_B² n)` of Sheng & Tao 2012),
 //! * `query(x1, x2, k)`: the `k` highest-scoring points with `x ∈ [x1, x2]`,
-//!   in `O(lg n + k/B)` I/Os for every `k` by default, and in paper mode in
-//!   Theorem 1's `O(log_B n + k/B)` (`O(lg n + k/B) = O(k/B)` once
+//!   in `O(lg n + k/B)` I/Os for every `k` — and in Theorem 1's
+//!   `O(log_B n + k/B)` on [`TheoremOne`] (`O(lg n + k/B) = O(k/B)` once
 //!   `k = Ω(B·lg n)`),
 //! * linear space (`O(n/B)` blocks).
 //!
 //! The API is builder-first, fallible, batched and streaming:
 //!
 //! * [`IndexBuilder`] (via [`TopKIndex::builder`]) owns device construction
-//!   and engine resolution — no hand-built [`emsim::Device`] required;
+//!   — no hand-built [`emsim::Device`] required;
 //! * every operation returns [`Result`], turning model-precondition misuse
 //!   (duplicate coordinates or scores, inverted ranges, `k == 0`) and
 //!   component inconsistency into typed [`TopKError`]s instead of panics or
@@ -36,23 +36,22 @@
 //!   [`Consistency`] picks the exact contract when writes interleave
 //!   between rounds (DESIGN.md §6).
 //!
-//! Internally the index is built from the paper's components. The serving
-//! default ([`SmallKEngine::Pilot`]) keeps two of them:
+//! Internally the index is built from two of the paper's components:
 //!
 //! 1. the pilot-set priority search tree of §2 ([`epst::PilotPst`]), whose
 //!    drain answers every `k`, and
 //! 2. a 3-sided reporting structure ([`epst::ThreeSidedPst`]), the coordinate
 //!    index behind duplicate checks, [`TopKIndex::get`], counts and deletes.
 //!
-//! *Paper mode* ([`IndexBuilder::small_k`] with [`SmallKEngine::Auto`],
-//! `Polylog` or `St12`) combines all three exactly as Theorem 1 prescribes:
-//! the pilot structure serves `k ≥ l`, and an approximate range k-selection
-//! structure — either the paper's new §3.3 structure
-//! ([`kselect::PolylogKSelect`]) or, when `lg n ≤ B^(1/6)`, the
-//! Sheng–Tao-style structure ([`kselect::St12KSelect`]) — serves `k < l`
-//! through the standard reduction over the 3-sided structure (find an
-//! approximate rank-`k` score threshold, report everything above it, keep
-//! the exact top `k`). Paper mode reproduces the paper's bound; the default
+//! [`TheoremOne`] is Theorem 1's full build, a bare index for the
+//! experiments and the differential tests. It adds the third component: an
+//! approximate range k-selection structure — either the paper's new §3.3
+//! structure ([`kselect::PolylogKSelect`]) or, when `lg n ≤ B^(1/6)`, the
+//! Sheng–Tao-style structure ([`kselect::St12KSelect`]), chosen by
+//! [`SmallKEngine`] — serves `k < l` through the standard reduction over the
+//! 3-sided structure (find an approximate rank-`k` score threshold, report
+//! everything above it, keep the exact top `k`), and the pilot structure
+//! serves `k ≥ l`. It reproduces the paper's bound; the serving index
 //! measures faster at every size tried and spares every update the
 //! k-selector's maintenance (DESIGN.md §3.6). Both return the same answers.
 //!
@@ -101,6 +100,7 @@ mod facade;
 pub mod hooks;
 mod index;
 mod oracle;
+mod paper;
 mod persist;
 mod query;
 mod ranked;
@@ -116,6 +116,7 @@ pub use error::{Result, TopKError};
 pub use facade::TopK;
 pub use index::TopKIndex;
 pub use oracle::Oracle;
+pub use paper::TheoremOne;
 pub use query::{Consistency, QueryRequest, TopKResults};
 pub use ranked::RankedIndex;
 pub use sharded::{ShardedReadGuard, ShardedResults, ShardedTopK};
@@ -143,7 +144,7 @@ mod tests {
             .collect()
     }
 
-    fn check_queries(index: &TopKIndex, oracle: &Oracle, rng: &mut StdRng, rounds: usize) {
+    fn check_queries(index: &dyn RankedIndex, oracle: &Oracle, rng: &mut StdRng, rounds: usize) {
         for _ in 0..rounds {
             let a = rng.gen_range(0..20_000u64);
             let b = rng.gen_range(a..=20_000u64);
@@ -210,11 +211,7 @@ mod tests {
         let pts = random_points(9, 2500);
         for engine in [SmallKEngine::Polylog, SmallKEngine::St12] {
             let dev = device();
-            let cfg = TopKConfig {
-                small_k_engine: engine,
-                ..TopKConfig::default()
-            };
-            let index = TopKIndex::new(&dev, cfg);
+            let index = TheoremOne::new(&dev, TopKConfig::default(), engine);
             let mut oracle = Oracle::new();
             for &p in &pts {
                 index.insert(p).unwrap();

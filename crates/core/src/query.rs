@@ -3,20 +3,14 @@
 //! [`QueryRequest`] names the query parameters once; [`TopKResults`] streams
 //! the answer lazily in descending score order. Laziness is the point: the
 //! seed's `query()` materialized a full `Vec<Point>` even when the caller
-//! consumed three results, and its §3.3 retry/fallback path could end up
-//! reporting the *whole range*. The iterator instead fetches in rounds — a
-//! doubling pilot fetch, or in paper mode for `k < l` an escalating
-//! rank-threshold round — and runs a round only when the caller actually
-//! demands more points, so a short prefix of a large `k` never pays for the
-//! rest.
+//! consumed three results. The iterator instead fetches in doubling pilot
+//! rounds and runs a round only when the caller actually demands more
+//! points, so a short prefix of a large `k` never pays for the rest.
 //!
-//! Escalation is *incremental*: the pilot rounds pull from a persistent
-//! [`PilotDrain`] descent frontier, and paper mode's small-`k` rounds carry a
-//! low-water mark and fetch only the band of scores below the previous
-//! threshold ([`epst::ThreeSidedPst::query_band`]) — no round re-descends
-//! from the root or re-materializes the already-emitted prefix, so consuming
-//! `k` points costs one query's I/Os (`O(lg n + k/B)` from the pilot drain,
-//! `O(log_B n + k/B)` from the §3.3 rounds) regardless of round count.
+//! Escalation is *incremental*: every round pulls from one persistent
+//! [`PilotDrain`] descent frontier — no round re-descends from the root or
+//! re-materializes the already-emitted prefix, so consuming `k` points costs
+//! one query's `O(lg n + k/B)` I/Os regardless of round count.
 //!
 //! Because every round's points form a prefix of the global descending-score
 //! order, per-shard [`TopKResults`] streams also compose: a
@@ -26,7 +20,6 @@
 //! as far as the merge consumes it — from its own saved frontier.
 
 use epst::{PilotDrain, Point};
-use kselect::RangeKSelect;
 
 use crate::cursor::ResumeToken;
 use crate::error::{Result, TopKError};
@@ -266,32 +259,6 @@ impl QueryRequest {
     }
 }
 
-/// How the next batch of points is fetched. Both live regimes carry their
-/// escalation state *across* rounds — the §3.3 rounds a low-water mark so a
-/// round fetches only the band of scores below the previous threshold, the
-/// §2 rounds a saved [`PilotDrain`] descent frontier — so the total work for
-/// `k` results is one query's I/Os no matter how many rounds deliver them.
-enum FetchState<'a> {
-    /// Nothing fetched yet; the first demand decides the regime.
-    Start,
-    /// Paper mode's §3.3 reduction rounds: select an approximate
-    /// rank-`target` score threshold with `selector`, report the band between
-    /// it and the previous round's threshold (`low_water`, `u64::MAX` before
-    /// the first round), emit it.
-    SmallK {
-        selector: &'a (dyn RangeKSelect + Send + Sync),
-        target: u64,
-        attempts: u32,
-        low_water: u64,
-    },
-    /// §2 pilot rounds: a resumable drain over the pilot structure pulls the
-    /// next `next_n` points from its saved frontier; `next_n` doubles per
-    /// round so full consumption stays within a constant of one bulk fetch.
-    LargeK { drain: PilotDrain, next_n: usize },
-    /// Every reportable point has been handed out (or buffered).
-    Done,
-}
-
 /// A lazy stream of query results in strictly descending score order,
 /// produced by [`TopKIndex::stream`].
 ///
@@ -299,9 +266,7 @@ enum FetchState<'a> {
 /// all live points in range with score at least some `τ` — and such a set is
 /// always a prefix of the global descending-score order. The iterator
 /// therefore emits each batch's unseen suffix and only escalates (doubling
-/// the pilot fetch size, or in paper mode the target rank, which caps at the
-/// seed's whole-range fallback after eight rounds) when the caller keeps
-/// demanding points.
+/// the pilot fetch size) when the caller keeps demanding points.
 ///
 /// The iterator borrows the index; under
 /// [`ShardedTopK`](crate::ShardedTopK), stream through a read guard held for
@@ -313,8 +278,6 @@ enum FetchState<'a> {
 /// side per fetch round and holds no lock in between.
 pub struct TopKResults<'a> {
     index: &'a TopKIndex,
-    x1: u64,
-    x2: u64,
     k: usize,
     emitted: usize,
     /// Reusable round buffer: each fetch round clears and refills it in
@@ -322,7 +285,14 @@ pub struct TopKResults<'a> {
     /// grown to the round size.
     buf: Vec<Point>,
     pos: usize,
-    state: FetchState<'a>,
+    /// The resumable drain over the pilot structure: each round pulls the
+    /// next `next_n` points from its saved frontier.
+    drain: PilotDrain,
+    /// The next round's size; it doubles per round, so full consumption
+    /// stays within a constant of one bulk fetch.
+    next_n: usize,
+    /// Every reportable point has been handed out (or buffered).
+    done: bool,
 }
 
 impl<'a> TopKResults<'a> {
@@ -334,20 +304,16 @@ impl<'a> TopKResults<'a> {
                        floor or resume point; use an owned cursor for the extensions",
             });
         }
-        let state = if index.is_empty() {
-            FetchState::Done
-        } else {
-            FetchState::Start
-        };
         Ok(Self {
             index,
-            x1: request.x1(),
-            x2: request.x2(),
             k: request.k(),
             emitted: 0,
             buf: Vec::new(),
             pos: 0,
-            state,
+            // Opening a drain costs no I/O; the first pull primes it.
+            drain: index.pilot().drain(request.x1(), request.x2()),
+            next_n: index.config().l.max(1),
+            done: index.is_empty(),
         })
     }
 
@@ -356,151 +322,19 @@ impl<'a> TopKResults<'a> {
         self.emitted
     }
 
-    /// Refill the round buffer with the band `tau ≤ score < hi` of the
-    /// range, sorted by descending score. Only pages holding scores below
-    /// the previous round's mark are materialized — the already-emitted
-    /// prefix is never fetched again.
-    fn fetch_band(&mut self, tau: u64, hi: u64) {
-        self.buf.clear();
-        self.pos = 0;
-        self.index
-            .reporter()
-            .query_band_into(self.x1, self.x2, tau, hi, &mut self.buf);
-        self.buf
-            .sort_unstable_by_key(|p| std::cmp::Reverse(p.score));
-    }
-
-    /// Cap the buffered band at what is still owed and stop fetching.
-    fn finish_band(&mut self) {
-        self.buf.truncate(self.k - self.emitted);
-        self.state = FetchState::Done;
-    }
-
-    /// Fetch the next batch. Guarantees progress: afterwards the buffer is
-    /// non-empty or the state is `Done`.
-    fn refill(&mut self) {
-        match self.state {
-            FetchState::Done => {}
-            FetchState::Start => match self.index.small_k_for(self.k) {
-                Some(selector) => self.refill_small_first(selector),
-                None => {
-                    let drain = self.index.pilot().drain(self.x1, self.x2);
-                    self.state = FetchState::LargeK {
-                        drain,
-                        next_n: self.index.config().l.max(1),
-                    };
-                    self.refill_large();
-                }
-            },
-            FetchState::SmallK { .. } => self.refill_small_rounds(),
-            FetchState::LargeK { .. } => self.refill_large(),
-        }
-    }
-
-    /// First small-`k` fetch: decide between the whole-range case
-    /// (`total ≤ k`) and the §3.3 reduction rounds.
-    fn refill_small_first(&mut self, selector: &'a (dyn RangeKSelect + Send + Sync)) {
-        let total = self.index.reporter().count_in_range(self.x1, self.x2);
-        if total == 0 {
-            self.state = FetchState::Done;
-            return;
-        }
-        if total <= self.k as u64 {
-            self.fetch_band(0, u64::MAX);
-            self.finish_band();
-            return;
-        }
-        self.state = FetchState::SmallK {
-            selector,
-            target: self.k as u64,
-            attempts: 0,
-            low_water: u64::MAX,
-        };
-        self.refill_small_rounds();
-    }
-
-    /// One or more §3.3 rounds until a round yields new points (or the
-    /// whole-range fallback fires). Mirrors the retry loop of the eager
-    /// `query()`, except that each round fetches only the band of scores
-    /// `[tau, low_water)` below the previous round's threshold: the emitted
-    /// prefix is summarized by the carried mark, never re-materialized.
-    fn refill_small_rounds(&mut self) {
-        loop {
-            let FetchState::SmallK {
-                selector,
-                target,
-                attempts,
-                low_water,
-            } = self.state
-            else {
-                return;
-            };
-            if attempts >= 8 {
-                // The seed's final fallback: the whole remaining band.
-                self.fetch_band(0, low_water);
-                self.finish_band();
-                return;
-            }
-            let tau = selector
-                .select(self.x1, self.x2, target)
-                .unwrap_or_default();
-            if tau >= low_water && low_water != u64::MAX {
-                // The approximate rank threshold did not move below the
-                // previous round's; escalate without touching any page.
-                self.state = FetchState::SmallK {
-                    selector,
-                    target: target.saturating_mul(2),
-                    attempts: attempts + 1,
-                    low_water,
-                };
-                continue;
-            }
-            self.fetch_band(tau, low_water);
-            if tau == 0 || self.emitted + self.buf.len() >= self.k {
-                // Either the whole range or at least k points cumulatively:
-                // this band is the final batch.
-                self.finish_band();
-                return;
-            }
-            self.state = FetchState::SmallK {
-                selector,
-                target: target.saturating_mul(2),
-                attempts: attempts + 1,
-                low_water: tau,
-            };
-            if !self.buf.is_empty() {
-                // An under-delivering round still yields a correct prefix;
-                // emit it and escalate only if the caller wants more.
-                return;
-            }
-        }
-    }
-
-    /// One §2 pilot round: pull the next `next_n` points from the drain's
+    /// One pilot round: pull the next `next_n` points from the drain's
     /// saved frontier (doubling `next_n` for the next demand). No round
     /// re-descends the script tree or re-fetches emitted points, so
     /// consuming all `k` costs the same I/Os as one bulk extraction.
-    fn refill_large(&mut self) {
-        let TopKResults {
-            index,
-            state,
-            buf,
-            pos,
-            emitted,
-            k,
-            ..
-        } = self;
-        let FetchState::LargeK { drain, next_n } = state else {
-            return;
-        };
-        buf.clear();
-        *pos = 0;
-        let want = (*next_n).min(*k - *emitted);
-        let got = drain.pull(index.pilot(), want, buf);
-        if got < want || *emitted + got >= *k {
-            *state = FetchState::Done;
+    fn refill(&mut self) {
+        self.buf.clear();
+        self.pos = 0;
+        let want = self.next_n.min(self.k - self.emitted);
+        let got = self.drain.pull(self.index.pilot(), want, &mut self.buf);
+        if got < want || self.emitted + got >= self.k {
+            self.done = true;
         } else {
-            *next_n = next_n.saturating_mul(2);
+            self.next_n = self.next_n.saturating_mul(2);
         }
     }
 }
@@ -518,7 +352,7 @@ impl Iterator for TopKResults<'_> {
                 self.emitted += 1;
                 return Some(p);
             }
-            if matches!(self.state, FetchState::Done) {
+            if self.done {
                 return None;
             }
             self.refill();
@@ -535,25 +369,14 @@ impl std::iter::FusedIterator for TopKResults<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Oracle, SmallKEngine, TopKConfig};
+    use crate::{Oracle, TopKConfig};
     use emsim::{Device, EmConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// The serving default and paper mode, whose §3.3 rounds serve `k < l`.
-    const ENGINES: [SmallKEngine; 2] = [SmallKEngine::Pilot, SmallKEngine::Polylog];
-
     fn build(n: u64) -> (Device, TopKIndex, Oracle) {
-        build_in(n, TopKConfig::for_tests().small_k_engine)
-    }
-
-    fn build_in(n: u64, small_k_engine: SmallKEngine) -> (Device, TopKIndex, Oracle) {
         let device = Device::new(EmConfig::new(256, 256 * 256));
-        let config = TopKConfig {
-            small_k_engine,
-            ..TopKConfig::for_tests()
-        };
-        let index = TopKIndex::new(&device, config);
+        let index = TopKIndex::new(&device, TopKConfig::for_tests());
         let mut pts = Vec::new();
         for i in 0..n {
             let x = (i * 7919) % (8 * n.max(1)) + 1;
@@ -595,43 +418,40 @@ mod tests {
 
     #[test]
     fn full_consumption_matches_eager_query_across_regimes() {
-        for engine in ENGINES {
-            let (_d, index, oracle) = build_in(3000, engine);
-            let mut rng = StdRng::seed_from_u64(3);
-            // k below, at, and above the crossover l = 64; narrow and wide ranges.
-            for &k in &[1usize, 5, 63, 64, 65, 200, 1000, 5000] {
-                for _ in 0..6 {
-                    let a = rng.gen_range(0..24_000u64);
-                    let b = rng.gen_range(a..=24_000u64);
-                    let streamed: Vec<Point> = index
-                        .stream(QueryRequest::range(a, b).top(k))
-                        .unwrap()
-                        .collect();
-                    let at = format!("{engine:?} [{a},{b}] k={k}");
-                    assert_eq!(streamed, index.query(a, b, k).unwrap(), "{at}");
-                    assert_eq!(streamed, oracle.query(a, b, k), "{at}");
-                }
+        let (_d, index, oracle) = build(3000);
+        let mut rng = StdRng::seed_from_u64(3);
+        // k below, at, and above the first pilot round l = 64; narrow and
+        // wide ranges.
+        for &k in &[1usize, 5, 63, 64, 65, 200, 1000, 5000] {
+            for _ in 0..6 {
+                let a = rng.gen_range(0..24_000u64);
+                let b = rng.gen_range(a..=24_000u64);
+                let streamed: Vec<Point> = index
+                    .stream(QueryRequest::range(a, b).top(k))
+                    .unwrap()
+                    .collect();
+                let at = format!("[{a},{b}] k={k}");
+                assert_eq!(streamed, index.query(a, b, k).unwrap(), "{at}");
+                assert_eq!(streamed, oracle.query(a, b, k), "{at}");
             }
         }
     }
 
     #[test]
     fn partial_consumption_yields_the_exact_prefix() {
-        for engine in ENGINES {
-            let (_d, index, oracle) = build_in(2000, engine);
-            for &(k, take) in &[(50usize, 3usize), (200, 7), (1500, 10), (1500, 1)] {
-                let got: Vec<Point> = index
-                    .stream(QueryRequest::range(0, u64::MAX).top(k))
-                    .unwrap()
-                    .take(take)
-                    .collect();
-                let full = oracle.query(0, u64::MAX, k);
-                assert_eq!(
-                    got,
-                    full[..take.min(full.len())].to_vec(),
-                    "{engine:?} k={k} take={take}"
-                );
-            }
+        let (_d, index, oracle) = build(2000);
+        for &(k, take) in &[(50usize, 3usize), (200, 7), (1500, 10), (1500, 1)] {
+            let got: Vec<Point> = index
+                .stream(QueryRequest::range(0, u64::MAX).top(k))
+                .unwrap()
+                .take(take)
+                .collect();
+            let full = oracle.query(0, u64::MAX, k);
+            assert_eq!(
+                got,
+                full[..take.min(full.len())].to_vec(),
+                "k={k} take={take}"
+            );
         }
     }
 

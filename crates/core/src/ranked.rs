@@ -13,8 +13,9 @@ use crate::sharded::ShardedTopK;
 
 /// A dynamic set of `(x, score)` points answering top-k range queries.
 ///
-/// Implemented by [`TopKIndex`], [`ShardedTopK`] and the comparison
-/// structures in the `baselines` crate. All methods take `&self` — every
+/// Implemented by [`TopKIndex`], [`ShardedTopK`],
+/// [`TheoremOne`](crate::TheoremOne) and the comparison structures in the
+/// `baselines` crate. All methods take `&self` — every
 /// engine in the workspace is internally synchronized — and all mutating or
 /// querying methods are fallible with the same contract as [`TopKIndex`].
 /// The trait is object-safe: experiment harnesses typically iterate over
@@ -95,7 +96,7 @@ pub trait RankedIndex: Send + Sync {
 
 impl RankedIndex for TopKIndex {
     fn engine_name(&self) -> &'static str {
-        self.small_k_engine_name()
+        "pilot"
     }
 
     fn len(&self) -> u64 {

@@ -332,17 +332,11 @@ impl ShardedTopK {
 
     /// Create an empty sharded index on `device` with `shards` range
     /// partitions (callers normally go through the builder, which validates
-    /// and supplies defaults). Each shard resolves its engine against
-    /// `expected_n / shards`, and all of them share one score registry.
+    /// and supplies defaults). All shards share one score registry.
     pub fn new(device: &Device, config: TopKConfig, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let shard_config = TopKConfig {
-            expected_n: (config.expected_n / shards).max(1),
-            ..config
-        };
         let scores = ScoreRegistry::default();
-        let indexes = (0..shards)
-            .map(|_| TopKIndex::with_registry(device, shard_config, Arc::clone(&scores)))
+        let indexes = (0..shards.max(1))
+            .map(|_| TopKIndex::with_registry(device, config, Arc::clone(&scores)))
             .collect();
         Self::from_shards(device, config, indexes)
     }

@@ -1,6 +1,6 @@
-//! Shared frontier machinery for resumable best-first extraction.
+//! Frontier machinery for the pilot drain's resumable best-first extraction.
 //!
-//! Both PSTs are heap-ordered trees of pages: everything stored at a node
+//! The pilot PST is a heap-ordered tree of pages: everything stored at a node
 //! scores at least as high as everything stored strictly below it. That makes
 //! "give me the next `n` points in descending score order" a best-first
 //! search whose entire state is one priority queue — the *frontier* — over
@@ -9,8 +9,7 @@
 //! * **runs** — a visited page's surviving points, sorted and consumed
 //!   head-first, keyed by the current head's exact score;
 //! * **unvisited nodes**, keyed by an upper bound on every score in their
-//!   subtree (a child summary maximum, a pilot representative, or the
-//!   parent's cache minimum).
+//!   subtree (a pilot representative).
 //!
 //! Emitting the maximum is therefore always safe: a run head above every
 //! node bound beats every unseen point. A node entry at the top is expanded
@@ -105,7 +104,7 @@ impl<I> Ord for NodeEntry<I> {
 /// next node to expand (the caller reads its page and pushes the results).
 pub(crate) enum Step<I> {
     Point(Point),
-    Expand(I, u64),
+    Expand(I),
 }
 
 /// The owned descent frontier of a resumable drain.
@@ -352,8 +351,8 @@ impl<I> Frontier<I> {
     }
 
     /// Pop the node with the largest bound.
-    pub fn pop_node(&mut self) -> Option<(I, u64)> {
-        self.nodes.pop().map(|n| (n.id, n.bound))
+    pub fn pop_node(&mut self) -> Option<I> {
+        self.nodes.pop().map(|n| n.id)
     }
 
     /// The next event in rank order, consuming run heads in place: the top
@@ -390,7 +389,7 @@ impl<I> Frontier<I> {
             }
             _ => {
                 let n = self.nodes.pop()?;
-                Some(Step::Expand(n.id, n.bound))
+                Some(Step::Expand(n.id))
             }
         }
     }

@@ -977,7 +977,7 @@ impl PilotDrain {
                     out.push(p);
                     taken += 1;
                 }
-                Some(Step::Expand(id, _)) => pst.drain_expand(self, id),
+                Some(Step::Expand(id)) => pst.drain_expand(self, id),
             }
         }
         taken
@@ -1014,7 +1014,7 @@ impl PilotDrain {
             if threshold.is_some_and(|t| b <= t) {
                 break;
             }
-            let (id, _) = self.frontier.pop_node().expect("bound was just peeked");
+            let id = self.frontier.pop_node().expect("bound was just peeked");
             pst.drain_expand(self, id);
         }
         self.frontier.finish_bulk(n, out)

@@ -11,7 +11,7 @@ fn main() -> Result<(), TopKError> {
     // A machine with 4 KiB blocks (512 words of 8 bytes) and 16 MiB of
     // memory; `build_auto()` owns device construction and picks the shard
     // count of the concurrent topology from the expected input size. The
-    // default build answers every k from the pilot drain.
+    // index answers every k from the pilot drain.
     let n = 100_000u64;
     let index = TopK::builder()
         .block_words(512)

@@ -14,6 +14,6 @@
 pub use emsim::{Device, EmConfig, IoDelta, IoSnapshot, IoStats};
 pub use topk_core::{
     BatchSummary, Consistency, IndexBuilder, Oracle, Point, QueryCursor, QueryRequest, RankedIndex,
-    Result, ResumeToken, ShardedReadGuard, ShardedResults, ShardedTopK, SmallKEngine, TopK,
-    TopKConfig, TopKError, TopKIndex, TopKResults, UpdateBatch, UpdateOp,
+    Result, ResumeToken, ShardedReadGuard, ShardedResults, ShardedTopK, SmallKEngine, TheoremOne,
+    TopK, TopKConfig, TopKError, TopKIndex, TopKResults, UpdateBatch, UpdateOp,
 };

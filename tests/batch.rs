@@ -1,5 +1,5 @@
 //! Batched-update acceptance tests: [`UpdateBatch`] applied through
-//! `apply()` — on a bare index in both modes and across the shards of a
+//! `apply()` — on a bare index and across the shards of a
 //! four-shard [`ShardedTopK`] — must be *observation-equivalent* to the same operations
 //! applied point-wise — same answers, same counts, same misses —
 //! cross-checked against the oracle under seeded randomized workloads; and
@@ -13,8 +13,7 @@ use emsim::{Device, EmConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use topk::{
-    BatchSummary, Oracle, Point, ShardedTopK, SmallKEngine, TopKConfig, TopKIndex, UpdateBatch,
-    UpdateOp,
+    BatchSummary, Oracle, Point, ShardedTopK, TopKConfig, TopKIndex, UpdateBatch, UpdateOp,
 };
 
 fn device() -> Device {
@@ -65,20 +64,11 @@ fn batched_apply_is_observation_equivalent_to_pointwise() {
         let initial: Vec<Point> = (0..1_500u64).map(point).collect();
         let pointwise = TopKIndex::new(&device(), TopKConfig::for_tests());
         let batched = TopKIndex::new(&device(), TopKConfig::for_tests());
-        // Paper mode maintains the k-selector through the same batch commit.
-        let paper = TopKIndex::new(
-            &device(),
-            TopKConfig {
-                small_k_engine: SmallKEngine::Polylog,
-                ..TopKConfig::for_tests()
-            },
-        );
         // Random deletes fall in every shard, so the sharded batches cross
         // shards and commit their sub-batches in parallel.
         let sharded = ShardedTopK::new(&device(), TopKConfig::for_tests(), 4);
         pointwise.bulk_build(&initial).unwrap();
         batched.bulk_build(&initial).unwrap();
-        paper.bulk_build(&initial).unwrap();
         sharded.bulk_build(&initial).unwrap();
         let mut oracle = Oracle::from_points(&initial);
 
@@ -115,13 +105,6 @@ fn batched_apply_is_observation_equivalent_to_pointwise() {
             assert_eq!(batched_summary, expect, "seed {seed} round {round}");
             assert_eq!(batched.len(), pointwise.len(), "seed {seed} round {round}");
             assert_eq!(batched.len(), oracle.len() as u64);
-            let paper_summary = paper.apply(&batch).unwrap();
-            assert_eq!(paper_summary, expect, "paper: seed {seed} round {round}");
-            assert_eq!(
-                paper.len(),
-                oracle.len() as u64,
-                "seed {seed} round {round}"
-            );
             let sharded_summary = sharded.apply(&batch).unwrap();
             assert_eq!(
                 sharded_summary, expect,
@@ -133,7 +116,7 @@ fn batched_apply_is_observation_equivalent_to_pointwise() {
                 "seed {seed} round {round}"
             );
 
-            // Observation equivalence: random queries agree across all four.
+            // Observation equivalence: random queries agree across all three.
             for _ in 0..12 {
                 let a = rng.gen_range(0..12_000u64);
                 let b = rng.gen_range(a..=12_000u64);
@@ -148,11 +131,6 @@ fn batched_apply_is_observation_equivalent_to_pointwise() {
                     pointwise.query(a, b, k).unwrap(),
                     expect,
                     "pointwise: seed {seed} round {round} [{a},{b}] k={k}"
-                );
-                assert_eq!(
-                    paper.query(a, b, k).unwrap(),
-                    expect,
-                    "paper: seed {seed} round {round} [{a},{b}] k={k}"
                 );
                 assert_eq!(
                     sharded.query(a, b, k).unwrap(),
@@ -173,7 +151,6 @@ fn batched_apply_is_observation_equivalent_to_pointwise() {
         }
         batched.check_invariants();
         pointwise.check_invariants();
-        paper.check_invariants();
         sharded.check_invariants();
     }
 }

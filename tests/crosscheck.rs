@@ -1,8 +1,8 @@
 //! Randomized cross-checks, generic over engines: every [`RankedIndex`]
-//! implementation — the paper's structure (the serving default, paper mode
-//! with both small-k engines, plus the sharded wrapper at one and four
-//! shards in both modes) and both baselines — must agree
-//! with the in-memory oracle on every query, for arbitrary point sets and query parameters.
+//! implementation — the serving index (bare, sharded at one and four shards,
+//! and behind the `TopK` facade), Theorem 1's `TheoremOne` with both
+//! small-k engines, and both baselines — must agree with the in-memory
+//! oracle on every query, for arbitrary point sets and query parameters.
 //! (Formerly proptest-based; now seeded random cases with the same shape,
 //! reproducible by construction.) Seeds come from `topk_testkit::Seed`:
 //! set `TOPK_SEED=<n>` to pin every case to one base seed, and every
@@ -12,8 +12,8 @@ use emsim::{Device, EmConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use topk::{
-    Oracle, Point, QueryRequest, RankedIndex, ShardedTopK, SmallKEngine, TopK, TopKConfig,
-    TopKError, TopKIndex,
+    Oracle, Point, QueryRequest, RankedIndex, ShardedTopK, SmallKEngine, TheoremOne, TopK,
+    TopKConfig, TopKError, TopKIndex,
 };
 use topk_testkit::Seed;
 
@@ -29,23 +29,10 @@ fn distinct_points(raw: Vec<(u64, u64)>) -> Vec<Point> {
 
 /// Every engine in the workspace, as trait objects on one shared device.
 fn engines(device: &Device) -> Vec<(&'static str, Box<dyn RankedIndex>)> {
-    let polylog = TopKIndex::builder()
-        .device(device)
-        .small_k(SmallKEngine::Polylog)
-        .crossover_l(64)
-        .expected_n(1 << 10)
-        .build()
-        .unwrap();
-    let st12 = TopKIndex::builder()
-        .device(device)
-        .small_k(SmallKEngine::St12)
-        .crossover_l(64)
-        .expected_n(1 << 10)
-        .build()
-        .unwrap();
+    let theorem_one = |engine| TheoremOne::new(device, TopKConfig::for_tests(), engine);
     vec![
-        ("topk-polylog", Box::new(polylog)),
-        ("topk-st12", Box::new(st12)),
+        ("topk-polylog", Box::new(theorem_one(SmallKEngine::Polylog))),
+        ("topk-st12", Box::new(theorem_one(SmallKEngine::St12))),
         (
             "sharded-1",
             Box::new(ShardedTopK::new(device, TopKConfig::for_tests(), 1)),
@@ -53,17 +40,6 @@ fn engines(device: &Device) -> Vec<(&'static str, Box<dyn RankedIndex>)> {
         (
             "sharded",
             Box::new(ShardedTopK::new(device, TopKConfig::for_tests(), 4)),
-        ),
-        (
-            "sharded-paper",
-            Box::new(ShardedTopK::new(
-                device,
-                TopKConfig {
-                    small_k_engine: SmallKEngine::Polylog,
-                    ..TopKConfig::for_tests()
-                },
-                4,
-            )),
         ),
         (
             "naive",

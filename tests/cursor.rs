@@ -17,8 +17,8 @@ use emsim::{Device, EmConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use topk::{
-    Consistency, Point, QueryRequest, RankedIndex, ResumeToken, ShardedTopK, SmallKEngine, TopK,
-    TopKError, TopKIndex,
+    Consistency, Point, QueryRequest, RankedIndex, ResumeToken, ShardedTopK, TopK, TopKError,
+    TopKIndex,
 };
 use topk_testkit::Seed;
 use workload::{PointDistribution, PointGen};
@@ -30,9 +30,8 @@ fn device() -> Device {
 }
 
 /// Every topology the facade serves, on its own device: Single, the
-/// `build_auto` default for this size (one shard), Sharded at 1, 4 and 16
-/// shards, and a paper-mode Sharded at 4, whose cursors drain the 3-sided
-/// reporter for `k < l`.
+/// `build_auto` default for this size (one shard), and Sharded at 1, 4 and
+/// 16 shards.
 fn topologies() -> Vec<(String, Device, TopK)> {
     let mut out = Vec::new();
     let dev = device();
@@ -59,15 +58,6 @@ fn topologies() -> Vec<(String, Device, TopK)> {
             .unwrap();
         out.push((format!("sharded-{shards}"), dev, TopK::sharded(index)));
     }
-    let dev = device();
-    let index = ShardedTopK::builder()
-        .device(&dev)
-        .expected_n(N)
-        .small_k(SmallKEngine::Polylog)
-        .shards(4)
-        .build_sharded()
-        .unwrap();
-    out.push(("sharded-4-paper".to_string(), dev, TopK::sharded(index)));
     out
 }
 

@@ -4,7 +4,7 @@
 use emsim::{Device, EmConfig};
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, Rng, SeedableRng};
-use topk_core::{Oracle, Point, SmallKEngine, TopKConfig, TopKIndex};
+use topk_core::{Oracle, Point, RankedIndex, SmallKEngine, TheoremOne, TopKConfig, TopKIndex};
 
 fn random_points(seed: u64, n: usize) -> Vec<Point> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -18,7 +18,13 @@ fn random_points(seed: u64, n: usize) -> Vec<Point> {
         .collect()
 }
 
-fn check_many_queries(index: &TopKIndex, oracle: &Oracle, seed: u64, rounds: usize, x_max: u64) {
+fn check_many_queries(
+    index: &dyn RankedIndex,
+    oracle: &Oracle,
+    seed: u64,
+    rounds: usize,
+    x_max: u64,
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..rounds {
         let a = rng.gen_range(0..x_max);
@@ -83,11 +89,7 @@ fn long_mixed_workload_small_blocks() {
 #[test]
 fn st12_engine_end_to_end() {
     let device = Device::new(EmConfig::new(256, 256 * 256));
-    let cfg = TopKConfig {
-        small_k_engine: SmallKEngine::St12,
-        ..TopKConfig::for_tests()
-    };
-    let index = TopKIndex::new(&device, cfg);
+    let index = TheoremOne::new(&device, TopKConfig::for_tests(), SmallKEngine::St12);
     let pts = random_points(11, 8_000);
     for &p in &pts {
         index.insert(p).unwrap();

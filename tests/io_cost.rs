@@ -1,27 +1,19 @@
 //! Regression guard on the paper's query bound: a cold-cache `query(x1, x2,
 //! k)` must stay within a generous constant of `log_B n + k/B` physical
-//! reads. The constant absorbs the implementation's real overheads (three
-//! component structures, boundary leaves, the select-retry loop); what it must
-//! *not* absorb is a regression to range-scan behaviour, which at these
-//! parameters costs thousands of reads.
+//! reads. The constant absorbs the implementation's real overheads
+//! (boundary leaves, the pilot drain's hanging subtrees, and on
+//! `TheoremOne` its three component structures and the select-retry loop);
+//! what it must *not* absorb is a regression to range-scan behaviour, which
+//! at these parameters costs thousands of reads.
 //!
-//! Every test runs on both builds: the serving default, whose pilot drain
-//! serves every `k`, and paper mode (Theorem 1's full build). Both are held
-//! to the same bound rule.
+//! The bare bound runs on both builds: the serving index, whose pilot drain
+//! serves every `k`, and `TheoremOne` (Theorem 1's full build). Both are
+//! held to the same bound rule. The sharded tests run the serving index.
 
 use emsim::{Device, EmConfig};
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, Rng, SeedableRng};
-use topk_core::{Point, ShardedTopK, SmallKEngine, TopKConfig, TopKIndex};
-
-/// The serving default and paper mode.
-fn configs() -> [(&'static str, TopKConfig); 2] {
-    let paper = TopKConfig {
-        small_k_engine: SmallKEngine::Auto,
-        ..TopKConfig::default()
-    };
-    [("default", TopKConfig::default()), ("paper", paper)]
-}
+use topk_core::{Point, RankedIndex, ShardedTopK, SmallKEngine, TheoremOne, TopKConfig, TopKIndex};
 
 fn random_points(seed: u64, n: usize) -> Vec<Point> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -37,20 +29,21 @@ fn random_points(seed: u64, n: usize) -> Vec<Point> {
 
 #[test]
 fn cold_query_reads_stay_within_log_plus_output_bound() {
-    for (mode, config) in configs() {
-        cold_query_reads_stay_within_bound(mode, config);
-    }
-}
-
-fn cold_query_reads_stay_within_bound(mode: &str, config: TopKConfig) {
-    let n = 40_000usize;
     // 64-frame pool, exact LRU: cold reads dominate and the replacement
     // policy is the deterministic one the bound constants were tuned against
     // (the default sharded CLOCK approximates it; see tests/pool_shards.rs
     // for the cross-policy miss-rate bound).
     let em = EmConfig::new(512, 512 * 64).exact_lru();
     let device = Device::new(em);
-    let index = TopKIndex::new(&device, config);
+    let serving = TopKIndex::new(&device, TopKConfig::default());
+    cold_query_reads_stay_within_bound("default", &device, &serving);
+    let device = Device::new(em);
+    let paper = TheoremOne::new(&device, TopKConfig::default(), SmallKEngine::Auto);
+    cold_query_reads_stay_within_bound("paper", &device, &paper);
+}
+
+fn cold_query_reads_stay_within_bound(mode: &str, device: &Device, index: &dyn RankedIndex) {
+    let n = 40_000usize;
     let pts = random_points(3, n);
     index.bulk_build(&pts).unwrap();
     let domain = 3 * n as u64;
@@ -63,8 +56,8 @@ fn cold_query_reads_stay_within_bound(mode: &str, config: TopKConfig) {
     // words holds B/2 points. Measured worst cases sit at roughly half of
     // each bound, so a regression to scan behaviour (thousands of reads even
     // at k = 1) trips the assert while normal constant-factor noise does not.
-    let points_per_block = (em.block_words / Point::WORDS) as f64;
-    let log_b_n = emsim::log_b(em.block_words, n);
+    let points_per_block = (device.block_words() / Point::WORDS) as f64;
+    let log_b_n = emsim::log_b(device.block_words(), n);
     let lg_n = emsim::lg(n) as f64;
     let crossover = TopKConfig::default().l;
     const C_SMALL: f64 = 60.0;
@@ -124,14 +117,12 @@ fn sharded_fan_out_reads_stay_within_per_shard_bound() {
     // range must stay at the one-to-two-shard cost no matter how many
     // shards exist. One shard is the shape small and durable indexes serve
     // from, so it is held to the same bound.
-    for (mode, config) in configs() {
-        for shards in [1usize, 8] {
-            fan_out_reads_stay_within_per_shard_bound(mode, config, shards);
-        }
+    for shards in [1usize, 8] {
+        fan_out_reads_stay_within_per_shard_bound(shards);
     }
 }
 
-fn fan_out_reads_stay_within_per_shard_bound(mode: &str, config: TopKConfig, shards: usize) {
+fn fan_out_reads_stay_within_per_shard_bound(shards: usize) {
     let n = 40_000usize;
     // 64-frame pool, exact LRU: cold reads dominate and the replacement
     // policy is the deterministic one the bound constants were tuned against
@@ -141,7 +132,6 @@ fn fan_out_reads_stay_within_per_shard_bound(mode: &str, config: TopKConfig, sha
     let device = Device::new(em);
     let index = ShardedTopK::builder()
         .device(&device)
-        .small_k(config.small_k_engine)
         .shards(shards)
         .expected_n(n)
         .build_sharded()
@@ -180,7 +170,7 @@ fn fan_out_reads_stay_within_per_shard_bound(mode: &str, config: TopKConfig, sha
                 assert!(res.len() <= k);
                 assert!(
                     cost.reads <= bound,
-                    "{mode}: {shards}-shard query([{a},{b}], k={k}) over {overlap} shard(s) took {} \
+                    "{shards}-shard query([{a},{b}], k={k}) over {overlap} shard(s) took {} \
                      cold reads, bound {bound} (= {overlap} × {per_shard_bound}; \
                      log_B(n/S) = {log_b_shard_n:.2}, k/B = {:.2})",
                     cost.reads,
@@ -198,12 +188,7 @@ fn one_shard_queries_run_the_unsharded_one_shot_plan() {
     // as a bare index on its own device, every cold query must return the
     // same answer for exactly the same physical reads (exact LRU makes the
     // counts deterministic).
-    for (mode, config) in configs() {
-        one_shard_query_matches_bare(mode, config);
-    }
-}
-
-fn one_shard_query_matches_bare(mode: &str, config: TopKConfig) {
+    let config = TopKConfig::default();
     let n = 40_000usize;
     let em = EmConfig::new(512, 512 * 64).exact_lru();
     let mut pts = random_points(3, n);
@@ -224,10 +209,10 @@ fn one_shard_query_matches_bare(mode: &str, config: TopKConfig) {
             let (want, bare_cost) = bare_device.measure(|| bare.query(a, b, k).unwrap());
             sharded_device.drop_cache();
             let (got, sharded_cost) = sharded_device.measure(|| sharded.query(a, b, k).unwrap());
-            assert_eq!(got, want, "{mode}: query([{a},{b}], k={k})");
+            assert_eq!(got, want, "query([{a},{b}], k={k})");
             assert_eq!(
                 sharded_cost.reads, bare_cost.reads,
-                "{mode}: one-shard query([{a},{b}], k={k}) read a different page set than \
+                "one-shard query([{a},{b}], k={k}) read a different page set than \
                  the bare index"
             );
         }
