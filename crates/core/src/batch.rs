@@ -246,10 +246,10 @@ impl SubBatch<'_> {
     /// with the shard's journal commit. A sub-batch that rewrites a sizable
     /// fraction of its shard (resolved ops ≥ n/16) commits as one rebuild —
     /// the paper's own batched-maintenance tool, `O((n/B)·log_B n)` I/Os
-    /// instead of `O(log_B n)` descents across every component per op, and
-    /// from a `Scan` view without re-scanning the shard. Smaller ones apply
-    /// point-wise with one deferred rebuild check. A resolved delete that
-    /// misses means the components disagree: [`TopKError::Inconsistent`].
+    /// instead of one `O(log_B n)` descent per op, and from a `Scan` view
+    /// without re-scanning the shard. Smaller ones apply point-wise with one
+    /// deferred rebuild check. A resolved delete that misses means the
+    /// validation view and the pilot disagree: [`TopKError::Inconsistent`].
     pub(crate) fn commit(self) -> Result<()> {
         let SubBatch { index, view, ops } = self;
         if ops.is_empty() {
@@ -278,7 +278,7 @@ impl SubBatch<'_> {
                 match *op {
                     UpdateOp::Insert(p) => index.insert_validated(p),
                     UpdateOp::Delete(p) => {
-                        if !index.delete_validated(p)? {
+                        if !index.delete_validated(p) {
                             return Err(TopKError::Inconsistent {
                                 point: p,
                                 component: "batch-commit",

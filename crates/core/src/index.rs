@@ -1,12 +1,14 @@
-//! The serving index: the §2 pilot drain answers every `k`, and the 3-sided
-//! structure is the coordinate index.
+//! The serving index: one structure, the §2 pilot PST. Its drain answers
+//! every `k`, and its weight-balanced base tree over the coordinates is the
+//! coordinate index (the insert probe and counts); `get` walks its script
+//! path.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use emsim::Device;
-use epst::{PilotPst, Point, ThreeSidedPst};
+use epst::{PilotPst, Point};
 
 use crate::batch::{self, BatchSummary, SubBatch, UpdateBatch};
 use crate::builder::IndexBuilder;
@@ -30,11 +32,10 @@ pub(crate) type ScoreRegistry = Arc<Mutex<HashSet<u64>>>;
 pub struct TopKIndex {
     device: Device,
     config: TopKConfig,
-    /// §2 structure: its drain serves every `k`.
+    /// §2 structure, the only one every write maintains: its drain serves
+    /// every `k`, its base tree answers the insert probe and counts, its
+    /// script path answers `get`, and its delete is the membership test.
     pilot: PilotPst,
-    /// 3-sided reporting structure: the coordinate index behind `get`,
-    /// counts and delete's membership test.
-    reporter: ThreeSidedPst,
     /// Live size at the last global rebuild, for the rebuild policy.
     size_at_rebuild: AtomicU64,
     len: AtomicU64,
@@ -43,9 +44,10 @@ pub struct TopKIndex {
     /// cursors compare it across fetch rounds to detect interleaved writes.
     version: AtomicU64,
     /// The registry this index validates scores against; coordinates are
-    /// validated structurally through the reporter. Only validation writes
-    /// it: inserts reserve, deletes release, a validated batch applies its
-    /// delta, a bulk build replaces it. Rebuilds leave it alone.
+    /// validated structurally through the pilot's base tree. Only
+    /// validation writes it: inserts reserve, deletes release, a validated
+    /// batch applies its delta, a bulk build replaces it. Rebuilds leave it
+    /// alone.
     pub(crate) scores: ScoreRegistry,
     /// The operation journal when the index lives on a durable device
     /// ([`TopKIndex::open_durable`]); `None` on plain simulated devices.
@@ -78,7 +80,6 @@ impl TopKIndex {
             device: device.clone(),
             config,
             pilot: PilotPst::new(device, "topk.pilot"),
-            reporter: ThreeSidedPst::new(device, "topk.reporter"),
             size_at_rebuild: AtomicU64::new(0),
             len: AtomicU64::new(0),
             version: AtomicU64::new(0),
@@ -182,22 +183,24 @@ impl TopKIndex {
         self.len() == 0
     }
 
-    /// Space occupied by both components, in blocks.
+    /// Space occupied by the pilot structure, in blocks.
     pub fn space_blocks(&self) -> u64 {
-        (self.pilot.space_blocks() + self.reporter.space_blocks()) as u64
+        self.pilot.space_blocks() as u64
     }
 
-    /// The point stored at coordinate `x`, if any (`O(log_B n)` I/Os).
+    /// The point stored at coordinate `x`, if any: a walk down the pilot's
+    /// script path, `O(lg n)` I/Os. At `n = 2^18` with 512-word blocks it
+    /// read 11.7 blocks on average (14 at most) from a cold pool
+    /// (DESIGN.md §3.6).
     pub fn get(&self, x: u64) -> Option<Point> {
-        self.reporter.query(x, x, 0).into_iter().next()
+        self.pilot.get(x)
     }
 
     // ----- updates -----
 
     /// Insert a point. `O(log_B n)` amortized I/Os: the duplicate-coordinate
-    /// check adds one extra reporter probe (`O(log_B n)` itself, so the
-    /// bound is unchanged, though the constant is higher than the seed's
-    /// unvalidated insert — `UpdateBatch` amortizes it away for bulk work).
+    /// check is one descent of the pilot's base tree, the path the insert
+    /// itself descends next.
     ///
     /// # Errors
     ///
@@ -217,11 +220,9 @@ impl TopKIndex {
     ///
     /// # Errors
     ///
-    /// [`TopKError::Inconsistent`] if the component structures disagree about
-    /// membership — the release-mode promotion of the seed's
-    /// `debug_assert!`s. The index must be considered corrupted afterwards.
+    /// [`TopKError::Storage`] if a durable index's journal commit fails.
     pub fn delete(&self, p: Point) -> Result<bool> {
-        let deleted = self.delete_validated(p)?;
+        let deleted = self.delete_validated(p);
         if deleted {
             self.scores.lock().unwrap().remove(&p.score);
             self.maybe_rebuild();
@@ -262,12 +263,19 @@ impl TopKIndex {
     // ----- internal update plumbing (shared with batches and `TheoremOne`) -----
 
     /// A point insert's validation: the duplicate-coordinate probe, then
-    /// the score reservation. On `Err` nothing was reserved.
+    /// the score reservation. On `Err` nothing was reserved. Only a
+    /// duplicate pays for looking up the point it collides with.
     pub(crate) fn reserve(&self, p: Point) -> Result<()> {
-        if let Some(existing) = self.get(p.x) {
-            return Err(TopKError::DuplicateX {
-                existing,
-                rejected: p,
+        if self.pilot.contains(p.x) {
+            return Err(match self.pilot.get(p.x) {
+                Some(existing) => TopKError::DuplicateX {
+                    existing,
+                    rejected: p,
+                },
+                None => TopKError::Inconsistent {
+                    point: p,
+                    component: "pilot",
+                },
             });
         }
         // Reserved only after the coordinate probe, so a point that repeats
@@ -281,12 +289,10 @@ impl TopKIndex {
         Ok(())
     }
 
-    /// Insert into every component without validating or checking the
-    /// rebuild policy. The caller has already validated distinctness and
-    /// reserved the score.
+    /// Insert without validating or checking the rebuild policy. The caller
+    /// has already validated distinctness and reserved the score.
     pub(crate) fn insert_validated(&self, p: Point) {
         self.pilot.insert(p);
-        self.reporter.insert(p);
         self.len.fetch_add(1, Ordering::Relaxed);
         let stamp = self.version.fetch_add(1, Ordering::Release) + 1;
         if let Some(d) = &self.durable {
@@ -294,34 +300,28 @@ impl TopKIndex {
         }
     }
 
-    /// Delete from every component without checking the rebuild policy or
-    /// releasing the score (the caller's validation owns the registry).
-    pub(crate) fn delete_validated(&self, p: Point) -> Result<bool> {
-        if !self.reporter.delete(p) {
-            return Ok(false);
-        }
+    /// Delete without checking the rebuild policy or releasing the score
+    /// (the caller's validation owns the registry); `false` if `p` was not
+    /// stored.
+    pub(crate) fn delete_validated(&self, p: Point) -> bool {
         if !self.pilot.delete(p) {
-            return Err(TopKError::Inconsistent {
-                point: p,
-                component: "pilot",
-            });
+            return false;
         }
         self.len.fetch_sub(1, Ordering::Relaxed);
         let stamp = self.version.fetch_add(1, Ordering::Release) + 1;
         if let Some(d) = &self.durable {
             d.append(OP_DELETE, p, stamp);
         }
-        Ok(true)
+        true
     }
 
-    /// Rebuild every component from `points` without re-validating
+    /// Rebuild the pilot structure from `points` without re-validating
     /// distinctness (used by the global-rebuild path, whose points come out
     /// of the structure itself, and by `bulk_build` after validation). The
     /// score registry is left alone: a rebuild never changes the score set,
     /// and bulk builds and recovery set the registry themselves.
     pub(crate) fn rebuild_unvalidated(&self, points: &[Point]) {
         self.pilot.rebuild_all(points);
-        self.reporter.rebuild_from_points(points);
         self.len.store(points.len() as u64, Ordering::Relaxed);
         self.size_at_rebuild
             .store(points.len() as u64, Ordering::Relaxed);
@@ -334,16 +334,16 @@ impl TopKIndex {
     }
 
     /// The paper's global rebuilding: once the live size has doubled or halved
-    /// relative to the last rebuild, rebuild every component. Amortized over
-    /// the `Ω(n)` updates in between this costs `O(log_B n)` per update.
+    /// relative to the last rebuild, rebuild the pilot structure. Amortized
+    /// over the `Ω(n)` updates in between this costs `O(log_B n)` per update.
     /// Returns the points a rebuild ran on, so [`TheoremOne`](crate::TheoremOne)
-    /// can rebuild its k-selector from the same set.
+    /// can rebuild its reporter and k-selector from the same set.
     pub(crate) fn maybe_rebuild(&self) -> Option<Vec<Point>> {
         let n0 = self.size_at_rebuild.load(Ordering::Relaxed).max(64);
         let n = self.len();
         let factor = self.config.rebuild_factor.max(2);
         if n > factor * n0 || (n0 >= 128 && n < n0 / factor) {
-            let pts = self.reporter.all_points();
+            let pts = self.pilot.all_points();
             self.rebuild_unvalidated(&pts);
             return Some(pts);
         }
@@ -356,7 +356,7 @@ impl TopKIndex {
     pub(crate) fn maybe_compact_journal(&self) {
         if let Some(d) = &self.durable {
             if d.needs_compact(self.len()) {
-                let pts = self.reporter.all_points();
+                let pts = self.pilot.all_points();
                 d.compact(&pts, self.version());
             }
         }
@@ -453,7 +453,8 @@ impl TopKIndex {
         out
     }
 
-    /// Number of points with `x ∈ [x1, x2]` (`O(log_B n)` I/Os).
+    /// Number of points with `x ∈ [x1, x2]` (`O(log_B n)` I/Os, from the
+    /// weights of the pilot's base tree).
     ///
     /// # Errors
     ///
@@ -463,33 +464,29 @@ impl TopKIndex {
         if x1 > x2 {
             return Err(TopKError::InvertedRange { x1, x2 });
         }
-        Ok(self.reporter.count_in_range(x1, x2))
+        Ok(self.pilot.count_in_range(x1, x2))
     }
 
     /// The unvalidated count, for internal callers that have already
     /// validated (or canonicalized) the range.
     pub(crate) fn count_unvalidated(&self, x1: u64, x2: u64) -> u64 {
-        self.reporter.count_in_range(x1, x2)
+        self.pilot.count_in_range(x1, x2)
     }
 
     /// All stored points (an `O(n/B)` scan; used by rebuilds and tests).
     pub fn all_points(&self) -> Vec<Point> {
-        self.reporter.all_points()
+        self.pilot.all_points()
     }
 
-    // ----- component access for the streaming paths and `TheoremOne` -----
-
-    pub(crate) fn reporter(&self) -> &ThreeSidedPst {
-        &self.reporter
-    }
+    // ----- structure access for the streaming paths and `TheoremOne` -----
 
     pub(crate) fn pilot(&self) -> &PilotPst {
         &self.pilot
     }
 
-    /// Run the internal consistency checks of every component, and check
-    /// that the score registry holds exactly the stored points' scores
-    /// (test support).
+    /// Run the pilot structure's consistency checks, and check that the
+    /// score registry holds exactly the stored points' scores (test
+    /// support).
     pub fn check_invariants(&self) {
         self.check_components();
         let stored: HashSet<u64> = self.all_points().iter().map(|p| p.score).collect();
@@ -505,13 +502,11 @@ impl TopKIndex {
         );
     }
 
-    /// The component checks alone: a shard's registry is its handle's, so
+    /// The structure checks alone: a shard's registry is its handle's, so
     /// [`ShardedTopK`](crate::ShardedTopK) checks it against every shard.
     pub(crate) fn check_components(&self) {
         self.pilot.check_invariants();
-        self.reporter.check_invariants();
         assert_eq!(self.pilot.len(), self.len());
-        assert_eq!(self.reporter.len(), self.len());
     }
 }
 
@@ -683,27 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn component_disagreement_is_a_real_error_in_release_builds() {
-        let dev = device();
-        let index = TopKIndex::new(&dev, TopKConfig::for_tests());
-        for i in 1..=50u64 {
-            index.insert(Point::new(i, i * 3)).unwrap();
-        }
-        // Corrupt the index: remove a point from the pilot structure behind
-        // the combined index's back.
-        let victim = Point::new(7, 21);
-        assert!(index.pilot.delete(victim));
-        let err = index.delete(victim).unwrap_err();
-        assert_eq!(
-            err,
-            TopKError::Inconsistent {
-                point: victim,
-                component: "pilot",
-            }
-        );
-    }
-
-    #[test]
     fn serving_default_builds_and_maintains_no_k_selector() {
         let pts: Vec<Point> = (1..=3_000u64).map(|i| Point::new(i * 5, i * 7)).collect();
         let dev = device();
@@ -721,16 +695,21 @@ mod tests {
             )
             .unwrap();
         index.check_invariants();
-        let kselect_pages: u64 = dev
-            .space_breakdown()
-            .into_iter()
-            .filter(|(name, _)| name.starts_with("topk.polylog") || name.starts_with("topk.st12"))
-            .map(|(_, pages)| pages)
-            .sum();
-        let pilot_and_reporter =
-            (index.pilot.space_blocks() + index.reporter.space_blocks()) as u64;
+        let pages_of = |prefix: &str| -> u64 {
+            dev.space_breakdown()
+                .into_iter()
+                .filter(|(name, _)| name.starts_with(prefix))
+                .map(|(_, pages)| pages)
+                .sum()
+        };
+        let kselect_pages = pages_of("topk.polylog") + pages_of("topk.st12");
         assert_eq!(kselect_pages, 0, "the serving default built a k-selector");
-        assert_eq!(index.space_blocks(), pilot_and_reporter);
+        assert_eq!(
+            pages_of("topk.reporter"),
+            0,
+            "the serving default built a reporter"
+        );
+        assert_eq!(index.space_blocks(), pages_of("topk.pilot"));
         assert_eq!(crate::RankedIndex::engine_name(&index), "pilot");
     }
 

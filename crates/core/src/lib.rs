@@ -36,24 +36,24 @@
 //!   [`Consistency`] picks the exact contract when writes interleave
 //!   between rounds (DESIGN.md §6).
 //!
-//! Internally the index is built from two of the paper's components:
-//!
-//! 1. the pilot-set priority search tree of §2 ([`epst::PilotPst`]), whose
-//!    drain answers every `k`, and
-//! 2. a 3-sided reporting structure ([`epst::ThreeSidedPst`]), the coordinate
-//!    index behind duplicate checks, [`TopKIndex::get`], counts and deletes.
+//! Internally the index is one of the paper's components, the pilot-set
+//! priority search tree of §2 ([`epst::PilotPst`]): its drain answers every
+//! `k`, and its weight-balanced base tree over the coordinates serves the
+//! duplicate-coordinate check and counts; [`TopKIndex::get`] walks its
+//! script path. Every write maintains that one structure.
 //!
 //! [`TheoremOne`] is Theorem 1's full build, a bare index for the
-//! experiments and the differential tests. It adds the third component: an
-//! approximate range k-selection structure — either the paper's new §3.3
+//! experiments and the differential tests. It adds the §3.3 reduction's two
+//! components: a 3-sided reporting structure ([`epst::ThreeSidedPst`]) and
+//! an approximate range k-selection structure — either the paper's new §3.3
 //! structure ([`kselect::PolylogKSelect`]) or, when `lg n ≤ B^(1/6)`, the
 //! Sheng–Tao-style structure ([`kselect::St12KSelect`]), chosen by
-//! [`SmallKEngine`] — serves `k < l` through the standard reduction over the
-//! 3-sided structure (find an approximate rank-`k` score threshold, report
-//! everything above it, keep the exact top `k`), and the pilot structure
+//! [`SmallKEngine`]. They serve `k < l` through the standard reduction (find
+//! an approximate rank-`k` score threshold, report everything above it from
+//! the 3-sided structure, keep the exact top `k`), and the pilot structure
 //! serves `k ≥ l`. It reproduces the paper's bound; the serving index
 //! measures faster at every size tried and spares every update the
-//! k-selector's maintenance (DESIGN.md §3.6). Both return the same answers.
+//! maintenance of both (DESIGN.md §3.6). Both return the same answers.
 //!
 //! [`TopKIndex`] is `Send + Sync`; concurrent traffic is served by
 //! [`ShardedTopK`] (range shards behind striped reader–writer locks: parallel

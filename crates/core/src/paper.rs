@@ -1,18 +1,19 @@
 //! Theorem 1 as a bare index, for the experiments and the differential
 //! suites.
 //!
-//! [`TheoremOne`] pairs a serving [`TopKIndex`] — the §2 pilot structure
-//! and the 3-sided reporter — with an approximate range k-selection
-//! structure, and runs Theorem 1's dispatch: `k ≥ l` from the pilot drain
-//! (`O(lg n + k/B)` I/Os), and `k < l` through the §3.3 reduction over the
-//! reporter (`O(log_B n + k/B)`). Every update maintains all three
-//! structures. It measures slower than the serving index at every size tried
-//! (DESIGN.md §3.6) and exists to reproduce the paper; no serving path
+//! [`TheoremOne`] pairs a serving [`TopKIndex`] — the §2 pilot structure —
+//! with the two structures of the §3.3 reduction, a 3-sided reporter and an
+//! approximate range k-selection structure, and runs Theorem 1's dispatch:
+//! `k ≥ l` from the pilot drain (`O(lg n + k/B)` I/Os), and `k < l` through
+//! the reduction over the reporter (`O(log_B n + k/B)`). Every update
+//! maintains all three structures. It measures slower than the serving index
+//! at every size tried (DESIGN.md §3.6) and exists to reproduce the paper;
+//! it is the only index that builds the reporter, and no serving path
 //! builds it, so it has no stream, cursor, batch commit, sharding or
 //! durability.
 
 use emsim::Device;
-use epst::{top_k_by_score, Point};
+use epst::{top_k_by_score, Point, ThreeSidedPst};
 use kselect::{PolylogConfig, PolylogKSelect, RangeKSelect, St12Config, St12KSelect};
 
 use crate::config::{SmallKEngine, TopKConfig};
@@ -42,19 +43,21 @@ pub struct TheoremOne {
     /// The `Send + Sync` bounds are what make the index shareable across
     /// threads.
     selector: Box<dyn RangeKSelect + Send + Sync>,
-    /// The pilot structure (`k ≥ l`) and the reporter, with the serving
-    /// index's validation, score registry and rebuild policy.
+    /// The pilot structure (`k ≥ l`), with the serving index's validation,
+    /// score registry and rebuild policy.
     index: TopKIndex,
+    /// The 3-sided reporting structure the reduction reports from.
+    reporter: ThreeSidedPst,
 }
 
 impl TheoremOne {
     /// Create an empty index on `device`. `config.l` is the crossover, and
     /// [`SmallKEngine::Auto`] resolves against `config.expected_n`.
     pub fn new(device: &Device, config: TopKConfig, engine: SmallKEngine) -> Self {
-        // Built before the pilot and the reporter: the device numbers files
-        // in creation order, the pool's page placement follows those
-        // numbers, and the experiment tables in crates/bench/expected/ were
-        // recorded with the k-selector's files first.
+        // Files are created in the order k-selector, pilot, reporter: the
+        // device numbers files in creation order, the pool's page placement
+        // follows those numbers, and the experiment tables in
+        // crates/bench/expected/ were recorded in that order.
         let selector: Box<dyn RangeKSelect + Send + Sync> =
             match engine.resolve(device.block_words(), config.expected_n) {
                 SmallKEngine::Polylog | SmallKEngine::Auto => Box::new(PolylogKSelect::new(
@@ -68,9 +71,12 @@ impl TheoremOne {
                     St12Config::for_device(device),
                 )),
             };
+        let index = TopKIndex::new(device, config);
+        let reporter = ThreeSidedPst::new(device, "topk.reporter");
         Self {
             selector,
-            index: TopKIndex::new(device, config),
+            index,
+            reporter,
         }
     }
 
@@ -91,7 +97,9 @@ impl TheoremOne {
 
     /// Space occupied by all three structures, in blocks.
     pub fn space_blocks(&self) -> u64 {
-        self.index.space_blocks() + self.selector.space_blocks() as u64
+        self.index.space_blocks()
+            + self.reporter.space_blocks() as u64
+            + self.selector.space_blocks() as u64
     }
 
     /// Insert a point into all three structures. `O(log_B n)` amortized
@@ -103,6 +111,7 @@ impl TheoremOne {
     pub fn insert(&self, p: Point) -> Result<()> {
         self.index.reserve(p)?;
         self.index.insert_validated(p);
+        self.reporter.insert(p);
         self.selector.insert(p);
         self.maybe_rebuild();
         Ok(())
@@ -116,8 +125,14 @@ impl TheoremOne {
     /// [`TopKError::Inconsistent`] if the structures disagree about
     /// membership; the index must be considered corrupted afterwards.
     pub fn delete(&self, p: Point) -> Result<bool> {
-        if !self.index.delete_validated(p)? {
+        if !self.reporter.delete(p) {
             return Ok(false);
+        }
+        if !self.index.delete_validated(p) {
+            return Err(TopKError::Inconsistent {
+                point: p,
+                component: "pilot",
+            });
         }
         if !self.selector.delete(p) {
             return Err(TopKError::Inconsistent {
@@ -142,14 +157,16 @@ impl TheoremOne {
     /// As [`TopKIndex::bulk_build`]; the index is unchanged in that case.
     pub fn bulk_build(&self, points: &[Point]) -> Result<()> {
         self.index.bulk_build(points)?;
+        self.reporter.rebuild_from_points(points);
         self.selector.rebuild(points);
         Ok(())
     }
 
-    /// The serving index's global rebuild, followed by the k-selector's
-    /// over the same points.
+    /// The serving index's global rebuild, followed by the reporter's and
+    /// the k-selector's over the same points.
     fn maybe_rebuild(&self) {
         if let Some(points) = self.index.maybe_rebuild() {
+            self.reporter.rebuild_from_points(&points);
             self.selector.rebuild(&points);
         }
     }
@@ -166,15 +183,14 @@ impl TheoremOne {
         if k >= self.index.config().l {
             return Ok(self.index.query_unvalidated(x1, x2, k));
         }
-        let reporter = self.index.reporter();
-        let total = reporter.count_in_range(x1, x2);
+        let total = self.reporter.count_in_range(x1, x2);
         if total == 0 {
             return Ok(Vec::new());
         }
         let want = (k as u64).min(total) as usize;
         if total <= k as u64 {
             // Small output: report the whole range.
-            let pts = reporter.query(x1, x2, 0);
+            let pts = self.reporter.query(x1, x2, 0);
             return Ok(top_k_by_score(pts, k));
         }
         // The reduction of §3.3: get an approximate rank-k threshold, report
@@ -186,13 +202,13 @@ impl TheoremOne {
         for _ in 0..8 {
             let tau = self.selector.select(x1, x2, target);
             let tau = tau.unwrap_or_default();
-            let pts = reporter.query(x1, x2, tau);
+            let pts = self.reporter.query(x1, x2, tau);
             if pts.len() >= want || tau == 0 {
                 return Ok(top_k_by_score(pts, k));
             }
             target = target.saturating_mul(2);
         }
-        let pts = reporter.query(x1, x2, 0);
+        let pts = self.reporter.query(x1, x2, 0);
         Ok(top_k_by_score(pts, k))
     }
 
@@ -205,10 +221,13 @@ impl TheoremOne {
         self.index.count_in_range(x1, x2)
     }
 
-    /// Run the serving index's checks, and check that the k-selector holds
-    /// the same number of points (test support).
+    /// Run the serving index's and the reporter's checks, and check that
+    /// the reporter and the k-selector hold the same number of points (test
+    /// support).
     pub fn check_invariants(&self) {
         self.index.check_invariants();
+        self.reporter.check_invariants();
+        assert_eq!(self.reporter.len(), self.index.len());
         assert_eq!(self.selector.len(), self.index.len());
     }
 }
@@ -285,6 +304,28 @@ mod tests {
             SmallKEngine::Auto,
         );
         assert!(polylog.engine_name().contains("polylog"));
+    }
+
+    #[test]
+    fn component_disagreement_is_a_real_error_in_release_builds() {
+        for engine in ENGINES {
+            let index = TheoremOne::new(&device(), TopKConfig::for_tests(), engine);
+            for i in 1..=50u64 {
+                index.insert(Point::new(i, i * 3)).unwrap();
+            }
+            // Corrupt the index: remove a point from the pilot structure
+            // behind the combined index's back. The reporter still holds it.
+            let victim = Point::new(7, 21);
+            assert!(index.index.pilot().delete(victim));
+            assert_eq!(
+                index.delete(victim).unwrap_err(),
+                TopKError::Inconsistent {
+                    point: victim,
+                    component: "pilot",
+                },
+                "{engine:?}"
+            );
+        }
     }
 
     #[test]
@@ -370,7 +411,10 @@ mod tests {
             .map(|(_, pages)| pages)
             .sum();
         assert!(kselect_pages > 0, "Theorem 1 builds the k-selector");
-        assert!(index.space_blocks() > index.index.space_blocks());
+        assert!(
+            index.space_blocks()
+                > index.index.space_blocks() + index.reporter.space_blocks() as u64
+        );
         assert!(index.engine_name().contains("polylog"));
     }
 }

@@ -573,7 +573,7 @@ impl ShardedTopK {
     ///
     /// # Errors
     ///
-    /// [`TopKError::Inconsistent`], as on [`TopKIndex::delete`].
+    /// As on [`TopKIndex::delete`].
     pub fn delete(&self, p: Point) -> Result<bool> {
         self.delete_inner(p).map(|stamp| stamp.is_some())
     }

@@ -5,14 +5,17 @@
 //! * [`ThreeSidedPst`] — classic external priority search tree answering
 //!   3-sided queries `[x1, x2] × [τ, ∞)` in `O(log_B n + t/B)` I/Os (with the
 //!   caveat documented on the type) and supporting `O(log_B n)` amortized
-//!   updates. It is the serving index's coordinate index, and the reporting
-//!   substrate of the approximate k-selection → top-k reduction of §3.3.
+//!   updates. It is the reporting substrate of the approximate k-selection →
+//!   top-k reduction of §3.3, in Theorem 1's full build.
 //! * [`PilotPst`] — the paper's §2 structure (Lemma 1): an external priority
 //!   search tree over a constant-fan-out *script tree*, with *pilot sets*,
 //!   *representative blocks*, push-down / pull-up maintenance and
 //!   Frederickson-style heap selection at query time. It answers a top-k query
 //!   in `O(lg n + k/B)` I/Os: every `k` in the serving index, and
-//!   `k ≥ B·lg n` in Theorem 1's full build.
+//!   `k ≥ B·lg n` in Theorem 1's full build. It doubles as the serving
+//!   index's coordinate index: membership and range counts from its base
+//!   tree in `O(log_B n)` I/Os, a point by coordinate along its script path
+//!   in `O(lg n)`.
 //!
 //! The pilot structure also exposes a *resumable drain* ([`PilotDrain`]): an
 //! owned best-first frontier that emits a range's points in descending score

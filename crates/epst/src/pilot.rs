@@ -100,6 +100,17 @@ impl ScriptNode {
     }
 }
 
+/// The slot of the script child that coordinate `x` routes into: the first
+/// whose max key is at least `x`, else the last (max keys can lag behind
+/// inserts past them). Every placement of a point and every lookup routes
+/// through here, so a point always lies on the script path toward its `x`.
+fn route(children: &[(u64, PageId)], x: u64) -> usize {
+    children
+        .iter()
+        .position(|&(mk, _)| x <= mk)
+        .unwrap_or(children.len().saturating_sub(1))
+}
+
 /// Representative-block entry for one script node of a secondary tree.
 #[derive(Debug, Clone, Copy)]
 struct RepEntry {
@@ -316,11 +327,7 @@ impl PilotPst {
         }
         let mut buckets: Vec<Vec<Point>> = vec![Vec::new(); children.len()];
         for &p in rest {
-            let idx = children
-                .iter()
-                .position(|&(mk, _)| p.x <= mk)
-                .unwrap_or(children.len() - 1);
-            buckets[idx].push(p);
+            buckets[route(&children, p.x)].push(p);
         }
         for ((_, child), bucket) in children.iter().zip(buckets) {
             self.assign_pilots(*child, bucket);
@@ -481,11 +488,7 @@ impl PilotPst {
                 break cur;
             }
             passed.push((owner, cur));
-            let idx = children
-                .iter()
-                .position(|&(mk, _)| pt.x <= mk)
-                .unwrap_or(children.len() - 1);
-            cur = children[idx].1;
+            cur = children[route(&children, pt.x)].1;
         };
 
         for (owner, script) in &passed {
@@ -519,11 +522,7 @@ impl PilotPst {
                 break None;
             }
             passed.push((owner, cur));
-            let idx = children
-                .iter()
-                .position(|&(mk, _)| pt.x <= mk)
-                .unwrap_or(children.len() - 1);
-            cur = children[idx].1;
+            cur = children[route(&children, pt.x)].1;
         };
         let Some((owner, holder)) = holder else {
             return false;
@@ -571,11 +570,7 @@ impl PilotPst {
         self.refresh_rep_entry(owner, script, moved.len() as i64);
         let mut buckets: Vec<Vec<Point>> = vec![Vec::new(); children.len()];
         for p in moved {
-            let idx = children
-                .iter()
-                .position(|&(mk, _)| p.x <= mk)
-                .unwrap_or(children.len() - 1);
-            buckets[idx].push(p);
+            buckets[route(&children, p.x)].push(p);
         }
         for ((_, child), bucket) in children.iter().zip(buckets) {
             self.push_points_down(*child, bucket);
@@ -762,11 +757,7 @@ impl PilotPst {
             if children.is_empty() {
                 return path;
             }
-            let idx = children
-                .iter()
-                .position(|&(mk, _)| x <= mk)
-                .unwrap_or(children.len() - 1);
-            cur = children[idx].1;
+            cur = children[route(&children, x)].1;
         }
     }
 
@@ -874,6 +865,39 @@ impl PilotPst {
         });
     }
 
+    // ----- coordinate lookups -----
+
+    /// Whether a point with coordinate `x` is stored: one base-tree descent,
+    /// `O(log_B n)` I/Os.
+    pub fn contains(&self, x: u64) -> bool {
+        self.base.contains(x)
+    }
+
+    /// The point stored at coordinate `x`, if any. Every point lives in a
+    /// pilot set on the script path toward its coordinate (the path its
+    /// insert, push-downs and pull-ups followed), so this walks that path:
+    /// `O(lg n)` I/Os.
+    pub fn get(&self, x: u64) -> Option<Point> {
+        let mut cur = self.script_root();
+        loop {
+            let (hit, next) = self.scripts.with(cur, |n| {
+                let hit = n.pilot.iter().find(|p| p.x == x).copied();
+                let next = n.children.get(route(&n.children, x)).map(|&(_, c)| c);
+                (hit, next)
+            });
+            if hit.is_some() {
+                return hit;
+            }
+            cur = next?;
+        }
+    }
+
+    /// Number of stored points with `x ∈ [x1, x2]`, in `O(log_B n)` I/Os
+    /// (the base tree's weights, see [`WbbTree::count_in_range`]).
+    pub fn count_in_range(&self, x1: u64, x2: u64) -> u64 {
+        self.base.count_in_range(x1, x2)
+    }
+
     /// All stored points (testing / rebuild support).
     pub fn all_points(&self) -> Vec<Point> {
         let mut out = Vec::new();
@@ -889,10 +913,21 @@ impl PilotPst {
     }
 
     /// Verify structural invariants (test support): the heap property of pilot
-    /// sets along the script tree and the pilot-capacity bounds.
+    /// sets along the script tree, the pilot-capacity bounds, and a base tree
+    /// that holds exactly the stored coordinates (counts and
+    /// [`PilotPst::contains`] read it).
     pub fn check_invariants(&self) {
         let total = self.check_rec(self.script_root(), u64::MAX);
         assert_eq!(total, self.len(), "stored point count disagrees");
+        self.base.check_invariants();
+        assert_eq!(self.base.len(), self.len(), "base tree size disagrees");
+        let mut xs: Vec<u64> = self.all_points().iter().map(|p| p.x).collect();
+        xs.sort_unstable();
+        assert_eq!(
+            self.base.subtree_keys(self.base.root()),
+            xs,
+            "base tree keys differ from the stored coordinates"
+        );
     }
 
     fn check_rec(&self, script: PageId, ancestor_min: u64) -> u64 {
@@ -1121,6 +1156,24 @@ mod tests {
         assert_eq!(got.len(), 3000);
     }
 
+    /// `get` and `contains` for every live coordinate and for each of
+    /// `absent`.
+    fn check_lookups(pst: &PilotPst, live: &[Point], absent: &[u64]) {
+        for &p in live {
+            assert_eq!(pst.get(p.x), Some(p), "live x = {}", p.x);
+            assert!(pst.contains(p.x), "live x = {}", p.x);
+        }
+        for &x in absent {
+            assert!(live.iter().all(|p| p.x != x), "x = {x} is live");
+            assert_eq!(pst.get(x), None, "absent x = {x}");
+            assert!(!pst.contains(x), "absent x = {x}");
+        }
+    }
+
+    fn count_in(pts: &[Point], x1: u64, x2: u64) -> u64 {
+        pts.iter().filter(|p| p.x >= x1 && p.x <= x2).count() as u64
+    }
+
     #[test]
     fn deletions_preserve_correctness() {
         let dev = device();
@@ -1129,10 +1182,12 @@ mod tests {
         pst.rebuild_all(&pts);
         let mut rng = StdRng::seed_from_u64(6);
         let mut live = pts.clone();
+        let mut absent = vec![0, 2, 4_497, 10_000_000];
         for _ in 0..500 {
             let idx = rng.gen_range(0..live.len());
             let victim = live.swap_remove(idx);
             assert!(pst.delete(victim), "deleting {victim:?}");
+            absent.push(victim.x);
         }
         assert!(!pst.delete(Point {
             x: 10_000_000,
@@ -1140,11 +1195,15 @@ mod tests {
         }));
         pst.check_invariants();
         assert_eq!(pst.len(), live.len() as u64);
+        // 10,000,000 lies above every script child's max key, so its walk
+        // clamps to the last child at every level.
+        check_lookups(&pst, &live, &absent);
         for _ in 0..20 {
             let a = rng.gen_range(0..4500u64);
             let b = rng.gen_range(a..=4500u64);
             let k = rng.gen_range(1..100usize);
             assert_eq!(pst.query_top_k(a, b, k), oracle_top_k(&live, a, b, k));
+            assert_eq!(pst.count_in_range(a, b), count_in(&live, a, b), "[{a},{b}]");
         }
     }
 
@@ -1251,12 +1310,14 @@ mod tests {
         let pst = PilotPst::new(&dev, "pilot");
         let mut rng = StdRng::seed_from_u64(12);
         let mut live: Vec<Point> = Vec::new();
+        let mut absent: Vec<u64> = Vec::new();
         let mut next = 1u64;
         for step in 0..2500 {
             if !live.is_empty() && rng.gen_bool(0.3) {
                 let idx = rng.gen_range(0..live.len());
                 let victim = live.swap_remove(idx);
                 assert!(pst.delete(victim));
+                absent.push(victim.x);
             } else {
                 let p = Point {
                     x: next * 23 % 1_000_003,
@@ -1270,12 +1331,26 @@ mod tests {
                 pst.check_invariants();
             }
         }
+        // Above every other coordinate: it routes to the last child at every
+        // level, clamped wherever the max keys lag behind it. 3,000,000 is
+        // absent and above every max key, so its walk clamps all the way.
+        let top = Point {
+            x: 2_000_000,
+            score: next * 13,
+        };
+        pst.insert(top);
+        live.push(top);
         pst.check_invariants();
+        absent.extend([0, 1_999_999, 3_000_000]);
+        check_lookups(&pst, &live, &absent);
         for _ in 0..25 {
             let a = rng.gen_range(0..1_000_003u64);
             let b = rng.gen_range(a..=1_000_003u64);
             let k = rng.gen_range(1..150usize);
             assert_eq!(pst.query_top_k(a, b, k), oracle_top_k(&live, a, b, k));
+            assert_eq!(pst.count_in_range(a, b), count_in(&live, a, b), "[{a},{b}]");
         }
+        assert_eq!(pst.count_in_range(0, u64::MAX), live.len() as u64);
+        assert_eq!(pst.count_in_range(1_000_003, u64::MAX), 1);
     }
 }

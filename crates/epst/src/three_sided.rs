@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 use emsim::{BlockFile, Device, Page, PageId};
-use wbbtree::{NodeId, WbbChild, WbbConfig, WbbTree};
+use wbbtree::{NodeId, WbbConfig, WbbTree};
 
 use crate::point::Point;
 
@@ -590,36 +590,10 @@ impl ThreeSidedPst {
         }
     }
 
-    /// Number of stored points with `x ∈ [x1, x2]`, in `O(log_B n)` I/Os.
+    /// Number of stored points with `x ∈ [x1, x2]`, in `O(log_B n)` I/Os
+    /// (the base tree's weights, see [`WbbTree::count_in_range`]).
     pub fn count_in_range(&self, x1: u64, x2: u64) -> u64 {
-        if x1 > x2 || self.is_empty() {
-            return 0;
-        }
-        let mut total = 0u64;
-        for piece in self.base.canonical_decompose(x1, x2) {
-            match piece {
-                wbbtree::CanonicalPiece::Leaf(leaf) => {
-                    total += self
-                        .base
-                        .leaf_keys(leaf)
-                        .into_iter()
-                        .filter(|&k| k >= x1 && k <= x2)
-                        .count() as u64;
-                }
-                wbbtree::CanonicalPiece::MultiSlab {
-                    node,
-                    child_lo,
-                    child_hi,
-                } => {
-                    let children: Vec<WbbChild<u64>> = self.base.children(node);
-                    total += children[child_lo..=child_hi]
-                        .iter()
-                        .map(|c| c.weight)
-                        .sum::<u64>();
-                }
-            }
-        }
-        total
+        self.base.count_in_range(x1, x2)
     }
 
     /// All stored points (testing / rebuild support).

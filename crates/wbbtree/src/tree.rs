@@ -659,6 +659,38 @@ impl<K: Ord + Copy + Debug> WbbTree<K> {
         }
     }
 
+    /// Number of stored keys in `[lo, hi]`, in `O(log_B n)` node reads: each
+    /// multi-slab of the canonical decomposition is counted from its cached
+    /// child weights, and only the boundary leaves are read key by key.
+    pub fn count_in_range(&self, lo: K, hi: K) -> u64 {
+        let mut total = 0u64;
+        for piece in self.canonical_decompose(lo, hi) {
+            match piece {
+                CanonicalPiece::Leaf(leaf) => {
+                    total += self
+                        .leaf_keys(leaf)
+                        .into_iter()
+                        .filter(|k| *k >= lo && *k <= hi)
+                        .count() as u64;
+                }
+                CanonicalPiece::MultiSlab {
+                    node,
+                    child_lo,
+                    child_hi,
+                } => {
+                    total += self
+                        .children(node)
+                        .get(child_lo..=child_hi)
+                        .expect("a multi-slab names a run of its node's children")
+                        .iter()
+                        .map(|c| c.weight)
+                        .sum::<u64>();
+                }
+            }
+        }
+        total
+    }
+
     /// Test helper: the keys covered by the canonical decomposition of
     /// `[lo, hi]` (boundary leaves filtered), ascending. Must equal the set of
     /// stored keys in the range.
@@ -842,22 +874,39 @@ mod tests {
     #[test]
     fn canonical_decomposition_covers_range_exactly() {
         let (_dev, t) = tree();
-        let keys: Vec<u64> = (0..2000).map(|i| i * 5).collect();
+        let mut keys: Vec<u64> = (0..2000).map(|i| i * 5).collect();
         t.bulk_load(&keys);
-        for (lo, hi) in [
+        let ranges = [
             (0, 9995),
             (12, 8848),
             (500, 505),
             (4000, 4000),
             (9990, 20000),
-        ] {
-            let covered = t.keys_covered_by_decomposition(lo, hi);
-            let expected: Vec<u64> = keys
-                .iter()
-                .copied()
-                .filter(|&k| k >= lo && k <= hi)
-                .collect();
-            assert_eq!(covered, expected, "range [{lo},{hi}]");
+            (7, 3),
+        ];
+        // The second pass runs after weak deletes, which leave routers and
+        // empty leaves behind but keep every cached weight exact.
+        for pass in 0..2 {
+            if pass == 1 {
+                for k in (0..2000u64).filter(|i| i % 3 == 0 || (600..900).contains(i)) {
+                    assert!(t.delete(k * 5).is_some());
+                }
+                keys.retain(|k| (k / 5) % 3 != 0 && !(600..900).contains(&(k / 5)));
+            }
+            for (lo, hi) in ranges {
+                let covered = t.keys_covered_by_decomposition(lo, hi);
+                let expected: Vec<u64> = keys
+                    .iter()
+                    .copied()
+                    .filter(|&k| k >= lo && k <= hi)
+                    .collect();
+                assert_eq!(covered, expected, "pass {pass}: range [{lo},{hi}]");
+                assert_eq!(
+                    t.count_in_range(lo, hi),
+                    covered.len() as u64,
+                    "pass {pass}: count of [{lo},{hi}]"
+                );
+            }
         }
     }
 

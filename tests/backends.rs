@@ -6,7 +6,8 @@
 //! of each other (the journal adds traffic, it must not change the shape),
 //! and during serving the durable medium is write-only — physical reads
 //! happen at recovery, bounded by the live image count. Plus the
-//! snapshot/restore round-trip across all five workload distributions.
+//! snapshot/restore round-trip across all five workload distributions, and
+//! the reopen of a directory checked in under `tests/fixtures/`.
 
 use emsim::{Device, EmConfig};
 use rand::rngs::StdRng;
@@ -363,6 +364,102 @@ fn durable_one_shard_rebuild_batches_survive_reopen() {
     got.sort_by_key(|p| p.x);
     assert_eq!(got, want, "a committed batch did not survive the reopen");
     assert_eq!(handle.len(), 200);
+    if let TopK::Sharded(sharded) = &handle {
+        sharded.check_invariants();
+    }
+    drop(handle);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The points of the checked-in directory `tests/fixtures/durable_240/`.
+fn fixture_point(i: u64) -> Point {
+    Point::new((i * 7_919) % 3_001 + 1, (i * 104_729) % 100_003 + 1)
+}
+
+#[test]
+fn a_directory_written_before_the_pilot_only_index_reopens_unchanged() {
+    // `tests/fixtures/durable_240/` was written by the index that still kept
+    // a 3-sided reporter beside the pilot structure on every write:
+    // `TopK::builder().durable(dir).build_auto()`, 300 inserts of
+    // `fixture_point(i)`, each fifth followed by the delete of
+    // `fixture_point(i - 4)`, then one reopen, which checkpointed the
+    // write-ahead log into `data.topk`. The journal records points, so the
+    // pilot-only index must recover the same contents, stamp and answers
+    // that version recorded on reopening it.
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/durable_240");
+    // Opening may compact the journal: work on a copy.
+    let dir = scratch_dir("fixture");
+    for entry in std::fs::read_dir(&fixture).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
+    let open = || TopK::builder().durable(&dir).build_auto().unwrap();
+    let handle = open();
+    assert_eq!(handle.len(), 240);
+    assert_eq!(handle.recovered_stamp(), Some(361));
+    let mut got = handle.all_points();
+    got.sort_unstable_by_key(|p| p.x);
+    let mut want: Vec<Point> = (0..300u64)
+        .filter(|i| i % 5 != 0)
+        .map(fixture_point)
+        .collect();
+    want.sort_unstable_by_key(|p| p.x);
+    assert_eq!(got, want);
+    let points = |v: &[(u64, u64)]| -> Vec<Point> {
+        v.iter().map(|&(x, score)| Point::new(x, score)).collect()
+    };
+    let recorded = [
+        (
+            (0, u64::MAX, 5),
+            points(&[
+                (1623, 99431),
+                (1245, 99247),
+                (244, 98858),
+                (2867, 98674),
+                (2489, 98490),
+            ]),
+        ),
+        (
+            (500, 2_000, 10),
+            points(&[
+                (1623, 99431),
+                (1245, 99247),
+                (732, 97733),
+                (1976, 96976),
+                (597, 96403),
+                (1841, 95646),
+                (1463, 95462),
+                (950, 93948),
+                (572, 93764),
+                (1816, 93007),
+            ]),
+        ),
+        (
+            (1_000, 1_100, 3),
+            points(&[(1008, 86194), (1041, 75801), (1099, 68047)]),
+        ),
+        ((2_990, 3_001, 4), points(&[(2991, 70134), (2994, 13033)])),
+    ];
+    for ((x1, x2, k), answer) in &recorded {
+        assert_eq!(
+            handle.query(*x1, *x2, *k).unwrap(),
+            *answer,
+            "top-{k} over [{x1}, {x2}]"
+        );
+    }
+    assert_eq!(handle.count_in_range(500, 2_000).unwrap(), 120);
+    // The reopened index keeps journalling on top of the old records.
+    handle.insert(Point::new(3_500, 100_500)).unwrap();
+    assert!(handle.delete(fixture_point(1)).unwrap());
+    drop(handle);
+    let handle = open();
+    assert_eq!(handle.len(), 240);
+    assert_eq!(handle.recovered_stamp(), Some(363));
+    assert_eq!(
+        handle.query(3_000, u64::MAX, 2).unwrap(),
+        vec![Point::new(3_500, 100_500)]
+    );
     if let TopK::Sharded(sharded) = &handle {
         sharded.check_invariants();
     }
