@@ -119,3 +119,23 @@ fn completion_slot_temporary(slot: &WriteSlot, s: &Shard) {
     *slot.queue.lock().unwrap() = 1;
     let _shard = s.index.write().unwrap();
 }
+
+trait Medium {
+    fn write_at(&self, name: &str, offset: u64, bytes: &[u8]) -> std::io::Result<()>;
+    fn fdatasync(&self, name: &str) -> std::io::Result<()>;
+}
+
+struct Journal {
+    wal: Mutex<Vec<u8>>,
+}
+
+// The journal's commit: encode under the WAL guard, call the medium after
+// the guard is gone.
+fn append_after_release(j: &Journal, m: &dyn Medium) {
+    let frame = {
+        let wal = j.wal.lock().unwrap();
+        wal.clone()
+    };
+    m.write_at("journal.topk", 0, &frame).ok();
+    m.fdatasync("journal.topk").ok();
+}

@@ -10,7 +10,7 @@
 //! | 3    | shard      | `index`, `inner`       | allowed (write path)    |
 //! | 4    | registry   | `scores`               | allowed (batch commit)  |
 //! | 5    | routercell | `router_stripe`        | allowed (publish)       |
-//! | 6    | wal        | `wal`                  | forbidden (log writer excepted via pragma) |
+//! | 6    | wal        | `wal`                  | forbidden               |
 //! | 7    | poolshard  | `pool_shard`           | forbidden               |
 //! | 8    | pool       | `pool`                 | forbidden               |
 //! | 9    | dir        | `files`                | forbidden               |
@@ -26,13 +26,13 @@
 //! **Rule B (no I/O while held):** while a guard of an emsim-internal class
 //! (wal and below) is live, any call into a device I/O entry point
 //! (`with`, `with_mut`, `alloc`, `free`, `record_*`, `open_file`,
-//! `drop_cache`), a raw file verb of the durable backend (`write_all_at`,
-//! `read_exact_at`, `sync_all`, `sync_data`, `set_len`) or a
-//! rebuild/rebalance entry point (`rebuild*`, `bulk_build*`, `bulk_load*`,
-//! `rebalance*`) is flagged: the callee either re-takes the pool mutex
-//! (self-deadlock with std's non-reentrant locks) or parks every writer
-//! behind a disk round trip. The WAL log writer's own page-record append
-//! is the single sanctioned exception, via pragma.
+//! `drop_cache`), a raw file verb (`write_all_at`, `read_exact_at`,
+//! `sync_all`, `sync_data`, `set_len`), a verb of the journal's `Medium`
+//! (`read_file`, `write_at`, `fdatasync`, `truncate_file`, `rename_file`,
+//! `remove_file`, `sync_dir`) or a rebuild/rebalance entry point
+//! (`rebuild*`, `bulk_build*`, `bulk_load*`, `rebalance*`) is flagged: the
+//! callee either re-takes the pool mutex (self-deadlock with std's
+//! non-reentrant locks) or parks every writer behind a disk round trip.
 //!
 //! The analysis is intra-procedural and lexical. A guard counts as *held*
 //! when it is `let`-bound (including `let guards = ….collect();` vectors of
@@ -108,13 +108,10 @@ const TABLE: &[LockClass] = &[
         same_ok: false,
         io_forbidden: false,
     },
-    // The write-ahead-log mutex of the durable backend (`FileBackend.wal`,
-    // `DurableStore.wal`). Rule B: no device I/O while it is held — the
-    // journal layers above it copy their plans out and do their `BlockFile`
-    // traffic with the guard released. The single exception is the log
-    // writer itself (the page-record append in `FileBackend::put_page`),
-    // sanctioned via pragma. Sits above the emsim pool locks: the backend
-    // is entered from write-through with no pool guard live.
+    // The journal mutex of a durable index (`DurableStore.wal`). Rule B: no
+    // file call while it is held — the journal encodes its frame or plan
+    // under the guard and calls its `Medium` with the guard released. Sits
+    // above the emsim pool locks: no pool guard is live when it is taken.
     LockClass {
         name: "wal",
         rank: 6,
@@ -183,14 +180,21 @@ const IO_ENTRIES: &[&str] = &[
     "record_free",
     "open_file",
     "drop_cache",
-    // Raw file verbs of the durable backend: physical I/O under the wal
-    // mutex (or any pool lock) blocks every writer behind a disk round
-    // trip — only the log writer's own append is sanctioned, via pragma.
+    // Raw file verbs and the journal's `Medium` verbs: physical I/O under
+    // the wal mutex (or any pool lock) blocks every writer behind a disk
+    // round trip.
     "write_all_at",
     "read_exact_at",
     "sync_all",
     "sync_data",
     "set_len",
+    "read_file",
+    "write_at",
+    "fdatasync",
+    "truncate_file",
+    "rename_file",
+    "remove_file",
+    "sync_dir",
 ];
 
 /// Rebuild / rebalance entry-point name prefixes.

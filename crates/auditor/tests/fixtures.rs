@@ -33,10 +33,10 @@ fn lock_order_fires_on_bad_fixture() {
     let hits = of_pass(&findings, Pass::LockOrder);
     // Rule A six times (out-of-order, same-class registry, pool-shard
     // inversion, wal inversion, connreg inversion, connreg same-class) and
-    // Rule B four times (I/O + rebuild entry while a forbidden-class guard
-    // is live, I/O under a pool-shard guard, a raw file verb under the WAL
-    // mutex).
-    assert_eq!(hits.len(), 10, "findings: {findings:?}");
+    // Rule B five times (I/O + rebuild entry while a forbidden-class guard
+    // is live, I/O under a pool-shard guard, a raw file verb and a medium
+    // verb under the WAL mutex).
+    assert_eq!(hits.len(), 11, "findings: {findings:?}");
     assert!(hits.iter().any(|f| f.message.contains("acquires `shard`")));
     assert!(hits
         .iter()
@@ -58,6 +58,9 @@ fn lock_order_fires_on_bad_fixture() {
     assert!(hits
         .iter()
         .any(|f| f.message.contains("`sync_all()`") && f.message.contains("`wal` guard")));
+    assert!(hits
+        .iter()
+        .any(|f| f.message.contains("`write_at()`") && f.message.contains("`wal` guard")));
     assert!(hits.iter().any(|f| f.message.contains("same-class")));
     assert!(hits.iter().any(|f| f.message.contains("`alloc()`")));
     assert!(hits

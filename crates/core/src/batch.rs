@@ -117,8 +117,10 @@ pub(crate) const REBUILD_CROSSOVER: u64 = 16;
 /// How batch validation looks up the pre-batch state of one shard (a bare
 /// index is one shard).
 pub(crate) enum LiveView {
-    /// Probe the index per operation: an `O(log_B n)` descent per insert or
-    /// delete. Right for small batches.
+    /// Probe the index per operation, as point writes do: an insert asks
+    /// the pilot's base tree (one `O(log_B n)` descent), and only a delete
+    /// or a colliding insert walks the `O(lg n)` script path for the point.
+    /// Right for small batches.
     Probe,
     /// One `O(n/B)` scan up front, then every membership question is a free
     /// (CPU-side) hash lookup. Right once the batch is large enough that
@@ -146,6 +148,13 @@ impl LiveView {
         match self {
             LiveView::Probe => index.get(x),
             LiveView::Scan(live) => live.get(&x).copied(),
+        }
+    }
+
+    fn contains(&self, index: &TopKIndex, x: u64) -> bool {
+        match self {
+            LiveView::Probe => index.contains(x),
+            LiveView::Scan(live) => live.contains_key(&x),
         }
     }
 }
@@ -191,17 +200,26 @@ pub(crate) fn validate<'a>(
     for (op, &j) in batch.ops().iter().zip(&routes) {
         let sub = subs.get_mut(j).expect("route names one of the shards");
         let x = op.point().x;
-        let live = match x_overlay.get(&x) {
-            Some(&slot) => slot,
-            None => sub.view.get(sub.index, x),
-        };
+        let overlay = x_overlay.get(&x).copied();
         match *op {
             UpdateOp::Insert(p) => {
-                if let Some(existing) = live {
-                    return Err(TopKError::DuplicateX {
-                        existing,
-                        rejected: p,
-                    });
+                let taken = match overlay {
+                    Some(slot) => slot.is_some(),
+                    None => sub.view.contains(sub.index, x),
+                };
+                if taken {
+                    return Err(
+                        match overlay.flatten().or_else(|| sub.view.get(sub.index, x)) {
+                            Some(existing) => TopKError::DuplicateX {
+                                existing,
+                                rejected: p,
+                            },
+                            None => TopKError::Inconsistent {
+                                point: p,
+                                component: "pilot",
+                            },
+                        },
+                    );
                 }
                 if *score_overlay
                     .get(&p.score)
@@ -220,6 +238,7 @@ pub(crate) fn validate<'a>(
                 // A non-matching delete is a runtime no-op, not a validation
                 // error; it is counted as a miss, exactly like the
                 // `Ok(false)` of a point-wise delete.
+                let live = overlay.unwrap_or_else(|| sub.view.get(sub.index, x));
                 if live != Some(p) {
                     summary.missing_deletes += 1;
                     continue;
@@ -382,6 +401,37 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, TopKError::DuplicateScore { .. }));
+    }
+
+    #[test]
+    fn probe_validation_of_an_insert_reads_no_more_than_reserve() {
+        let device = Device::new(EmConfig::new(64, 64 * 16).exact_lru());
+        let index = TopKIndex::new(&device, TopKConfig::for_tests());
+        let points: Vec<Point> = (0..4_000u64)
+            .map(|i| Point::new(2 * i, 3 * i + 1))
+            .collect();
+        index.bulk_build(&points).unwrap();
+        let fresh = Point::new(4_001, 2);
+        let batch = UpdateBatch::new().insert(fresh);
+        device.drop_cache();
+        let (validated, batch_reads) = device.measure(|| {
+            let (subs, _) = validate(&batch, &index.scores, &[&index], |_| 0)?;
+            Ok::<_, TopKError>(matches!(
+                subs.first().map(|s| &s.view),
+                Some(LiveView::Probe)
+            ))
+        });
+        assert!(validated.unwrap(), "a one-op batch on 4,000 points probes");
+        index.scores.lock().unwrap().remove(&fresh.score);
+        device.drop_cache();
+        let (reserved, reserve_reads) = device.measure(|| index.reserve(fresh));
+        reserved.unwrap();
+        assert!(
+            batch_reads.reads <= reserve_reads.reads,
+            "batch validation read {} blocks, reserve {}",
+            batch_reads.reads,
+            reserve_reads.reads
+        );
     }
 
     #[test]

@@ -11,11 +11,15 @@ use std::sync::Arc;
 
 use emsim::{Device, EmConfig};
 
+use crate::backend::{Medium, StdFs};
 use crate::config::TopKConfig;
 use crate::error::{Result, TopKError};
 use crate::facade::TopK;
 use crate::index::TopKIndex;
 use crate::sharded::ShardedTopK;
+
+/// What [`IndexBuilder::resolve`] hands the builds.
+type Resolved = (Device, TopKConfig, Option<Arc<dyn Medium>>);
 
 /// Builder for [`TopKIndex`] / [`ShardedTopK`] / [`TopK`], obtained from
 /// [`TopKIndex::builder`], [`ShardedTopK::builder`] or [`TopK::builder`].
@@ -81,13 +85,13 @@ impl IndexBuilder {
         self
     }
 
-    /// Make the index **durable**: its device is opened on `dir` with a
-    /// file-backed write-ahead backend, every committed operation is
-    /// journalled, and `build*()` replays the journal — reopening the same
-    /// directory recovers the index to its last committed stamp (DESIGN.md
-    /// §10). Mutually exclusive with [`IndexBuilder::device`]. The device
-    /// has one journal, so a durable [`ShardedTopK`] is one shard and
-    /// `shards > 1` is rejected.
+    /// Make the index **durable** in the directory `dir`: every committing
+    /// operation appends one synced frame to its journal, and `build*()`
+    /// recovers the snapshot and journal already there, so reopening the
+    /// same directory recovers the index to its last committed stamp
+    /// (DESIGN.md §10). Mutually exclusive with [`IndexBuilder::device`].
+    /// The directory has one journal, so a durable [`ShardedTopK`] is one
+    /// shard and `shards > 1` is rejected.
     pub fn durable(mut self, dir: impl Into<PathBuf>) -> Self {
         self.durable_dir = Some(dir.into());
         self
@@ -137,16 +141,15 @@ impl IndexBuilder {
                 what: "shards is set: use build_sharded() (build() is unsharded)",
             });
         }
-        let (device, config) = self.resolve()?;
-        if device.is_durable() {
-            return TopKIndex::open_durable(&device, config);
+        match self.resolve()? {
+            (device, config, Some(medium)) => TopKIndex::open_durable(medium, &device, config),
+            (device, config, None) => Ok(TopKIndex::new(&device, config)),
         }
-        Ok(TopKIndex::new(&device, config))
     }
 
     /// Build a range-sharded index: the shard count is
     /// [`IndexBuilder::shards`] if set, otherwise derived from
-    /// [`IndexBuilder::expected_n`] — or one shard on a durable device,
+    /// [`IndexBuilder::expected_n`] — or one shard for a durable directory,
     /// whose journal the shard opens with [`TopKIndex::open_durable`].
     ///
     /// # Errors
@@ -155,8 +158,7 @@ impl IndexBuilder {
     /// `shards > 1` on a durable index); [`TopKError::Storage`] if a durable
     /// directory cannot be opened or recovered.
     pub fn build_sharded(mut self) -> Result<ShardedTopK> {
-        let durable =
-            self.durable_dir.is_some() || self.device.as_ref().is_some_and(Device::is_durable);
+        let durable = self.durable_dir.is_some();
         let shards = match self.shards.take() {
             Some(0) => {
                 return Err(TopKError::InvalidConfig {
@@ -170,7 +172,7 @@ impl IndexBuilder {
             }
             Some(s) if s > 1 && durable => {
                 return Err(TopKError::InvalidConfig {
-                    what: "a durable index writes one journal per device: \
+                    what: "a durable index writes one journal per directory: \
                            it is one shard (drop durable() or shards)",
                 })
             }
@@ -178,11 +180,10 @@ impl IndexBuilder {
             None if durable => 1,
             None => default_shards(self.config.expected_n),
         };
-        let (device, config) = self.resolve()?;
-        if device.is_durable() {
-            return ShardedTopK::open_durable(&device, config);
+        match self.resolve()? {
+            (device, config, Some(medium)) => ShardedTopK::open_durable(medium, &device, config),
+            (device, config, None) => Ok(ShardedTopK::new(&device, config, shards)),
         }
-        Ok(ShardedTopK::new(&device, config, shards))
     }
 
     /// Build a [`TopK`] facade handle for concurrent serving: the
@@ -198,7 +199,9 @@ impl IndexBuilder {
         Ok(TopK::Sharded(Arc::new(self.build_sharded()?)))
     }
 
-    fn resolve(self) -> Result<(Device, TopKConfig)> {
+    /// The validated device and config, plus the medium of a durable
+    /// directory.
+    fn resolve(self) -> Result<Resolved> {
         if self.config.l == 0 {
             return Err(TopKError::InvalidConfig {
                 what: "crossover_l must be at least 1",
@@ -214,14 +217,14 @@ impl IndexBuilder {
                 what: "expected_n must be at least 1",
             });
         }
-        let device = match (self.device, self.durable_dir) {
+        let (device, medium) = match (self.device, self.durable_dir) {
             (Some(_), Some(_)) => {
                 return Err(TopKError::InvalidConfig {
                     what: "device and durable are mutually exclusive: a durable \
-                           device is opened from its directory",
+                           index builds its own device",
                 });
             }
-            (Some(device), None) => device,
+            (Some(device), None) => (device, None),
             (None, dir) => {
                 if self.block_words < EmConfig::MIN_BLOCK_WORDS {
                     return Err(TopKError::InvalidConfig {
@@ -234,16 +237,22 @@ impl IndexBuilder {
                         what: "pool_bytes must hold at least two blocks",
                     });
                 }
-                let em = EmConfig::new(self.block_words, mem_words);
-                match dir {
-                    Some(dir) => Device::open(em, &dir).map_err(|e| TopKError::Storage {
-                        what: e.to_string(),
-                    })?,
-                    None => Device::new(em),
-                }
+                let medium = match dir {
+                    Some(dir) => {
+                        let fs = StdFs::open(&dir).map_err(|e| TopKError::Storage {
+                            what: format!("open {}: {e}", dir.display()),
+                        })?;
+                        Some(Arc::new(fs) as Arc<dyn Medium>)
+                    }
+                    None => None,
+                };
+                (
+                    Device::new(EmConfig::new(self.block_words, mem_words)),
+                    medium,
+                )
             }
         };
-        Ok((device, self.config))
+        Ok((device, self.config, medium))
     }
 }
 
@@ -400,7 +409,7 @@ mod tests {
         let dir = scratch("misconfig");
         let device = Device::new(EmConfig::new(256, 256 * 64));
         let cases: Vec<(TopKError, &str)> = vec![
-            // More than one shard and the single write-ahead journal don't
+            // More than one shard and the directory's single journal don't
             // compose, through either sharded entry point.
             (
                 TopKIndex::builder()

@@ -67,12 +67,14 @@ pub enum TopKError {
         /// Which component disagreed.
         component: &'static str,
     },
-    /// The durable storage backend failed (I/O error, on-disk corruption, or
-    /// an injected crash fault). The in-RAM index may be *ahead* of the
-    /// durable state: treat the handle as lost and reopen the index from its
-    /// directory, which recovers to the last committed stamp.
+    /// The durable journal failed: a medium call returned an error, or the
+    /// directory failed validation at open. After a failed call the journal
+    /// is dead and every later write returns the same error. The in-RAM index
+    /// may be *ahead* of the durable state: treat the handle as lost and
+    /// reopen the index from its directory, which recovers to the last
+    /// committed stamp.
     Storage {
-        /// The backend's description of the failure.
+        /// What failed: the medium call and file, or the validation.
         what: String,
     },
 }

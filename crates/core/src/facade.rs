@@ -200,11 +200,11 @@ impl TopK {
     }
 
     /// Snapshot the current contents into a durable index directory: after
-    /// this returns, `dir` holds a complete, checkpointed file-backed image
-    /// that `TopK::builder().durable(dir).build_auto()` reopens — from *any*
-    /// topology, including sharded and RAM-only handles. An existing image
-    /// in `dir` (with the same block size) is overwritten wholesale. Returns
-    /// the number of points captured.
+    /// this returns, `dir` holds a synced snapshot and an empty journal that
+    /// `TopK::builder().durable(dir).build_auto()` reopens — from *any*
+    /// topology, including sharded and RAM-only handles. An existing index
+    /// in `dir` is replaced wholesale. Returns the number of points
+    /// captured.
     ///
     /// The snapshot is taken with [`TopK::all_points`]; run it while no
     /// writer is active to capture one exact state. The image is stamped
@@ -216,22 +216,21 @@ impl TopK {
     ///
     /// [`TopKError::Storage`](crate::TopKError::Storage) if the directory
     /// cannot be opened — including a durable index's *own* directory,
-    /// whose advisory lock this handle already holds — or holds an image
-    /// with a different block size, or the checkpoint fails.
+    /// whose `lock.topk` this handle already holds — or what it holds fails
+    /// validation, or a file call fails.
     pub fn snapshot_to(&self, dir: &std::path::Path) -> Result<u64> {
-        let storage = |e: emsim::BackendError| crate::TopKError::Storage {
-            what: e.to_string(),
-        };
         let points = self.all_points();
-        let device = Device::open(self.device().config(), dir).map_err(storage)?;
+        let fs = crate::StdFs::open(dir).map_err(|e| crate::TopKError::Storage {
+            what: format!("open {}: {e}", dir.display()),
+        })?;
         let (store, _existing, prior_stamp) =
-            crate::persist::DurableStore::open(&device).map_err(storage)?;
+            crate::persist::DurableStore::open(std::sync::Arc::new(fs), &self.device())?;
         let current = match self {
             TopK::Single(i) => i.version(),
             TopK::Sharded(i) => i.read().version(),
         };
         store.compact(&points, current.max(prior_stamp));
-        device.checkpoint_backend().map_err(storage)?;
+        store.commit()?;
         Ok(points.len() as u64)
     }
 }

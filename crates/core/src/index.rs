@@ -10,6 +10,7 @@ use std::sync::{Arc, Mutex};
 use emsim::Device;
 use epst::{PilotPst, Point};
 
+use crate::backend::Medium;
 use crate::batch::{self, BatchSummary, SubBatch, UpdateBatch};
 use crate::builder::IndexBuilder;
 use crate::config::TopKConfig;
@@ -49,8 +50,8 @@ pub struct TopKIndex {
     /// batch applies its delta, a bulk build replaces it. Rebuilds leave it
     /// alone.
     pub(crate) scores: ScoreRegistry,
-    /// The operation journal when the index lives on a durable device
-    /// ([`TopKIndex::open_durable`]); `None` on plain simulated devices.
+    /// The operation journal of a durable index
+    /// ([`TopKIndex::open_durable`]); `None` for a RAM-only one.
     durable: Option<DurableStore>,
     /// The version stamp recovered from the journal at open time (`None`
     /// unless this handle came from [`TopKIndex::open_durable`]).
@@ -89,30 +90,26 @@ impl TopKIndex {
         }
     }
 
-    /// Open (or create) a **durable** index on `device`: replay the operation
-    /// journal, rebuild the in-RAM structures from the recovered point set,
-    /// and resume stamping from the recovered version. From then on every
-    /// committed mutation is journalled and made durable through the device's
-    /// write-ahead backend commit (DESIGN.md §10) — after a crash, reopening
-    /// recovers exactly the operations whose commit returned `Ok`.
+    /// Open (or create) a **durable** index on `device` whose files live on
+    /// `medium`: recover the snapshot and journal, rebuild the in-RAM
+    /// structures from the recovered point set, and resume stamping from the
+    /// recovered version. From then on every committing mutation appends one
+    /// synced journal frame (DESIGN.md §10): after a crash, reopening
+    /// recovers every operation whose call returned `Ok`.
     ///
-    /// Prefer the builder: `TopK::builder().durable(dir).build_auto()?`.
+    /// Prefer the builder: `TopK::builder().durable(dir).build_auto()?`,
+    /// which opens a [`StdFs`](crate::StdFs) on `dir`.
     ///
     /// # Errors
     ///
-    /// [`TopKError::InvalidConfig`] if `device` has no durable backend (use
-    /// [`Device::open`]);
-    /// [`TopKError::Storage`] if the journal cannot be read or is corrupt.
-    pub fn open_durable(device: &Device, config: TopKConfig) -> Result<Self> {
-        if !device.is_durable() {
-            return Err(TopKError::InvalidConfig {
-                what: "open_durable requires a durable device: open it with Device::open",
-            });
-        }
-        let (store, points, stamp) =
-            DurableStore::open(device).map_err(|e| TopKError::Storage {
-                what: e.to_string(),
-            })?;
+    /// [`TopKError::Storage`] if the directory cannot be read or fails
+    /// validation.
+    pub fn open_durable(
+        medium: Arc<dyn Medium>,
+        device: &Device,
+        config: TopKConfig,
+    ) -> Result<Self> {
+        let (store, points, stamp) = DurableStore::open(medium, device)?;
         let index = TopKIndex::new(device, config);
         if !points.is_empty() {
             // `durable` is still `None` here, so the rebuild does not
@@ -131,13 +128,9 @@ impl TopKIndex {
         if let Some(d) = &index.durable {
             if d.needs_compact(index.len()) {
                 d.compact(&points, stamp);
+                d.commit()?;
             }
         }
-        device
-            .checkpoint_backend()
-            .map_err(|e| TopKError::Storage {
-                what: e.to_string(),
-            })?;
         Ok(index)
     }
 
@@ -158,7 +151,7 @@ impl TopKIndex {
         self.recovered
     }
 
-    /// Whether this index journals its operations to a durable backend.
+    /// Whether this index journals its operations to a durable directory.
     pub fn is_durable(&self) -> bool {
         self.durable.is_some()
     }
@@ -194,6 +187,12 @@ impl TopKIndex {
     /// (DESIGN.md §3.6).
     pub fn get(&self, x: u64) -> Option<Point> {
         self.pilot.get(x)
+    }
+
+    /// Whether a point is stored at coordinate `x`: one descent of the
+    /// pilot's base tree, the probe a point insert runs first.
+    pub(crate) fn contains(&self, x: u64) -> bool {
+        self.pilot.contains(x)
     }
 
     // ----- updates -----
@@ -266,7 +265,7 @@ impl TopKIndex {
     /// the score reservation. On `Err` nothing was reserved. Only a
     /// duplicate pays for looking up the point it collides with.
     pub(crate) fn reserve(&self, p: Point) -> Result<()> {
-        if self.pilot.contains(p.x) {
+        if self.contains(p.x) {
             return Err(match self.pilot.get(p.x) {
                 Some(existing) => TopKError::DuplicateX {
                     existing,
@@ -362,25 +361,19 @@ impl TopKIndex {
         }
     }
 
-    /// Commit everything staged in the device's write-ahead backend (the
-    /// journal appends of the operation that just ran). No-op on non-durable
-    /// indexes.
+    /// Commit the journal records of the operation that just ran as one
+    /// synced frame. No-op on non-durable indexes.
     ///
     /// # Errors
     ///
-    /// [`TopKError::Storage`] if the backend commit fails — the in-RAM index
-    /// may then be ahead of the durable state: treat the handle as lost and
-    /// reopen from the directory.
+    /// [`TopKError::Storage`] if this or an earlier journal call failed — the
+    /// in-RAM index may then be ahead of the durable state: treat the handle
+    /// as lost and reopen from the directory.
     pub(crate) fn durable_commit(&self) -> Result<()> {
-        if let Some(d) = &self.durable {
-            d.flush();
-            self.device
-                .commit_backend()
-                .map_err(|e| TopKError::Storage {
-                    what: e.to_string(),
-                })?;
+        match &self.durable {
+            Some(d) => d.commit(),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     // ----- queries -----

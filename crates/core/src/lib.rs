@@ -62,6 +62,11 @@
 //! over this crate's engines and the `baselines` comparison structures for
 //! generic harness code.
 //!
+//! [`IndexBuilder::durable`] makes an index durable in a directory: a
+//! snapshot of the live points plus a journal of one synced frame per
+//! commit, every file call going through the [`Medium`] trait ([`StdFs`] in
+//! production). See DESIGN.md §10.
+//!
 //! ```
 //! use topk_core::{Point, QueryRequest, TopKIndex, UpdateBatch};
 //!
@@ -90,6 +95,7 @@
 //! # Ok::<(), topk_core::TopKError>(())
 //! ```
 
+mod backend;
 mod batch;
 mod builder;
 mod config;
@@ -107,6 +113,7 @@ mod ranked;
 mod sharded;
 mod stripe;
 
+pub use backend::{Medium, StdFs};
 pub use batch::{BatchSummary, UpdateBatch, UpdateOp};
 pub use builder::IndexBuilder;
 pub use config::{SmallKEngine, TopKConfig};

@@ -1,628 +1,446 @@
-//! Logical durability: the operation journal behind a durable device.
+//! Logical durability: a snapshot plus a per-commit journal.
 //!
-//! The EM structures of this workspace keep their nodes as plain Rust values
-//! in simulated [`BlockFile`]s — persisting every PST node image would couple
-//! the on-disk format to three evolving component layouts. Durability is
-//! therefore *logical*: a [`DurableStore`] records the validated operation
-//! stream (insert/delete, each with the version stamp its commit received)
-//! in one journal file whose pages have a real wire form ([`PersistPage`]),
-//! and recovery replays that stream into an empty index. The journal rides
-//! the device's [`StorageBackend`](emsim::StorageBackend) write-ahead log,
-//! so a crash leaves exactly the operations of the last committed batch —
-//! nothing torn, nothing resurrected (DESIGN.md §10).
+//! The EM structures keep their nodes as plain Rust values in simulated
+//! `BlockFile`s, so durability is *logical*: a [`DurableStore`] records the
+//! validated operations of a durable index, each with the version stamp its
+//! commit received, and recovery rebuilds the structures from the recovered
+//! point set (DESIGN.md §10). A durable directory holds:
 //!
-//! Layout: a **meta chain** (the directory of data pages, in append order,
-//! plus the last durable stamp) and a chain of **data pages** holding
-//! fixed-width operation records. The directory starts in the single head
-//! meta page and spills into linked continuation pages once it outgrows one
-//! block, so the durable index size is bounded by the device, not by one
-//! block's worth of directory entries. `compact` rewrites the whole journal
-//! as a snapshot of the live point set (one insert record per point), which
-//! bounds the journal at `O(n/B)` blocks plus the operations since the last
-//! compaction.
+//! * `snapshot.topk` — the live points at a stamp:
+//!   `[magic, version, stamp, n, (x, score) × n, checksum]`;
+//! * `journal.topk` — one frame per commit:
+//!   `[n, (op, x, score, stamp) × n, checksum]`, so a batch is all or
+//!   nothing;
+//! * `lock.topk` — held by [`StdFs`](crate::StdFs) while the index lives.
 //!
-//! Appends are buffered: [`DurableStore::append`] only pushes the record
-//! into an in-RAM pending list, and [`DurableStore::flush`] — run once per
-//! durable commit, just before the backend commit — writes the records into
-//! data pages. A commit therefore logs one tail-page image (plus whole new
-//! pages) instead of re-logging the tail page once per operation, keeping
-//! the backend's WAL volume per commit at `O(pages touched)` page images.
+//! Every integer is a little-endian `u64` word and every checksum is
+//! FNV-1a-64 over the bytes before it. Nothing stores the block size.
 //!
-//! Locking: the `wal` mutex guards only the in-RAM directory state
-//! (DESIGN.md §8, class `wal` — I/O while holding it is forbidden); every
-//! [`BlockFile`] access happens outside the guard. Writers are serialized by
-//! the serving topology (`Single`'s single-writer contract or the write lock
-//! of a durable index's one shard — the builder rejects more shards), so the
-//! copy-out/update protocol below never interleaves.
+//! A **commit** appends one frame and runs one `fdatasync`. A
+//! **compaction** (the journal outgrew its live set, a global rebuild, a
+//! bulk build, `snapshot_to`) writes and syncs `snapshot.topk.tmp`, renames
+//! it over `snapshot.topk`, syncs the directory, then truncates and syncs
+//! the journal. **Recovery** removes a stale tmp, loads the snapshot,
+//! replays the frames whose stamps exceed the snapshot's, stops at the
+//! first short or bad-checksum frame and truncates there before any append.
+//! The stamp does the job of a generation number: every record of a
+//! journal that outlived its compaction has a stamp at most the new
+//! snapshot's. Every file call goes through a [`Medium`].
+//!
+//! Locking: the `wal` mutex guards only the in-RAM journal state (DESIGN.md
+//! §8, class `wal`: no I/O while held); every medium call happens with it
+//! released. Writers are serialized by the serving topology (`Single`'s
+//! single-writer contract or the write lock of a durable index's one shard).
 
-use std::collections::{HashMap, HashSet};
-use std::sync::Mutex;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
-use emsim::{entries_per_block, BackendError, BackendResult, BlockFile, Device, PageId};
-use emsim::{Page, PersistPage};
+use emsim::{Device, DurableStats};
 use epst::Point;
 
+use crate::backend::{read_page_image_dir, Medium, PAGE_IMAGE_FILES};
+use crate::error::{Result, TopKError};
+use crate::index::check_distinct;
+
 /// Journal record op code: the point was inserted.
-pub(crate) const OP_INSERT: u8 = 1;
+pub(crate) const OP_INSERT: u64 = 1;
 /// Journal record op code: the point was deleted.
-pub(crate) const OP_DELETE: u8 = 2;
+pub(crate) const OP_DELETE: u64 = 2;
 
-const TAG_META: u64 = 1;
-const TAG_DATA: u64 = 2;
-const TAG_META_CONT: u64 = 3;
-/// On-disk sentinel for "no continuation page follows".
-const NO_NEXT: u64 = u64::MAX;
+const SNAPSHOT: &str = "snapshot.topk";
+const SNAPSHOT_TMP: &str = "snapshot.topk.tmp";
+const JOURNAL: &str = "journal.topk";
+const MAGIC: u64 = u64::from_le_bytes(*b"topksnap");
+const VERSION: u64 = 1;
 
-fn encode_next(next: Option<u32>) -> u64 {
-    next.map_or(NO_NEXT, u64::from)
-}
+/// Streaming FNV-1a-64 over the little-endian bytes of words.
+pub(crate) struct Fnv(u64);
 
-fn decode_next(word: u64) -> Option<Option<u32>> {
-    if word == NO_NEXT {
-        Some(None)
-    } else {
-        u32::try_from(word).ok().map(Some)
+impl Fnv {
+    /// The checksum of the concatenation of `parts`.
+    pub(crate) fn of_words(parts: &[&[u64]]) -> u64 {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        for b in parts
+            .iter()
+            .flat_map(|p| p.iter())
+            .flat_map(|w| w.to_le_bytes())
+        {
+            h.0 = (h.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+        h.0
     }
 }
 
+/// Bytes as little-endian words, dropping a trailing partial word.
+pub(crate) fn to_words(bytes: &[u8]) -> Vec<u64> {
+    bytes
+        .chunks_exact(8)
+        .filter_map(|c| c.try_into().ok().map(u64::from_le_bytes))
+        .collect()
+}
+
+/// `words` plus their checksum, as bytes.
+fn sealed(mut words: Vec<u64>) -> Vec<u8> {
+    words.push(Fnv::of_words(&[&words]));
+    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
 /// One journalled operation: `op` ([`OP_INSERT`] / [`OP_DELETE`]) applied to
-/// the point `(x, score)` by the commit that received version stamp `stamp`.
+/// `(x, score)` by the commit that received version stamp `stamp`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct JRecord {
-    pub op: u8,
+pub(crate) struct Record {
+    pub op: u64,
     pub x: u64,
     pub score: u64,
     pub stamp: u64,
 }
 
-impl JRecord {
-    /// On-disk width of one record, in words.
-    pub(crate) const WORDS: usize = 4;
-}
-
-/// A page of the journal file: the head meta page (start of the directory of
-/// data pages, plus the last durable stamp), a continuation of the directory
-/// chain, or a data page of operation records.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum JPage {
-    /// The head of the journal directory: data-page ids in append order,
-    /// continued in `next` when the directory outgrows one block.
-    Meta {
-        pages: Vec<u32>,
-        last_stamp: u64,
-        next: Option<u32>,
-    },
-    /// A continuation of the directory chain.
-    MetaCont { pages: Vec<u32>, next: Option<u32> },
-    /// A chunk of the operation stream.
-    Data { records: Vec<JRecord> },
-}
-
-impl Page for JPage {
-    fn words(&self) -> usize {
-        match self {
-            JPage::Meta { pages, .. } => 4 + pages.len(),
-            JPage::MetaCont { pages, .. } => 3 + pages.len(),
-            JPage::Data { records } => 2 + records.len() * JRecord::WORDS,
-        }
+/// The frame of one commit.
+pub(crate) fn encode_frame(records: &[Record]) -> Vec<u8> {
+    let mut words = Vec::with_capacity(2 + 4 * records.len());
+    words.push(records.len() as u64);
+    for r in records {
+        words.extend([r.op, r.x, r.score, r.stamp]);
     }
+    sealed(words)
 }
 
-impl PersistPage for JPage {
-    fn encode(&self, out: &mut Vec<u64>) {
-        match self {
-            JPage::Meta {
-                pages,
-                last_stamp,
-                next,
-            } => {
-                out.push(TAG_META);
-                out.push(*last_stamp);
-                out.push(encode_next(*next));
-                out.push(pages.len() as u64);
-                out.extend(pages.iter().map(|p| u64::from(*p)));
-            }
-            JPage::MetaCont { pages, next } => {
-                out.push(TAG_META_CONT);
-                out.push(encode_next(*next));
-                out.push(pages.len() as u64);
-                out.extend(pages.iter().map(|p| u64::from(*p)));
-            }
-            JPage::Data { records } => {
-                out.push(TAG_DATA);
-                out.push(records.len() as u64);
-                for r in records {
-                    out.push(u64::from(r.op));
-                    out.push(r.x);
-                    out.push(r.score);
-                    out.push(r.stamp);
-                }
-            }
+/// The records of the journal's intact frames, in order, and the byte length
+/// of that intact prefix: parsing stops at the first short frame, empty
+/// frame or bad checksum.
+pub(crate) fn decode_frames(bytes: &[u8]) -> (Vec<Record>, u64) {
+    let words = to_words(bytes);
+    let mut rest = words.as_slice();
+    let mut records = Vec::new();
+    let mut intact = 0u64;
+    while let Some((&n, body)) = rest.split_first() {
+        let Some(len) = usize::try_from(n)
+            .ok()
+            .filter(|&n| n > 0 && n <= body.len() / 4)
+        else {
+            break;
+        };
+        let (recs, tail) = body.split_at(4 * len);
+        let Some((&crc, tail)) = tail.split_first() else {
+            break;
+        };
+        if Fnv::of_words(&[&[n], recs]) != crc {
+            break;
         }
-    }
-
-    fn decode(words: &[u64]) -> Option<Self> {
-        let mut it = words.iter().copied();
-        match it.next()? {
-            TAG_META => {
-                let last_stamp = it.next()?;
-                let next = decode_next(it.next()?)?;
-                let n = it.next()? as usize;
-                // A corrupt count cannot ask for more entries than the image
-                // holds (guards the `with_capacity` below, too).
-                if n > words.len() {
-                    return None;
-                }
-                let mut pages = Vec::with_capacity(n);
-                for _ in 0..n {
-                    pages.push(u32::try_from(it.next()?).ok()?);
-                }
-                Some(JPage::Meta {
-                    pages,
-                    last_stamp,
-                    next,
-                })
-            }
-            TAG_META_CONT => {
-                let next = decode_next(it.next()?)?;
-                let n = it.next()? as usize;
-                if n > words.len() {
-                    return None;
-                }
-                let mut pages = Vec::with_capacity(n);
-                for _ in 0..n {
-                    pages.push(u32::try_from(it.next()?).ok()?);
-                }
-                Some(JPage::MetaCont { pages, next })
-            }
-            TAG_DATA => {
-                let n = it.next()? as usize;
-                if n > words.len() {
-                    return None;
-                }
-                let mut records = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let op = u8::try_from(it.next()?).ok()?;
-                    let x = it.next()?;
-                    let score = it.next()?;
-                    let stamp = it.next()?;
-                    records.push(JRecord {
-                        op,
-                        x,
-                        score,
-                        stamp,
-                    });
-                }
-                Some(JPage::Data { records })
-            }
+        records.extend(recs.chunks_exact(4).filter_map(|r| match *r {
+            [op, x, score, stamp] => Some(Record {
+                op,
+                x,
+                score,
+                stamp,
+            }),
             _ => None,
+        }));
+        intact += 8 * (2 + 4 * len as u64);
+        rest = tail;
+    }
+    (records, intact)
+}
+
+/// The snapshot of `points` at `stamp`.
+pub(crate) fn encode_snapshot(points: &[Point], stamp: u64) -> Vec<u8> {
+    let mut words = Vec::with_capacity(5 + 2 * points.len());
+    words.extend([MAGIC, VERSION, stamp, points.len() as u64]);
+    for p in points {
+        words.extend([p.x, p.score]);
+    }
+    sealed(words)
+}
+
+/// The points and stamp of a snapshot; any damage is an error.
+pub(crate) fn decode_snapshot(bytes: &[u8]) -> std::result::Result<(Vec<Point>, u64), String> {
+    let words = to_words(bytes);
+    let corrupt = |what: &str| format!("{SNAPSHOT}: {what}");
+    let Some((&crc, body)) = words.split_last().filter(|_| bytes.len().is_multiple_of(8)) else {
+        return Err(corrupt("truncated"));
+    };
+    if Fnv::of_words(&[body]) != crc {
+        return Err(corrupt("checksum mismatch"));
+    }
+    match *body {
+        [MAGIC, VERSION, stamp, n, ref pairs @ ..]
+            if n.checked_mul(2) == Some(pairs.len() as u64) =>
+        {
+            let points = pairs
+                .chunks_exact(2)
+                .filter_map(|c| match *c {
+                    [x, score] => Some(Point::new(x, score)),
+                    _ => None,
+                })
+                .collect();
+            Ok((points, stamp))
         }
+        _ => Err(corrupt("bad header")),
     }
 }
 
-/// In-RAM directory state of the journal, guarded by the `wal` mutex. Pure
-/// bookkeeping — no device I/O happens while this is locked.
-#[derive(Debug)]
-struct JournalSlate {
-    /// The directory chain in order: the head meta page first, then its
-    /// continuations. Never empty (a fresh store allocates the head).
-    metas: Vec<PageId>,
-    /// Directory entries in the chain's last page.
-    dir_tail_len: usize,
-    /// Data pages in append order (mirrors the durable directory chain).
-    pages: Vec<PageId>,
-    /// Records in the last data page.
-    tail_len: usize,
-    /// Records per data page.
-    cap: usize,
-    /// Data-page ids the head meta page can list before filling its block.
-    head_cap: usize,
-    /// Data-page ids a continuation page can list before filling its block.
-    cont_cap: usize,
-    /// Highest stamp appended so far.
-    last_stamp: u64,
-    /// Records across all data pages (excluding `pending`).
-    total_records: u64,
-    /// Appended records not yet written into data pages; drained by
-    /// [`DurableStore::flush`] once per durable commit.
-    pending: Vec<JRecord>,
+/// Wrap a medium failure with the call and the file it hit.
+fn failed(call: &'static str, name: &'static str) -> impl FnOnce(std::io::Error) -> String {
+    move |e| format!("{call} {name}: {e}")
 }
 
-/// The operation journal of a durable [`TopKIndex`](crate::TopKIndex):
-/// appends validated operations, replays them at open, and compacts to a
-/// live-set snapshot when the stream outgrows the set it describes.
-///
-/// Durability granularity is the device's backend commit: appends are
-/// buffered in RAM, [`flush`](DurableStore::flush)ed into journal pages (and
-/// thereby into the backend's WAL) and become durable only when
-/// [`TopKIndex::durable_commit`](crate::TopKIndex) runs at the end of the
-/// public operation (one commit per insert/delete/batch).
+fn storage(what: String) -> TopKError {
+    TopKError::Storage { what }
+}
+
+/// Steps 1–3 of a compaction, also the last step of converting a
+/// page-image directory: write and sync the tmp, rename it over the
+/// snapshot, sync the directory.
+fn install_snapshot(
+    medium: &dyn Medium,
+    points: &[Point],
+    stamp: u64,
+) -> std::result::Result<(), String> {
+    let bytes = encode_snapshot(points, stamp);
+    medium
+        .write_at(SNAPSHOT_TMP, 0, &bytes)
+        .map_err(failed("write", SNAPSHOT_TMP))?;
+    medium
+        .fdatasync(SNAPSHOT_TMP)
+        .map_err(failed("fdatasync", SNAPSHOT_TMP))?;
+    medium
+        .rename_file(SNAPSHOT_TMP, SNAPSHOT)
+        .map_err(failed("rename", SNAPSHOT_TMP))?;
+    medium.sync_dir().map_err(failed("sync", "the directory"))
+}
+
+/// In-RAM journal state, guarded by the `wal` mutex. Pure bookkeeping: no
+/// medium call happens while it is locked.
+#[derive(Debug, Default)]
+struct Journal {
+    /// Records of the operation in progress, written by the next commit.
+    pending: Vec<Record>,
+    /// Byte length of `journal.topk`: where the next frame goes.
+    len: u64,
+    /// Records in `journal.topk`.
+    records: u64,
+    /// The failure that killed the journal; every later commit returns it.
+    dead: Option<String>,
+}
+
+/// The journal of a durable [`TopKIndex`](crate::TopKIndex): buffers the
+/// records of each operation, commits them as one synced frame, replays
+/// snapshot and journal at open, and compacts the journal into a snapshot
+/// when it outgrows the live set.
 #[derive(Debug)]
 pub(crate) struct DurableStore {
-    journal: BlockFile<JPage>,
-    wal: Mutex<JournalSlate>,
+    medium: Arc<dyn Medium>,
+    /// Where the journal's [`DurableStats`] are counted.
+    device: Device,
+    wal: Mutex<Journal>,
 }
 
 impl DurableStore {
-    /// Open (or create) the journal on `device` and replay it: returns the
-    /// store, the recovered live point set, and the recovered version stamp.
-    pub(crate) fn open(device: &Device) -> BackendResult<(Self, Vec<Point>, u64)> {
-        let journal: BlockFile<JPage> = device.open_durable_file("topk.journal")?;
-        let block_words = device.block_words();
-        let cap = entries_per_block(block_words, 2, JRecord::WORDS, 4);
-        let head_cap = block_words.saturating_sub(4).max(4);
-        let cont_cap = block_words.saturating_sub(3).max(4);
-
-        // Classify the recovered pages: exactly one head meta (a fresh store
-        // has none and allocates one), any number of continuations, and the
-        // data pages.
-        enum Kind {
-            Head(Vec<u32>, u64, Option<u32>),
-            Cont(Vec<u32>, Option<u32>),
-            Data,
-        }
-        let mut head: Option<(PageId, Vec<u32>, u64, Option<u32>)> = None;
-        let mut conts: HashMap<PageId, (Vec<u32>, Option<u32>)> = HashMap::new();
-        let mut data_live: HashSet<PageId> = HashSet::new();
-        for id in journal.live_ids() {
-            let kind = journal.with(id, |p| match p {
-                JPage::Meta {
-                    pages,
-                    last_stamp,
-                    next,
-                } => Kind::Head(pages.clone(), *last_stamp, *next),
-                JPage::MetaCont { pages, next } => Kind::Cont(pages.clone(), *next),
-                JPage::Data { .. } => Kind::Data,
-            });
-            match kind {
-                Kind::Head(pages, stamp, next) => {
-                    if head.is_some() {
-                        return Err(BackendError::Corrupt(
-                            "journal holds more than one head meta page".to_string(),
-                        ));
-                    }
-                    head = Some((id, pages, stamp, next));
-                }
-                Kind::Cont(pages, next) => {
-                    conts.insert(id, (pages, next));
-                }
-                Kind::Data => {
-                    data_live.insert(id);
-                }
+    /// Open (or create) the store on `medium` and recover it: returns the
+    /// store, the live points and the recovered version stamp. A directory
+    /// in the page-image format converts once, here.
+    ///
+    /// # Errors
+    ///
+    /// [`TopKError::Storage`] if a medium call fails, the snapshot is
+    /// damaged, or the journal holds a record no commit could have written.
+    pub(crate) fn open(
+        medium: Arc<dyn Medium>,
+        device: &Device,
+    ) -> Result<(Self, Vec<Point>, u64)> {
+        let m = medium.as_ref();
+        let mut stats = DurableStats::default();
+        m.remove_file(SNAPSHOT_TMP)
+            .map_err(failed("remove", SNAPSHOT_TMP))
+            .map_err(storage)?;
+        let (points, snap_stamp) = match m
+            .read_file(SNAPSHOT)
+            .map_err(failed("read", SNAPSHOT))
+            .map_err(storage)?
+        {
+            Some(bytes) => {
+                stats.preads += 1;
+                decode_snapshot(&bytes).map_err(storage)?
             }
-        }
-        let (meta, listed_head, mut stamp, head_next) = match head {
-            Some(h) => h,
-            None => {
-                let id = journal.alloc(JPage::Meta {
-                    pages: Vec::new(),
-                    last_stamp: 0,
-                    next: None,
-                });
-                (id, Vec::new(), 0, None)
-            }
+            None => match read_page_image_dir(m).map_err(storage)? {
+                Some((points, stamp)) => {
+                    install_snapshot(m, &points, stamp).map_err(storage)?;
+                    (points, stamp)
+                }
+                None => (Vec::new(), 0),
+            },
         };
-
-        // Walk the directory chain, concatenating its listings. Visited
-        // continuations leave `conts`; whatever remains is unreachable and
-        // cannot hold committed directory state — drop it below.
-        let mut metas = vec![meta];
-        let mut dir_tail_len = listed_head.len();
-        let mut listed = listed_head;
-        let mut next = head_next;
-        while let Some(n) = next {
-            let pid = PageId(n);
-            let Some((pgs, nx)) = conts.remove(&pid) else {
-                return Err(BackendError::Corrupt(format!(
-                    "journal meta chain names page {n}, which is not a live \
-                     continuation page"
-                )));
-            };
-            dir_tail_len = pgs.len();
-            listed.extend(pgs);
-            metas.push(pid);
-            next = nx;
+        for old in PAGE_IMAGE_FILES {
+            m.remove_file(old)
+                .map_err(failed("remove", old))
+                .map_err(storage)?;
         }
-        for orphan in conts.into_keys() {
-            journal.free(orphan);
-        }
+        let journal = m
+            .read_file(JOURNAL)
+            .map_err(failed("read", JOURNAL))
+            .map_err(storage)?;
+        stats.preads += u64::from(journal.is_some());
+        let bytes = journal.as_deref().unwrap_or_default();
+        let (records, intact) = decode_frames(bytes);
 
-        // Replay the operation stream in directory order.
-        let mut map: HashMap<u64, Point> = HashMap::new();
-        let mut pages: Vec<PageId> = Vec::with_capacity(listed.len());
-        let mut tail_len = 0usize;
-        let mut total_records = 0u64;
-        for raw in &listed {
-            let pid = PageId(*raw);
-            if !data_live.remove(&pid) {
-                return Err(BackendError::Corrupt(format!(
-                    "journal meta lists page {raw}, which did not survive recovery"
-                )));
+        check_distinct(&points).map_err(|e| storage(format!("{SNAPSHOT}: {e}")))?;
+        stats.recovered_pages = points.len() as u64;
+        let mut live: HashMap<u64, Point> = points.into_iter().map(|p| (p.x, p)).collect();
+        let mut stamp = snap_stamp;
+        let mut prev = 0;
+        for r in &records {
+            let bad = |what: &str| storage(format!("{JOURNAL}: record {r:?} {what}"));
+            if r.stamp <= prev {
+                return Err(bad("does not advance the stamp"));
             }
-            let recs = journal.with(pid, |p| match p {
-                JPage::Data { records } => Some(records.clone()),
-                JPage::Meta { .. } | JPage::MetaCont { .. } => None,
-            });
-            let Some(recs) = recs else {
-                return Err(BackendError::Corrupt(format!(
-                    "journal meta lists page {raw}, which is not a data page"
-                )));
-            };
-            tail_len = recs.len();
-            total_records += recs.len() as u64;
-            for r in &recs {
-                stamp = stamp.max(r.stamp);
-                match r.op {
-                    OP_INSERT => {
-                        map.insert(r.x, Point::new(r.x, r.score));
-                    }
-                    OP_DELETE => {
-                        map.remove(&r.x);
-                    }
-                    other => {
-                        return Err(BackendError::Corrupt(format!(
-                            "unknown journal op code {other}"
-                        )))
-                    }
-                }
+            prev = r.stamp;
+            if r.stamp <= snap_stamp {
+                continue;
             }
-            pages.push(pid);
+            let p = Point::new(r.x, r.score);
+            let applied = match r.op {
+                OP_INSERT => live.insert(r.x, p).is_none(),
+                OP_DELETE => live.remove(&r.x) == Some(p),
+                _ => return Err(bad("has an unknown op code")),
+            };
+            if !applied {
+                return Err(bad("does not apply to the live set"));
+            }
+            stamp = r.stamp;
+            stats.recovered_pages += 1;
         }
-        // Pages the backend recovered but the committed directory does not
-        // list cannot hold committed operations — drop them.
-        for orphan in data_live {
-            journal.free(orphan);
-        }
+        let points: Vec<Point> = live.into_values().collect();
+        check_distinct(&points).map_err(|e| storage(format!("{JOURNAL}: {e}")))?;
 
+        if journal.is_none() {
+            m.write_at(JOURNAL, 0, &[])
+                .map_err(failed("create", JOURNAL))
+                .map_err(storage)?;
+        } else if intact < bytes.len() as u64 {
+            m.truncate_file(JOURNAL, intact)
+                .map_err(failed("truncate", JOURNAL))
+                .and_then(|()| m.fdatasync(JOURNAL).map_err(failed("fdatasync", JOURNAL)))
+                .map_err(storage)?;
+        }
+        m.sync_dir()
+            .map_err(failed("sync", "the directory"))
+            .map_err(storage)?;
+        device.add_durable(stats);
         let store = Self {
-            journal,
-            wal: Mutex::new(JournalSlate {
-                metas,
-                dir_tail_len,
-                pages,
-                tail_len,
-                cap,
-                head_cap,
-                cont_cap,
-                last_stamp: stamp,
-                total_records,
-                pending: Vec::new(),
+            medium,
+            device: device.clone(),
+            wal: Mutex::new(Journal {
+                len: intact,
+                records: records.len() as u64,
+                ..Journal::default()
             }),
         };
-        Ok((store, map.into_values().collect(), stamp))
+        Ok((store, points, stamp))
     }
 
-    /// Buffer one operation record. Written to journal pages by the next
-    /// [`flush`](Self::flush) and durable at the next device commit. Callers
-    /// are serialized by the topology's write-side locking. Costs no I/O.
-    pub(crate) fn append(&self, op: u8, p: Point, stamp: u64) {
-        let mut st = self.wal.lock().unwrap();
-        st.pending.push(JRecord {
+    /// Buffer one operation record for the next [`commit`](Self::commit).
+    /// Callers are serialized by the topology's write-side locking.
+    pub(crate) fn append(&self, op: u64, p: Point, stamp: u64) {
+        self.wal.lock().unwrap().pending.push(Record {
             op,
             x: p.x,
             score: p.score,
             stamp,
         });
-        st.last_stamp = stamp;
     }
 
-    /// Drain the buffered records into journal data pages: top up the tail
-    /// page (one page image into the backend WAL regardless of how many
-    /// records arrived) and append whole new pages for the remainder,
-    /// growing the directory chain as needed. Run once per durable commit,
-    /// just before the backend commit.
-    pub(crate) fn flush(&self) {
-        // Copy the plan out, then do all file I/O with the guard released.
-        let (pending, tail, cap) = {
-            let mut st = self.wal.lock().unwrap();
-            if st.pending.is_empty() {
+    /// Make the buffered records durable: append them as one frame and sync
+    /// the journal. A no-op when nothing is buffered.
+    ///
+    /// # Errors
+    ///
+    /// [`TopKError::Storage`] if this or any earlier medium call failed.
+    pub(crate) fn commit(&self) -> Result<()> {
+        let (frame, offset, count) = {
+            let j = self.wal.lock().unwrap();
+            if let Some(e) = &j.dead {
+                return Err(storage(e.clone()));
+            }
+            if j.pending.is_empty() {
+                return Ok(());
+            }
+            (encode_frame(&j.pending), j.len, j.pending.len() as u64)
+        };
+        let m = self.medium.as_ref();
+        let result = m
+            .write_at(JOURNAL, offset, &frame)
+            .map_err(failed("append to", JOURNAL))
+            .and_then(|()| m.fdatasync(JOURNAL).map_err(failed("fdatasync", JOURNAL)));
+        let mut j = self.wal.lock().unwrap();
+        if let Err(e) = result {
+            j.dead = Some(e.clone());
+            return Err(storage(e));
+        }
+        j.pending.clear();
+        j.len += frame.len() as u64;
+        j.records += count;
+        drop(j);
+        self.device.add_durable(DurableStats {
+            wal_bytes: frame.len() as u64,
+            commits: 1,
+            pwrites: 1,
+            ..DurableStats::default()
+        });
+        Ok(())
+    }
+
+    /// Whether the journal (buffered records included) has outgrown the
+    /// live set it describes and should be compacted.
+    pub(crate) fn needs_compact(&self, live: u64) -> bool {
+        let j = self.wal.lock().unwrap();
+        j.records + j.pending.len() as u64 > (4 * live).max(256)
+    }
+
+    /// Replace snapshot and journal by a snapshot of `points` at `stamp`.
+    /// Buffered records are dropped: their effects are part of `points`.
+    /// A failure kills the journal, and the next commit reports it.
+    pub(crate) fn compact(&self, points: &[Point], stamp: u64) {
+        {
+            let mut j = self.wal.lock().unwrap();
+            if j.dead.is_some() {
                 return;
             }
-            let pending = std::mem::take(&mut st.pending);
-            let tail = st
-                .pages
-                .last()
-                .copied()
-                .map(|p| (p, st.tail_len))
-                .filter(|(_, len)| *len < st.cap);
-            (pending, tail, st.cap)
-        };
-        let mut recs = pending.as_slice();
-        if let Some((pid, tail_len)) = tail {
-            let take = (cap - tail_len).min(recs.len());
-            let (chunk, rest) = recs.split_at(take);
-            let chunk = chunk.to_vec();
-            self.journal.with_mut(pid, |page| {
-                if let JPage::Data { records } = page {
-                    records.extend_from_slice(&chunk);
-                }
-            });
-            let mut st = self.wal.lock().unwrap();
-            st.tail_len += take;
-            st.total_records += take as u64;
-            recs = rest;
+            j.pending.clear();
         }
-        for chunk in recs.chunks(cap) {
-            let pid = self.journal.alloc(JPage::Data {
-                records: chunk.to_vec(),
-            });
-            {
-                let mut st = self.wal.lock().unwrap();
-                st.pages.push(pid);
-                st.tail_len = chunk.len();
-                st.total_records += chunk.len() as u64;
-            }
-            self.link_page(pid);
-        }
-    }
-
-    /// Record a freshly allocated data page in the directory chain: append
-    /// its id to the chain's tail page, growing the chain with a linked
-    /// continuation page when the tail is full.
-    fn link_page(&self, pid: PageId) {
-        enum Plan {
-            /// Room in the chain's tail page: push the id there.
-            Tail { meta: PageId, stamp: u64 },
-            /// Tail full: allocate a continuation and link it from `prev`.
-            Grow { prev: PageId },
-        }
-        let plan = {
-            let mut st = self.wal.lock().unwrap();
-            let meta = *st
-                .metas
-                .last()
-                .expect("directory chain holds at least the head meta page");
-            let cap = if st.metas.len() == 1 {
-                st.head_cap
-            } else {
-                st.cont_cap
-            };
-            if st.dir_tail_len < cap {
-                st.dir_tail_len += 1;
-                Plan::Tail {
-                    meta,
-                    stamp: st.last_stamp,
-                }
-            } else {
-                Plan::Grow { prev: meta }
-            }
-        };
-        match plan {
-            Plan::Tail { meta, stamp } => {
-                self.journal.with_mut(meta, |page| match page {
-                    JPage::Meta {
-                        pages, last_stamp, ..
-                    } => {
-                        pages.push(pid.0);
-                        *last_stamp = stamp;
-                    }
-                    JPage::MetaCont { pages, .. } => pages.push(pid.0),
-                    JPage::Data { .. } => {}
-                });
-            }
-            Plan::Grow { prev } => {
-                let cont = self.journal.alloc(JPage::MetaCont {
-                    pages: vec![pid.0],
-                    next: None,
-                });
-                {
-                    let mut st = self.wal.lock().unwrap();
-                    st.metas.push(cont);
-                    st.dir_tail_len = 1;
-                }
-                self.journal.with_mut(prev, |page| match page {
-                    JPage::Meta { next, .. } | JPage::MetaCont { next, .. } => {
-                        *next = Some(cont.0);
-                    }
-                    JPage::Data { .. } => {}
-                });
-            }
-        }
-    }
-
-    /// Whether the journal (including still-buffered appends) has outgrown
-    /// the live set it describes and should be compacted.
-    pub(crate) fn needs_compact(&self, live: u64) -> bool {
-        let st = self.wal.lock().unwrap();
-        st.total_records + st.pending.len() as u64 > (4 * live).max(256)
-    }
-
-    /// Rewrite the journal as a snapshot of `points` at `stamp`: every old
-    /// data page and directory continuation is freed and the live set is
-    /// re-journalled as insert records. Buffered appends are dropped — their
-    /// effects are part of `points`. Staged like flushes; durable at the
-    /// next device commit.
-    pub(crate) fn compact(&self, points: &[Point], stamp: u64) {
-        let (head, cap, head_cap, cont_cap, old_data, old_conts) = {
-            let mut st = self.wal.lock().unwrap();
-            let old_data = std::mem::take(&mut st.pages);
-            let old_conts = st.metas.split_off(1);
-            let head = *st
-                .metas
-                .first()
-                .expect("directory chain holds at least the head meta page");
-            st.pending.clear();
-            st.tail_len = 0;
-            st.dir_tail_len = 0;
-            st.total_records = 0;
-            st.last_stamp = stamp;
-            (head, st.cap, st.head_cap, st.cont_cap, old_data, old_conts)
-        };
-        for pid in old_data {
-            self.journal.free(pid);
-        }
-        for pid in old_conts {
-            self.journal.free(pid);
-        }
-        let mut new_pages = Vec::new();
-        for chunk in points.chunks(cap) {
-            let records = chunk
-                .iter()
-                .map(|p| JRecord {
-                    op: OP_INSERT,
-                    x: p.x,
-                    score: p.score,
-                    stamp,
-                })
-                .collect();
-            new_pages.push(self.journal.alloc(JPage::Data { records }));
-        }
-        let ids: Vec<u32> = new_pages.iter().map(|p| p.0).collect();
-        // Rebuild the directory chain: the head lists the first `head_cap`
-        // ids, the remainder spills into continuations — allocated last to
-        // first so each page already knows its successor.
-        let head_take = ids.len().min(head_cap);
-        let (head_ids, spill) = ids.split_at(head_take);
-        let dir_tail_len = spill
-            .chunks(cont_cap)
-            .last()
-            .map_or(head_take, <[u32]>::len);
-        let mut next: Option<u32> = None;
-        let mut conts: Vec<PageId> = Vec::new();
-        for chunk in spill.chunks(cont_cap).rev() {
-            let cont = self.journal.alloc(JPage::MetaCont {
-                pages: chunk.to_vec(),
-                next,
-            });
-            next = Some(cont.0);
-            conts.push(cont);
-        }
-        conts.reverse();
-        let head_pages = head_ids.to_vec();
-        {
-            let mut st = self.wal.lock().unwrap();
-            st.tail_len = points.len() - new_pages.len().saturating_sub(1) * cap;
-            st.dir_tail_len = dir_tail_len;
-            st.total_records = points.len() as u64;
-            st.pages = new_pages;
-            st.metas.extend(conts);
-        }
-        self.journal.with_mut(head, move |page| {
-            *page = JPage::Meta {
-                pages: head_pages,
-                last_stamp: stamp,
-                next,
-            };
+        let m = self.medium.as_ref();
+        let result = install_snapshot(m, points, stamp).and_then(|()| {
+            m.truncate_file(JOURNAL, 0)
+                .map_err(failed("truncate", JOURNAL))?;
+            m.fdatasync(JOURNAL).map_err(failed("fdatasync", JOURNAL))
         });
+        let mut j = self.wal.lock().unwrap();
+        match result {
+            Ok(()) => {
+                j.len = 0;
+                j.records = 0;
+                drop(j);
+                self.device.add_durable(DurableStats {
+                    checkpoints: 1,
+                    pwrites: 1,
+                    ..DurableStats::default()
+                });
+            }
+            Err(e) => j.dead = Some(e),
+        }
     }
 
-    /// Journal size in records, buffered appends included (test support).
+    /// Journal size in records, buffered records included (test support).
     #[cfg(test)]
     pub(crate) fn record_count(&self) -> u64 {
-        let st = self.wal.lock().unwrap();
-        st.total_records + st.pending.len() as u64
-    }
-
-    /// Length of the directory chain in meta pages (test support).
-    #[cfg(test)]
-    pub(crate) fn meta_chain_len(&self) -> usize {
-        self.wal.lock().unwrap().metas.len()
+        let j = self.wal.lock().unwrap();
+        j.records + j.pending.len() as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StdFs;
     use emsim::EmConfig;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -633,85 +451,76 @@ mod tests {
         std::env::temp_dir().join(format!("topk-persist-{tag}-{}-{n}", std::process::id()))
     }
 
-    fn file_device(dir: &std::path::Path) -> Device {
-        Device::open(EmConfig::new(128, 128 * 32), dir).unwrap()
+    fn open(dir: &std::path::Path) -> (DurableStore, Vec<Point>, u64, Device) {
+        let device = Device::new(EmConfig::new(128, 128 * 32));
+        let fs = Arc::new(StdFs::open(dir).unwrap());
+        let (store, mut points, stamp) = DurableStore::open(fs, &device).unwrap();
+        points.sort_by_key(|p| p.x);
+        (store, points, stamp, device)
     }
 
     #[test]
-    fn jpage_images_round_trip() {
-        let pages = [
-            JPage::Meta {
-                pages: vec![3, 1, 4, 1, 5],
-                last_stamp: 99,
-                next: Some(12),
+    fn frames_and_snapshots_round_trip() {
+        let recs = [
+            Record {
+                op: OP_INSERT,
+                x: 7,
+                score: 42,
+                stamp: 1,
             },
-            JPage::Meta {
-                pages: vec![],
-                last_stamp: 0,
-                next: None,
+            Record {
+                op: OP_DELETE,
+                x: 7,
+                score: 42,
+                stamp: 2,
             },
-            JPage::MetaCont {
-                pages: vec![9, 2, 6],
-                next: Some(5),
-            },
-            JPage::MetaCont {
-                pages: vec![],
-                next: None,
-            },
-            JPage::Data {
-                records: vec![
-                    JRecord {
-                        op: OP_INSERT,
-                        x: 7,
-                        score: 42,
-                        stamp: 1,
-                    },
-                    JRecord {
-                        op: OP_DELETE,
-                        x: 7,
-                        score: 42,
-                        stamp: 2,
-                    },
-                ],
-            },
-            JPage::Data { records: vec![] },
         ];
-        for p in &pages {
-            let mut words = Vec::new();
-            p.encode(&mut words);
-            assert_eq!(words.len(), p.words(), "encode emits exactly words()");
-            assert_eq!(JPage::decode(&words).as_ref(), Some(p));
-        }
-        assert_eq!(JPage::decode(&[]), None);
-        assert_eq!(JPage::decode(&[77]), None);
-        // A corrupt count must not decode (nor allocate absurdly).
-        assert_eq!(JPage::decode(&[TAG_DATA, u64::MAX]), None);
-        assert_eq!(JPage::decode(&[TAG_META, 1, NO_NEXT, u64::MAX]), None);
-        assert_eq!(JPage::decode(&[TAG_META_CONT, NO_NEXT, u64::MAX]), None);
+        let mut journal = encode_frame(&recs[..1]);
+        journal.extend(encode_frame(&recs[1..]));
+        assert_eq!(
+            decode_frames(&journal),
+            (recs.to_vec(), journal.len() as u64)
+        );
+        // A short frame, a bad checksum and an empty frame all end the log.
+        let first = encode_frame(&recs[..1]).len() as u64;
+        let short = &journal[..journal.len() - 1];
+        assert_eq!(decode_frames(short), (recs[..1].to_vec(), first));
+        let mut flipped = journal.clone();
+        flipped[journal.len() - 3] ^= 1;
+        assert_eq!(decode_frames(&flipped), (recs[..1].to_vec(), first));
+        assert_eq!(decode_frames(&sealed(vec![0])), (Vec::new(), 0));
+        // A corrupt count cannot ask for more records than the file holds.
+        assert_eq!(decode_frames(&sealed(vec![u64::MAX, 1])), (Vec::new(), 0));
+
+        let points = vec![Point::new(3, 30), Point::new(1, 10)];
+        let snap = encode_snapshot(&points, 9);
+        assert_eq!(decode_snapshot(&snap), Ok((points, 9)));
+        assert_eq!(
+            decode_snapshot(&encode_snapshot(&[], 0)),
+            Ok((Vec::new(), 0))
+        );
+        assert!(decode_snapshot(&snap[..snap.len() - 8]).is_err());
+        assert!(decode_snapshot(&[]).is_err());
     }
 
     #[test]
     fn journal_replays_its_operation_stream_across_reopen() {
         let dir = scratch_dir("replay");
         {
-            let device = file_device(&dir);
-            let (store, points, stamp) = DurableStore::open(&device).unwrap();
+            let (store, points, stamp, _) = open(&dir);
             assert!(points.is_empty());
             assert_eq!(stamp, 0);
             store.append(OP_INSERT, Point::new(1, 10), 1);
             store.append(OP_INSERT, Point::new(2, 20), 2);
+            store.commit().unwrap();
             store.append(OP_INSERT, Point::new(3, 30), 3);
             store.append(OP_DELETE, Point::new(2, 20), 4);
-            store.flush();
-            device.commit_backend().unwrap();
+            store.commit().unwrap();
         }
-        {
-            let device = file_device(&dir);
-            let (_store, mut points, stamp) = DurableStore::open(&device).unwrap();
-            points.sort_by_key(|p| p.x);
-            assert_eq!(points, vec![Point::new(1, 10), Point::new(3, 30)]);
-            assert_eq!(stamp, 4);
-        }
+        let (_store, points, stamp, device) = open(&dir);
+        assert_eq!(points, vec![Point::new(1, 10), Point::new(3, 30)]);
+        assert_eq!(stamp, 4);
+        assert_eq!(device.durable_stats().recovered_pages, 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -719,40 +528,38 @@ mod tests {
     fn uncommitted_appends_do_not_survive_reopen() {
         let dir = scratch_dir("uncommitted");
         {
-            let device = file_device(&dir);
-            let (store, _, _) = DurableStore::open(&device).unwrap();
+            let (store, _, _, _) = open(&dir);
             store.append(OP_INSERT, Point::new(1, 10), 1);
-            store.flush();
-            device.commit_backend().unwrap();
-            // Flushed into the backend WAL but never committed: must vanish.
+            store.commit().unwrap();
+            // Buffered but never committed: must vanish.
             store.append(OP_INSERT, Point::new(2, 20), 2);
-            store.flush();
         }
-        {
-            let device = file_device(&dir);
-            let (_store, points, stamp) = DurableStore::open(&device).unwrap();
-            assert_eq!(points, vec![Point::new(1, 10)]);
-            assert_eq!(stamp, 1);
-        }
+        let (_store, points, stamp, _) = open(&dir);
+        assert_eq!(points, vec![Point::new(1, 10)]);
+        assert_eq!(stamp, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn unflushed_appends_stay_buffered() {
         let dir = scratch_dir("buffered");
-        let device = file_device(&dir);
-        let (store, _, _) = DurableStore::open(&device).unwrap();
-        let before = device.durable_stats().wal_appends;
+        let (store, _, _, device) = open(&dir);
         store.append(OP_INSERT, Point::new(1, 10), 1);
         store.append(OP_INSERT, Point::new(2, 20), 2);
-        assert_eq!(store.record_count(), 2, "pending records are counted");
+        assert_eq!(store.record_count(), 2, "buffered records are counted");
+        let stats = device.durable_stats();
         assert_eq!(
-            device.durable_stats().wal_appends,
-            before,
-            "append alone must not touch the backend WAL"
+            (stats.commits, stats.wal_bytes),
+            (0, 0),
+            "append alone writes nothing"
         );
-        store.flush();
-        assert!(device.durable_stats().wal_appends > before);
+        store.commit().unwrap();
+        let stats = device.durable_stats();
+        // One frame: a count word, two 4-word records and a checksum.
+        assert_eq!(
+            (stats.commits, stats.pwrites, stats.wal_bytes),
+            (1, 1, 8 * 10)
+        );
         assert_eq!(store.record_count(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -762,84 +569,34 @@ mod tests {
         let dir = scratch_dir("compact");
         let points: Vec<Point> = (0..200u64).map(|i| Point::new(i, i + 1000)).collect();
         {
-            let device = file_device(&dir);
-            let (store, _, _) = DurableStore::open(&device).unwrap();
-            // Churn: insert everything twice via delete+reinsert.
+            let (store, _, _, device) = open(&dir);
+            // Churn: insert everything, then delete and reinsert it.
             let mut stamp = 0;
             for p in &points {
                 stamp += 1;
                 store.append(OP_INSERT, *p, stamp);
             }
-            store.flush();
+            store.commit().unwrap();
             for p in &points {
                 stamp += 1;
                 store.append(OP_DELETE, *p, stamp);
                 stamp += 1;
                 store.append(OP_INSERT, *p, stamp);
+                store.commit().unwrap();
             }
-            store.flush();
             assert_eq!(store.record_count(), 600);
             assert!(store.needs_compact(100));
             store.compact(&points, stamp);
-            assert_eq!(store.record_count(), points.len() as u64);
-            device.commit_backend().unwrap();
+            assert_eq!(store.record_count(), 0);
+            assert_eq!(device.durable_stats().checkpoints, 1);
+            store.commit().unwrap();
         }
-        {
-            let device = file_device(&dir);
-            let (store, mut got, stamp) = DurableStore::open(&device).unwrap();
-            got.sort_by_key(|p| p.x);
-            assert_eq!(got, points);
-            assert_eq!(stamp, 600);
-            assert!(!store.needs_compact(points.len() as u64));
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Tiny blocks so a few thousand records overflow a single meta page's
-    /// directory capacity: with `B = 32`, a data page holds 7 records and
-    /// the head meta lists 28 data pages, so the journal below *must* chain.
-    /// This is the regression test for the ~64k-point cap of the single
-    /// meta-page layout (which used to brick the store permanently).
-    #[test]
-    fn journal_directory_chains_past_one_meta_page() {
-        let dir = scratch_dir("chain");
-        let cfg = EmConfig::new(32, 32 * 64);
-        let points: Vec<Point> = (0..2000u64).map(|i| Point::new(i, i + 10_000)).collect();
-        {
-            let device = Device::open(cfg, &dir).unwrap();
-            let (store, _, _) = DurableStore::open(&device).unwrap();
-            for (i, p) in points.iter().enumerate() {
-                store.append(OP_INSERT, *p, i as u64 + 1);
-            }
-            store.flush();
-            assert!(
-                store.meta_chain_len() > 1,
-                "2000 records on 32-word blocks must spill the directory \
-                 into a chain (got {} meta pages)",
-                store.meta_chain_len()
-            );
-            device.commit_backend().unwrap();
-        }
-        {
-            let device = Device::open(cfg, &dir).unwrap();
-            let (store, mut got, stamp) = DurableStore::open(&device).unwrap();
-            got.sort_by_key(|p| p.x);
-            assert_eq!(got, points);
-            assert_eq!(stamp, 2000);
-            // Compaction of a chained directory must also survive reopen
-            // (the old single-page layout died here on an oversized image).
-            store.compact(&points, 2000);
-            assert!(store.meta_chain_len() > 1);
-            device.checkpoint_backend().unwrap();
-        }
-        {
-            let device = Device::open(cfg, &dir).unwrap();
-            let (store, mut got, stamp) = DurableStore::open(&device).unwrap();
-            got.sort_by_key(|p| p.x);
-            assert_eq!(got, points);
-            assert_eq!(stamp, 2000);
-            assert_eq!(store.record_count(), points.len() as u64);
-        }
+        let journal = std::fs::metadata(dir.join(JOURNAL)).unwrap().len();
+        assert_eq!(journal, 0, "compaction truncates the journal");
+        let (store, got, stamp, _) = open(&dir);
+        assert_eq!(got, points);
+        assert_eq!(stamp, 600);
+        assert!(!store.needs_compact(points.len() as u64));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

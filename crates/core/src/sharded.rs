@@ -55,8 +55,8 @@
 //! so the fan-out, the parallel commit and the rebalance cannot deadlock.
 //!
 //! A durable index is one shard opened with [`TopKIndex::open_durable`]: the
-//! device has one write-ahead journal, so every path that mutates a shard
-//! ends by committing that shard's journal (a no-op on RAM devices).
+//! directory has one journal, so every path that mutates a shard ends by
+//! committing that shard's journal (a no-op without a directory).
 
 use std::collections::{BinaryHeap, HashSet};
 use std::ops::Deref;
@@ -66,6 +66,7 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use emsim::Device;
 use epst::Point;
 
+use crate::backend::Medium;
 use crate::batch::{self, BatchSummary, UpdateBatch};
 use crate::builder::IndexBuilder;
 use crate::config::TopKConfig;
@@ -341,12 +342,16 @@ impl ShardedTopK {
         Self::from_shards(device, config, indexes)
     }
 
-    /// Open (or create) the durable index on `device` as one shard: the
-    /// device has a single write-ahead journal, which
-    /// [`TopKIndex::open_durable`] replays into the shard. The shard's
-    /// registry, seeded from the recovered points, is the handle's.
-    pub(crate) fn open_durable(device: &Device, config: TopKConfig) -> Result<Self> {
-        let index = TopKIndex::open_durable(device, config)?;
+    /// Open (or create) the durable index on `medium` as one shard: the
+    /// directory has a single journal, which [`TopKIndex::open_durable`]
+    /// recovers into the shard. The shard's registry, seeded from the
+    /// recovered points, is the handle's.
+    pub(crate) fn open_durable(
+        medium: Arc<dyn Medium>,
+        device: &Device,
+        config: TopKConfig,
+    ) -> Result<Self> {
+        let index = TopKIndex::open_durable(medium, device, config)?;
         Ok(Self::from_shards(device, config, vec![index]))
     }
 

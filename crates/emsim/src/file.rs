@@ -5,7 +5,7 @@ use std::marker::PhantomData;
 use std::sync::{Arc, Mutex, RwLock};
 
 use crate::device::{Device, FileId, PageAddr};
-use crate::page::{encode_page, Page, PersistPage};
+use crate::page::Page;
 
 /// Identifier of a page within a [`BlockFile`]. Page ids are stable for the
 /// lifetime of the page (until [`BlockFile::free`]) and may be stored inside
@@ -28,8 +28,9 @@ type Slot<P> = Arc<RwLock<Option<P>>>;
 
 /// A file of pages of type `P` on a [`Device`].
 ///
-/// Every [`with`](BlockFile::with) / [`with_mut`](BlockFile::with_mut) call is a
-/// logical page access charged through the device's buffer pool. Accessing a
+/// Pages are plain Rust values held in RAM. Every [`with`](BlockFile::with) /
+/// [`with_mut`](BlockFile::with_mut) call is a logical page access charged
+/// through the device's buffer pool. Accessing a
 /// page therefore costs one read I/O the first time (and after eviction), and is
 /// free while the page stays resident — exactly the EM model.
 ///
@@ -47,44 +48,7 @@ pub struct BlockFile<P> {
     file_id: FileId,
     slots: RwLock<Vec<Slot<P>>>,
     free_list: Mutex<Vec<u32>>,
-    /// Durable write-through: set for files opened via
-    /// [`Device::open_durable_file`], `None` for plain simulated files.
-    /// Every mutation (`alloc`/`with_mut`/`put`/`free`) forwards the encoded
-    /// page image to the device's backend.
-    persist: Option<fn(&P) -> Vec<u64>>,
     _marker: PhantomData<P>,
-}
-
-impl<P: PersistPage> BlockFile<P> {
-    /// Rebuild a durable file from its recovered pages. Missing page indices
-    /// become free slots so recycled ids line up with the pre-crash layout.
-    pub(crate) fn restored(device: Device, file_id: FileId, pages: Vec<(u32, P)>) -> Self {
-        let len = pages
-            .iter()
-            .map(|(i, _)| *i as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let mut slots: Vec<Slot<P>> = (0..len).map(|_| Arc::new(RwLock::new(None))).collect();
-        for (i, p) in pages {
-            if let Some(s) = slots.get_mut(i as usize) {
-                *s = Arc::new(RwLock::new(Some(p)));
-            }
-        }
-        let free: Vec<u32> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.read().unwrap().is_none())
-            .map(|(i, _)| i as u32)
-            .collect();
-        Self {
-            device,
-            file_id,
-            slots: RwLock::new(slots),
-            free_list: Mutex::new(free),
-            persist: Some(encode_page::<P>),
-            _marker: PhantomData,
-        }
-    }
 }
 
 impl<P: Page> BlockFile<P> {
@@ -94,7 +58,6 @@ impl<P: Page> BlockFile<P> {
             file_id,
             slots: RwLock::new(Vec::new()),
             free_list: Mutex::new(Vec::new()),
-            persist: None,
             _marker: PhantomData,
         }
     }
@@ -135,7 +98,6 @@ impl<P: Page> BlockFile<P> {
     /// Allocate a new page holding `page`, charging one write access.
     pub fn alloc(&self, page: P) -> PageId {
         self.check_capacity(&page);
-        let image = self.persist.map(|enc| enc(&page));
         // Pop outside the match so the free-list lock is released before any
         // slot lock is taken (lock order: free_list and slot locks never nest).
         let recycled = self.free_list.lock().unwrap().pop();
@@ -154,9 +116,6 @@ impl<P: Page> BlockFile<P> {
         };
         self.device.record_alloc(self.file_id);
         self.device.record_access(self.addr(id), true);
-        if let Some(words) = image {
-            self.device.backend_put(self.addr(id), &words);
-        }
         id
     }
 
@@ -170,9 +129,6 @@ impl<P: Page> BlockFile<P> {
         // delayed discard would evict the recycler's freshly written page,
         // skewing the dirty write-back accounting.
         self.device.record_free(self.addr(id));
-        if self.persist.is_some() {
-            self.device.backend_drop(self.addr(id));
-        }
         self.free_list.lock().unwrap().push(id.0);
     }
 
@@ -213,13 +169,9 @@ impl<P: Page> BlockFile<P> {
             .unwrap_or_else(|| panic!("access to freed page {:?} in file {}", id, self.file_id));
         let r = f(page);
         let words = page.words();
-        let image = self.persist.map(|enc| enc(page));
         drop(guard);
         if words > self.device.block_words() {
             self.device.record_capacity_violation(words);
-        }
-        if let Some(words) = image {
-            self.device.backend_put(self.addr(id), &words);
         }
         r
     }

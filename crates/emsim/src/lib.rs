@@ -25,6 +25,12 @@
 //! trait; a page larger than a block is a bug in the data structure layout and is
 //! recorded in [`IoStats::capacity_violations`] (and panics in debug builds).
 //!
+//! The simulator is a cost model and nothing more: pages live in RAM and
+//! nothing survives the process. A durable index keeps its own snapshot and
+//! journal beside the device (`topk-core`, DESIGN.md §10) and adds its
+//! counters to the device's [`DurableStats`] so callers holding the device
+//! can read them.
+//!
 //! ```
 //! use emsim::{Device, EmConfig, Page, BlockFile};
 //!
@@ -41,7 +47,6 @@
 //! assert!(dev.stats().total_ios() >= 1);
 //! ```
 
-mod backend;
 mod config;
 mod device;
 mod file;
@@ -49,15 +54,11 @@ mod page;
 mod pool;
 mod stats;
 
-pub use backend::{
-    BackendError, BackendResult, DurableStats, FaultPlan, FileBackend, KillPhase, RamBackend,
-    StorageBackend,
-};
 pub use config::{EmConfig, PoolPolicy};
 pub use device::{Device, FileId, PageAddr};
 pub use file::{BlockFile, PageId};
-pub use page::{encode_page, entries_per_block, entries_words, Page, PersistPage};
-pub use stats::{IoDelta, IoSnapshot, IoStats};
+pub use page::{entries_per_block, entries_words, Page};
+pub use stats::{DurableStats, IoDelta, IoSnapshot, IoStats};
 
 /// Number of bytes in a machine word of the EM model as used throughout this
 /// reproduction (one word = one `u64`).

@@ -15,30 +15,6 @@ pub trait Page {
     fn words(&self) -> usize;
 }
 
-/// A [`Page`] with a machine-word byte representation, so it can live in a
-/// durable [`StorageBackend`](crate::StorageBackend).
-///
-/// Most node types stay RAM-only ([`Page`] alone) — the engine's durability
-/// is logical (an operation journal, see `topk-core`'s `DurableStore`), so
-/// only the journal's own page type needs a wire form. The contract is a
-/// strict round-trip: `decode(encode(p)) == p`, and `encode` must emit at
-/// most `words()` words (a durable page still has to fit one block).
-pub trait PersistPage: Page + Sized {
-    /// Append this page's on-disk image to `out`.
-    fn encode(&self, out: &mut Vec<u64>);
-
-    /// Rebuild a page from its on-disk image; `None` means corruption.
-    fn decode(words: &[u64]) -> Option<Self>;
-}
-
-/// Free-function form of [`PersistPage::encode`] (storable as a plain `fn`
-/// pointer inside the non-generic parts of [`BlockFile`](crate::BlockFile)).
-pub fn encode_page<P: PersistPage>(page: &P) -> Vec<u64> {
-    let mut out = Vec::with_capacity(page.words());
-    page.encode(&mut out);
-    out
-}
-
 /// Helper: number of words needed to store `n` entries of `entry_words` words
 /// each plus a fixed header.
 pub fn entries_words(header_words: usize, n: usize, entry_words: usize) -> usize {

@@ -193,6 +193,41 @@ impl fmt::Display for IoStats {
     }
 }
 
+/// Counters of a durable index's journal (`topk-core`'s `persist.rs`),
+/// kept on the device it serves from so that callers holding only the
+/// device can read them; all zero when nothing durable runs on the device.
+/// The simulator never touches them: the journal adds its own work with
+/// [`Device::add_durable`](crate::Device::add_durable).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DurableStats {
+    /// Bytes appended to `journal.topk` (commit frames; snapshots are not
+    /// counted).
+    pub wal_bytes: u64,
+    /// Commit frames appended and synced, one per committing operation.
+    pub commits: u64,
+    /// Compactions: snapshots written and renamed into place, each followed
+    /// by a journal truncation.
+    pub checkpoints: u64,
+    /// Whole-file reads of the snapshot and the journal, at open only.
+    pub preads: u64,
+    /// Positioned writes: one per commit frame, one per snapshot.
+    pub pwrites: u64,
+    /// Records recovered at open: snapshot points plus replayed journal
+    /// records.
+    pub recovered_pages: u64,
+}
+
+impl DurableStats {
+    pub(crate) fn add(&mut self, d: &DurableStats) {
+        self.wal_bytes += d.wal_bytes;
+        self.commits += d.commits;
+        self.checkpoints += d.checkpoints;
+        self.preads += d.preads;
+        self.pwrites += d.pwrites;
+        self.recovered_pages += d.recovered_pages;
+    }
+}
+
 /// A point-in-time copy of the counters, used to measure a single operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoSnapshot(pub IoStats);

@@ -102,7 +102,7 @@ fn parse_config() -> ServerConfig {
             "--queue-cap" => config.queue_cap = parse_usize(value("--queue-cap"), "--queue-cap"),
             "--batch-max" => config.batch_max = parse_usize(value("--batch-max"), "--batch-max"),
             // Serve durably from DIR (created if missing): committed writes
-            // ride the file-backed WAL and a restart recovers them.
+            // are journalled and a restart recovers them.
             "--data-dir" => {
                 let dir = std::path::PathBuf::from(value("--data-dir"));
                 if let Err(e) = std::fs::create_dir_all(&dir) {

@@ -61,10 +61,10 @@ pub struct ServerConfig {
     pub queue_cap: usize,
     /// Most writes the committer coalesces into one commit.
     pub batch_max: usize,
-    /// When set, serve a **durable** index from this directory: committed
-    /// writes ride the file-backed WAL and a restart recovers to the last
-    /// committed stamp (DESIGN.md §10). `None` (the default) serves the
-    /// in-RAM device.
+    /// When set, serve a **durable** index from this directory: each
+    /// committed batch is one synced journal frame and a restart recovers
+    /// to the last committed stamp (DESIGN.md §10). `None` (the default)
+    /// serves from RAM only.
     pub data_dir: Option<std::path::PathBuf>,
 }
 

@@ -20,10 +20,12 @@
 //!   trace against any [`Topology`], with an explicit model of the cursor
 //!   consistency contract (DESIGN.md §6) and token round-trips on every
 //!   resume;
-//! * [`mod@crash`] — the crash-recovery topology: seeded write streams
-//!   against the durable file backend, scripted kills at any phase of any
-//!   commit ([`emsim::KillPhase`]), reopen, and differential verification
-//!   of the recovered state against the spec (DESIGN.md §10);
+//! * [`mod@crashfs`] and [`mod@crash`] — the crash-recovery topology: an
+//!   in-memory [`CrashFs`] medium logs every file call of a durable index
+//!   running a seeded write stream, the state a crash leaves is rebuilt at
+//!   every boundary between two calls under four [`Policy`]s for the
+//!   unsynced ones, and each is reopened and checked against the spec
+//!   (DESIGN.md §10);
 //! * [`history`] — a concurrent history [`Recorder`] that timestamps each
 //!   op with the engine's commit stamps (the `testkit-hooks` feature of
 //!   `topk-core`), and a [`check`] pass that
@@ -42,6 +44,7 @@
 //! workspace root and replay in `tests/trace_replay.rs`.
 
 pub mod crash;
+pub mod crashfs;
 pub mod gen;
 pub mod history;
 pub mod replay;
@@ -50,7 +53,11 @@ pub mod shrink;
 pub mod topology;
 pub mod trace;
 
-pub use crash::{crash_recovery_check, scratch_dir, CrashReport, CrashSpec};
+pub use crash::{
+    conversion_crash_check, crash_recovery_check, open_on, scratch_dir, write_ops, CrashReport,
+    CrashSpec, Outcome,
+};
+pub use crashfs::{CrashFs, Files, Policy, Syscall};
 pub use gen::{generate, generate_concurrent, ConcurrentPlan, OpMix, TraceSpec};
 pub use history::{check, Event, History, HistoryReport, HistoryViolation, Recorder};
 pub use replay::{replay, replay_durable, replay_on, Divergence, ReplayStats};

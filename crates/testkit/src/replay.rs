@@ -119,10 +119,10 @@ pub fn replay(trace: &Trace, topology: Topology) -> Result<ReplayStats, Divergen
     replay_on(trace, topology, engine_device, handle)
 }
 
-/// Replay `trace` against the durable file backend rooted at `dir`: the
-/// engine is a one-shard [`Topology::Sharded`] index journaling every commit
-/// through the WAL (the device has one journal, so a durable index is one
-/// shard). `dir` must be fresh — the sequential spec starts empty, so a
+/// Replay `trace` against a durable index in the directory `dir`: the
+/// engine is a one-shard [`Topology::Sharded`] index appending one synced
+/// journal frame per commit (a directory has one journal, so a durable
+/// index is one shard). `dir` must be fresh — the sequential spec starts empty, so a
 /// directory with recovered state diverges at step 0 by construction.
 pub fn replay_durable(trace: &Trace, dir: &std::path::Path) -> Result<ReplayStats, Divergence> {
     let handle = TopK::builder()

@@ -1,13 +1,13 @@
-//! Cross-backend contract tests (ISSUE 10, satellite 4).
+//! Contract tests of the durable plane.
 //!
-//! The storage backend is below the cost model: an identical logical
-//! operation sequence must produce identical answers on the RAM and file
-//! backends, the simulated I/O counters must stay within a constant factor
-//! of each other (the journal adds traffic, it must not change the shape),
-//! and during serving the durable medium is write-only — physical reads
-//! happen at recovery, bounded by the live image count. Plus the
-//! snapshot/restore round-trip across all five workload distributions, and
-//! the reopen of a directory checked in under `tests/fixtures/`.
+//! Durability sits beside the cost model: an identical logical operation
+//! sequence must produce identical answers on a RAM-only and a durable
+//! index, the simulated I/O counters must stay within a constant factor of
+//! each other, and during serving the directory is write-only — files are
+//! read at recovery only. Plus the snapshot/restore round-trip across all
+//! five workload distributions, a steady churn whose directory must stay
+//! proportional to its live set, and the reopen of the page-image
+//! directories checked in under `tests/fixtures/`.
 
 use emsim::{Device, EmConfig};
 use rand::rngs::StdRng;
@@ -82,15 +82,15 @@ fn ram_and_file_backends_agree_on_every_answer() {
         sim_file.reads,
         sim_ram.reads
     );
-    // During serving the durable medium is write-only — every read is
-    // served from the typed pool above it.
+    // During serving the directory is write-only — every read is served
+    // from the typed pool above it.
     let ds = file.device().durable_stats();
-    assert_eq!(ds.preads, 0, "serving must not read the data file");
+    assert_eq!(ds.preads, 0, "serving must not read the directory");
     assert!(ds.commits > 0 && ds.pwrites > 0);
     drop(file);
 
-    // Recovery reads each live image once (plus the WAL tail), never more
-    // than a constant per recovered page.
+    // Recovery reads the snapshot and the journal once each, never more
+    // than a constant per recovered record.
     let reopened = build_file(&dir, 600);
     let ds = reopened.device().durable_stats();
     assert!(ds.preads > 0, "recovery must read the data file");
@@ -367,6 +367,141 @@ fn durable_one_shard_rebuild_batches_survive_reopen() {
     if let TopK::Sharded(sharded) = &handle {
         sharded.check_invariants();
     }
+    drop(handle);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn steady_churn_keeps_the_directory_within_a_multiple_of_the_live_set() {
+    // 200 live points and 3,000 delete+insert writes at steady n: the size
+    // drift never triggers a global rebuild, so only the journal's own
+    // compaction keeps the directory bounded. Each record is 32 bytes and a
+    // compaction runs past max(4 n, 256) records, so the directory stays
+    // within about 13 snapshots of the live set (16 bytes a point).
+    let dir = scratch_dir("churn");
+    let handle = TopK::builder()
+        .durable(&dir)
+        .expected_n(256)
+        .build_auto()
+        .unwrap();
+    let point = |i: u64| Point::new(i * 7 + 1, i * 13 + 5);
+    for i in 0..200u64 {
+        handle.insert(point(i)).unwrap();
+    }
+    let dir_bytes = || -> u64 {
+        std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().metadata().unwrap().len())
+            .sum()
+    };
+    let snapshot_bytes = 8 * (5 + 2 * 200);
+    let mut peak = 0;
+    for i in 200..3_200u64 {
+        assert!(handle.delete(point(i - 200)).unwrap());
+        handle.insert(point(i)).unwrap();
+        peak = peak.max(dir_bytes());
+    }
+    assert_eq!(handle.len(), 200);
+    assert!(
+        peak <= 16 * snapshot_bytes,
+        "the directory grew to {peak} bytes over a {snapshot_bytes}-byte live set"
+    );
+    assert!(handle.device().durable_stats().checkpoints >= 5);
+    drop(handle);
+    let reopened = TopK::builder().durable(&dir).build_auto().unwrap();
+    assert_eq!(reopened.len(), 200);
+    let last = point(3_199);
+    assert_eq!(reopened.query(last.x, last.x, 1).unwrap(), vec![last]);
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Copy the checked-in directory `tests/fixtures/<name>/` to a scratch
+/// directory (opening converts it) and return the copy.
+fn fixture_copy(name: &str) -> std::path::PathBuf {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    let dir = scratch_dir(name);
+    for entry in std::fs::read_dir(&fixture).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
+    dir
+}
+
+/// The points of the checked-in directory `tests/fixtures/durable_wal_25/`.
+fn wal_fixture_point(i: u64) -> Point {
+    Point::new((i * 613) % 1_009 + 1, (i * 7_727) % 10_007 + 1)
+}
+
+#[test]
+fn a_directory_left_with_committed_log_batches_converts_unchanged() {
+    // `tests/fixtures/durable_wal_25/` was written by the page-image format
+    // (`meta.topk`, `data.topk`, `wal.topk`) and dropped without a reopen,
+    // the state every server of that format left behind: its log still
+    // holds the 40 committed batches since the directory was created.
+    // `TopK::builder().durable(dir).build_auto()`, then inserts of
+    // `wal_fixture_point(i)` for i in 0..30, each fifth followed by the
+    // delete of `wal_fixture_point(i - 3)`; the batch {delete 0, insert 30,
+    // insert 31} (a rebuild), insert 32, delete 2, and the batch {insert
+    // 33, delete 5} (a rebuild). Contents, stamp and answers below are what
+    // that index reported before it was dropped.
+    let dir = fixture_copy("durable_wal_25");
+    let open = || TopK::builder().durable(&dir).build_auto().unwrap();
+    let handle = open();
+    assert_eq!(handle.len(), 25);
+    assert_eq!(handle.recovered_stamp(), Some(40));
+    let mut got = handle.all_points();
+    got.sort_unstable_by_key(|p| p.x);
+    let mut want: Vec<Point> = (0..34u64)
+        .filter(|i| ![0, 1, 2, 5, 6, 11, 16, 21, 26].contains(i))
+        .map(wal_fixture_point)
+        .collect();
+    want.sort_unstable_by_key(|p| p.x);
+    assert_eq!(got, want);
+    let points = |v: &[(u64, u64)]| -> Vec<Point> {
+        v.iter().map(|&(x, score)| Point::new(x, score)).collect()
+    };
+    let recorded = [
+        (
+            (0, u64::MAX, 5),
+            points(&[
+                (370, 9883),
+                (473, 9502),
+                (842, 9377),
+                (945, 8996),
+                (408, 8490),
+            ]),
+        ),
+        (
+            (100, 600, 4),
+            points(&[(370, 9883), (473, 9502), (408, 8490), (511, 8109)]),
+        ),
+        (
+            (500, 1_009, 3),
+            points(&[(842, 9377), (945, 8996), (511, 8109)]),
+        ),
+        ((0, 50, 2), points(&[(12, 6210), (50, 4817)])),
+    ];
+    for ((x1, x2, k), answer) in &recorded {
+        assert_eq!(
+            handle.query(*x1, *x2, *k).unwrap(),
+            *answer,
+            "top-{k} over [{x1}, {x2}]"
+        );
+    }
+    assert_eq!(handle.count_in_range(100, 600).unwrap(), 15);
+    // The conversion replaced the page-image files by the journal's.
+    for old in ["meta.topk", "data.topk", "wal.topk"] {
+        assert!(!dir.join(old).exists(), "{old} survived the conversion");
+    }
+    assert!(dir.join("snapshot.topk").exists());
+    handle.insert(Point::new(2_000, 20_000)).unwrap();
+    drop(handle);
+    let handle = open();
+    assert_eq!(handle.len(), 26);
+    assert_eq!(handle.recovered_stamp(), Some(41));
     drop(handle);
     std::fs::remove_dir_all(&dir).ok();
 }
