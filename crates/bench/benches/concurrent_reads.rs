@@ -25,7 +25,7 @@
 //! shard locks and commit in parallel. The updates/sec ratio at ≥ 4 threads
 //! is the write-scaling number the sharding tentpole claims.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use topk_bench::json::JsonRow;
@@ -170,9 +170,9 @@ fn multi_writer_fixture(territories: usize, per: usize) -> (Vec<Point>, Vec<Vec<
 enum SlowReader {
     /// No reader at all: the writer-goodput baseline.
     None,
-    /// The pre-cursor style: hold the read guard for the whole pagination,
-    /// sleeping between pages *with the guard held* — every writer blocks
-    /// until the last page is consumed.
+    /// The pre-cursor style: hold the read guard for the whole pagination
+    /// and page out of one eager answer, sleeping between pages *with the
+    /// guard held* — every writer blocks until the last page is consumed.
     GuardHeld,
     /// The cursor read plane: one read-lock acquisition per page, the
     /// between-page idle time costs writers nothing.
@@ -182,7 +182,7 @@ enum SlowReader {
 /// Part 4 workload: one writer commits a fixed job of batched updates while
 /// a slow dashboard-style reader paginates `pages × page` results, idling
 /// `pause` between pages. Returns the writer's updates/sec — the goodput
-/// number the cursor redesign claims back from the guard-held stream.
+/// number the cursor redesign claims back from the guard-held reader.
 fn run_slow_reader_goodput(
     n: usize,
     updates: usize,
@@ -204,11 +204,16 @@ fn run_slow_reader_goodput(
         })
         .collect();
     let k = pages * page;
+    // The writer starts once the reader has taken its guard or opened its
+    // cursor, so which thread wins the first lock cannot decide the row.
+    let readers = usize::from(style != SlowReader::None);
+    let started = &Barrier::new(1 + readers);
     std::thread::scope(|scope| {
         let writer = {
             let index = Arc::clone(&index);
             let ops = &ops;
             scope.spawn(move || {
+                started.wait();
                 let start = Instant::now();
                 for chunk in ops.chunks(batch) {
                     let batch = UpdateBatch::from_ops(chunk.iter().copied());
@@ -223,15 +228,10 @@ fn run_slow_reader_goodput(
                 let index = Arc::clone(&index);
                 scope.spawn(move || {
                     let guard = index.read();
-                    let mut stream = guard
-                        .stream(QueryRequest::range(0, u64::MAX).top(k))
-                        .expect("valid request");
-                    for _ in 0..pages {
-                        let page: Vec<Point> = stream.by_ref().take(page).collect();
-                        std::hint::black_box(&page);
-                        if page.is_empty() {
-                            break;
-                        }
+                    started.wait();
+                    let answer = guard.query(0, u64::MAX, k).expect("valid query");
+                    for page in answer.chunks(page) {
+                        std::hint::black_box(page);
                         // The dashboard renders… with the guard still held.
                         std::thread::sleep(pause);
                     }
@@ -243,6 +243,7 @@ fn run_slow_reader_goodput(
                     let mut cursor = index
                         .cursor(QueryRequest::range(0, u64::MAX).top(k).page_size(page))
                         .expect("valid request");
+                    started.wait();
                     for _ in 0..pages {
                         let page = cursor.next_batch().expect("per-round cursor");
                         std::hint::black_box(&page);
@@ -397,7 +398,7 @@ fn main() {
     let mut baseline = 0.0;
     for (label, style) in [
         ("none (baseline)", SlowReader::None),
-        ("guard-held stream", SlowReader::GuardHeld),
+        ("guard-held reader", SlowReader::GuardHeld),
         ("per-round cursor", SlowReader::Cursor),
     ] {
         let ups = run_slow_reader_goodput(slow_n, slow_updates, 64, pages, page, pause, style);

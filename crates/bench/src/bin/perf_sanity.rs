@@ -1,8 +1,10 @@
 //! CI perf-sanity gate: a quick k-sweep on a small index that fails (exit
 //! code 1) if queries/sec drops by more than 4× between adjacent k steps.
-//! The sweep runs on both builds: the serving index, whose pilot drain
-//! serves every k, and Theorem 1's `TheoremOne` (the §3.3 small-k path below
-//! the crossover l = 128), whose regime switch a cliff could hide in.
+//! The sweep runs on three builds: the serving index, whose pilot drain
+//! serves every k; Theorem 1's `TheoremOne` (the §3.3 small-k path below
+//! the crossover l = 128), whose regime switch a cliff could hide in; and a
+//! 4-shard `ShardedTopK`, whose 25% ranges cross shard boundaries, so every
+//! k runs the cursor's lane merge.
 //!
 //! This is a cliff detector, not a benchmark. The incremental-escalation
 //! work (persistent descent frontier + bulk pulls, DESIGN.md §6) makes
@@ -147,8 +149,18 @@ fn main() -> ExitCode {
     let mut cliff = false;
     let serving = build_serving(small_machine(), &pts);
     let theorem_one = build_index(small_machine(), SmallKEngine::Polylog, 128, &pts);
-    let builds: [(&str, &dyn RankedIndex); 2] =
-        [("serving default", &serving), ("Theorem 1", &theorem_one)];
+    let fan_out = ShardedTopK::builder()
+        .device(&emsim::Device::new(small_machine()))
+        .expected_n(n)
+        .shards(4)
+        .build_sharded()
+        .expect("gate index parameters are valid");
+    fan_out.bulk_build(&pts).expect("distinct points");
+    let builds: [(&str, &dyn RankedIndex); 3] = [
+        ("serving default", &serving),
+        ("Theorem 1", &theorem_one),
+        ("4-shard fan-out", &fan_out),
+    ];
     for (build, index) in builds {
         println!("perf_sanity — {build}: k sweep at n = {n}, 25% selectivity");
         let (pk, k, s) = worst_adjacent_drop(index, &pts);

@@ -30,7 +30,6 @@ pub fn build_index(em: EmConfig, engine: SmallKEngine, l: usize, points: &[Point
     let config = TopKConfig {
         l,
         expected_n: points.len().max(1),
-        ..TopKConfig::default()
     };
     let index = TheoremOne::new(&Device::new(em), config, engine);
     index

@@ -3,8 +3,8 @@
 //! The seed API made every caller perform a two-step dance — build an
 //! [`emsim::Device`], then pair it with a [`TopKConfig`]. [`IndexBuilder`]
 //! owns both steps: machine shape (`block_words`, `pool_bytes`) and workload
-//! shape (`expected_n`, `crossover_l`, `shards`), with validation at
-//! `build()` time instead of panics later.
+//! shape (`expected_n`, `shards`), with validation at `build()` time instead
+//! of panics later.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -104,22 +104,6 @@ impl IndexBuilder {
         self
     }
 
-    /// [`TopKConfig::l`]: the size of a lazy stream's first pilot round
-    /// (later rounds double), in a bare index and in each shard stream a
-    /// [`ShardedTopK`] fan-out merges. The name is Theorem 1's crossover,
-    /// which [`TheoremOne`](crate::TheoremOne) reads from the same field.
-    pub fn crossover_l(mut self, l: usize) -> Self {
-        self.config.l = l;
-        self
-    }
-
-    /// Rebuild everything after the live size drifts by this factor
-    /// (default 2, the paper's doubling/halving policy).
-    pub fn rebuild_factor(mut self, factor: u64) -> Self {
-        self.config.rebuild_factor = factor;
-        self
-    }
-
     /// Number of range shards for [`IndexBuilder::build_sharded`]. Without
     /// an explicit count, one shard per ~64 Ki expected points is used
     /// (rounded to a power of two, capped at 16) so small indexes pay no
@@ -202,16 +186,6 @@ impl IndexBuilder {
     /// The validated device and config, plus the medium of a durable
     /// directory.
     fn resolve(self) -> Result<Resolved> {
-        if self.config.l == 0 {
-            return Err(TopKError::InvalidConfig {
-                what: "crossover_l must be at least 1",
-            });
-        }
-        if self.config.rebuild_factor < 2 {
-            return Err(TopKError::InvalidConfig {
-                what: "rebuild_factor must be at least 2",
-            });
-        }
         if self.config.expected_n == 0 {
             return Err(TopKError::InvalidConfig {
                 what: "expected_n must be at least 1",
@@ -274,7 +248,6 @@ mod tests {
             .block_words(128)
             .pool_bytes(1 << 20)
             .expected_n(1000)
-            .crossover_l(64)
             .build()
             .unwrap();
         assert_eq!(index.device().block_words(), 128);
@@ -288,8 +261,6 @@ mod tests {
     #[test]
     fn invalid_parameters_are_rejected_by_name() {
         for (builder, needle) in [
-            (TopKIndex::builder().crossover_l(0), "crossover_l"),
-            (TopKIndex::builder().rebuild_factor(1), "rebuild_factor"),
             (TopKIndex::builder().expected_n(0), "expected_n"),
             (TopKIndex::builder().block_words(2), "block_words"),
             (
@@ -374,7 +345,6 @@ mod tests {
             let index = TopKIndex::builder()
                 .durable(&dir)
                 .expected_n(200)
-                .crossover_l(64)
                 .build()
                 .unwrap();
             assert!(index.is_durable());
@@ -389,7 +359,6 @@ mod tests {
         let index = TopKIndex::builder()
             .durable(&dir)
             .expected_n(200)
-            .crossover_l(64)
             .build()
             .unwrap();
         assert_eq!(index.len(), 40);

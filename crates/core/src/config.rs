@@ -42,17 +42,13 @@ impl SmallKEngine {
 /// [`IndexBuilder`](crate::IndexBuilder) rather than by hand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopKConfig {
-    /// The size of a lazy stream's first pilot round (later rounds double);
-    /// a [`ShardedTopK`](crate::ShardedTopK) fan-out merges such streams. In
-    /// [`TheoremOne`](crate::TheoremOne) it is the paper's `l = O(polylg n)`
-    /// crossover: `k < l` goes through the §3.3 reduction, larger `k` to the
-    /// pilot-set structure of §2. The paper sets the crossover at
-    /// `Θ(B·lg n)`; at laptop scale the value is configurable (see DESIGN.md
-    /// §3 on parameter scaling).
+    /// [`TheoremOne`](crate::TheoremOne)'s `l = O(polylg n)` crossover:
+    /// `k < l` goes through the §3.3 reduction, larger `k` to the pilot-set
+    /// structure of §2. The paper sets the crossover at `Θ(B·lg n)`; at
+    /// laptop scale the value is configurable (see DESIGN.md §3 on
+    /// parameter scaling). The serving index does not read it: its pilot
+    /// drain answers every `k`.
     pub l: usize,
-    /// Rebuild everything after the live size drifts by this factor from the
-    /// size at the last rebuild (the paper's global rebuilding).
-    pub rebuild_factor: u64,
     /// The anticipated number of stored points. It sizes the default shard
     /// count, and [`TheoremOne`](crate::TheoremOne) resolves
     /// [`SmallKEngine::Auto`] against it (the paper's `lg n ≤ B^(1/6)`
@@ -64,7 +60,6 @@ impl Default for TopKConfig {
     fn default() -> Self {
         Self {
             l: 256,
-            rebuild_factor: 2,
             expected_n: 1 << 20,
         }
     }

@@ -1,13 +1,13 @@
-//! The owned, snapshot-consistent cursor read plane.
+//! The owned, snapshot-consistent cursor read plane, and the one k-way
+//! merge of the crate.
 //!
-//! The borrowing [`TopKResults`](crate::TopKResults) stream forces a
-//! long-lived reader under [`ShardedTopK`](crate::ShardedTopK) to hold the
-//! read guard for the stream's whole lifetime, so one slow paginating client
-//! starves every writer. [`QueryCursor`] removes that coupling: it owns a
-//! cheap clone of the [`TopK`] handle and acquires the topology's read side only **per
-//! fetch round**, releasing it before the batch is handed to the caller.
-//! A reader that sleeps between pages therefore costs writers nothing (the
-//! `concurrent_reads` bench measures exactly this).
+//! [`QueryCursor`] owns a cheap clone of the [`TopK`] handle and acquires
+//! the topology's read side only **per fetch round**, releasing it before
+//! the batch is handed to the caller. A reader that sleeps between pages
+//! therefore costs writers nothing (the `concurrent_reads` bench measures
+//! exactly this). Its per-round merge ([`round`]) is also what an eager
+//! [`ShardedReadGuard::query`](crate::ShardedReadGuard::query) fan-out runs,
+//! once and uncached.
 //!
 //! # The per-round threshold-set contract
 //!
@@ -34,16 +34,20 @@
 //! The cursor does not re-run a top-`cap` query per round. It keeps a
 //! stamp-gated [`FrontierCache`]: one resumable [`PilotDrain`] per canonical
 //! range — per overlapping `(range, shard)` pair on the sharded topology —
-//! plus the heads of a k-way merge over them. A round re-acquires the
-//! topology's read side, and if the observed version stamp equals the cached
-//! one (no write committed in between, so every saved frontier still
-//! describes the live trees) it resumes the merge exactly where the previous
-//! round stopped: only pages *below* the previous low-water mark are
-//! touched, so paginating `k` points in `r` rounds costs one query's I/Os
-//! total, not per round. When the stamp moved, [`Consistency::PerRound`]
-//! rebuilds the drains with the low-water score as their ceiling (the next
-//! round is a fresh threshold-set of the *current* state below the mark),
-//! and [`Consistency::Strict`] surfaces the invalidation instead.
+//! with the points each lane pulled but has not yet emitted, plus the heads
+//! of a k-way merge over the lanes. A lane's first pull is one point and
+//! each later pull doubles, capped at what the round still needs, so a
+//! lane the merge barely touches reads little and a deep one reaches the
+//! drain's bulk path within a few pulls. A round re-acquires the topology's
+//! read side, and if the observed version stamp equals the cached one (no
+//! write committed in between, so every saved frontier still describes the
+//! live trees) it resumes the merge exactly where the previous round
+//! stopped: only pages *below* the previous low-water mark are touched, so
+//! paginating `k` points in `r` rounds costs one query's I/Os total, not per
+//! round. When the stamp moved, [`Consistency::PerRound`] rebuilds the
+//! drains with the low-water score as their ceiling (the next round is a
+//! fresh threshold-set of the *current* state below the mark), and
+//! [`Consistency::Strict`] surfaces the invalidation instead.
 //!
 //! # Resume tokens
 //!
@@ -70,11 +74,9 @@ use crate::error::{Result, TopKError};
 use crate::facade::TopK;
 use crate::index::TopKIndex;
 use crate::query::{Consistency, QueryRequest, ResumeState};
-use crate::sharded::MergeEntry;
 
 /// First fetch-round size when [`QueryRequest::page_size`] is not pinned;
-/// later rounds double, mirroring the escalating rounds of the borrowing
-/// stream.
+/// later rounds double.
 const INITIAL_ROUND: usize = 64;
 
 /// An owned cursor over a [`TopK`] handle: no lifetime parameter, no lock
@@ -169,6 +171,8 @@ impl QueryCursor {
 
     /// Whether the cursor is exhausted (all `k` points emitted, the ranges
     /// drained, the score floor reached, or a strict snapshot invalidated).
+    /// A round that filled its page exactly may leave the drain's end
+    /// unseen; the next round then returns the empty batch that says so.
     pub fn is_done(&self) -> bool {
         self.done && self.buf.len() == 0
     }
@@ -241,8 +245,8 @@ impl QueryCursor {
                 let stamp = guard.version();
                 self.observe_version(stamp)?;
                 // One lane per overlapping (range, shard) pair: each shard
-                // escalates from its own saved frontier, and the merge pulls
-                // a shard only as far as it actually consumes it.
+                // resumes its own saved frontier, and its doubling pulls
+                // stay within about twice what the merge consumes from it.
                 let mut lanes = Vec::new();
                 for &(x1, x2) in &self.ranges {
                     let (lo, hi) = guard.overlap_held(x1, x2);
@@ -342,34 +346,58 @@ impl std::iter::FusedIterator for QueryCursor {}
 /// (or, on the sharded topology, one shard) that answers it. Lanes are
 /// derived fresh from each round's guard; the *drains* over them persist in
 /// the [`FrontierCache`] across rounds.
-struct Lane<'g> {
-    x1: u64,
-    x2: u64,
-    index: &'g TopKIndex,
+pub(crate) struct Lane<'g> {
+    pub(crate) x1: u64,
+    pub(crate) x2: u64,
+    pub(crate) index: &'g TopKIndex,
 }
 
-/// The lane drain's next point, if any. The merge consumes lanes one point
-/// at a time, so a lane is only ever descended as far as the merge actually
-/// emits from it.
-fn pull_one(drain: &mut PilotDrain, lane: &Lane<'_>, scratch: &mut Vec<Point>) -> Option<Point> {
-    scratch.clear();
-    drain.pull(lane.index.pilot(), 1, scratch);
-    scratch.pop()
+/// A lane's saved position: its resumable drain and the points it pulled
+/// but has not yet offered to the merge.
+struct LaneState {
+    drain: PilotDrain,
+    /// Pulled, not yet offered to the merge; best point last.
+    buf: Vec<Point>,
+    /// The size of the next pull before the round's cap: 1, then doubling.
+    next_pull: usize,
+    /// A pull came back short: the drain holds nothing more.
+    drained: bool,
 }
 
-/// The cursor's saved position *inside* the pilot structures: one resumable
-/// drain per lane plus the pending head of each (pulled but not yet emitted),
-/// all valid exactly while the index's version stamp equals `stamp` —
-/// equal stamps witness that no write committed, so the saved frontiers
-/// still describe the live trees. A round that observes the same stamp
-/// resumes here and touches only pages below the previous low-water mark.
-struct FrontierCache {
+impl LaneState {
+    /// Pull the lane's next batch, `next_pull` points capped at `cap` (what
+    /// the round still needs), and return its best point.
+    fn refill(&mut self, lane: &Lane<'_>, cap: usize) -> Option<Point> {
+        let want = self.next_pull.min(cap);
+        self.next_pull = self.next_pull.saturating_mul(2);
+        self.drain.pull(lane.index.pilot(), want, &mut self.buf);
+        self.drained = self.buf.len() < want;
+        self.buf.reverse();
+        self.buf.pop()
+    }
+}
+
+/// A merge-heap entry `(score, x, slot)`: the max-heap orders by score
+/// (globally distinct), the coordinate a deterministic tiebreak for defence
+/// in depth; `slot` indexes the lane.
+type MergeEntry = (u64, u64, usize);
+
+/// The cursor's saved position *inside* the pilot structures: one lane
+/// state per lane plus the merge heads, all valid exactly while the index's
+/// version stamp equals `stamp` — equal stamps witness that no write
+/// committed, so the saved frontiers and buffered points still describe the
+/// live trees. A round that observes the same stamp resumes here and
+/// touches only pages below the previous low-water mark.
+pub(crate) struct FrontierCache {
     stamp: u64,
-    drains: Vec<PilotDrain>,
-    /// The k-way merge heads, one per non-exhausted lane (`slot` indexes
-    /// `drains`). Persisted so a point pulled at a round boundary is
+    lanes: Vec<LaneState>,
+    /// The k-way merge heads, at most one per lane (`slot` indexes
+    /// `lanes`). Persisted so a point pulled at a round boundary is
     /// emitted by the next round instead of being lost.
     heads: BinaryHeap<MergeEntry>,
+    /// Lanes with no head and an empty buffer whose drain is not yet known
+    /// to be empty: each pulls again before the merge picks its next head.
+    pending: Vec<usize>,
 }
 
 /// One fetch round against one consistent view of the index (the caller
@@ -378,8 +406,8 @@ struct FrontierCache {
 /// score window `[min_score, low-water)` — the round is then a fresh
 /// threshold-set of the current state below the mark. Returns up to `need`
 /// points in descending score order plus whether the ranges are exhausted
-/// below the mark/floor.
-fn round(
+/// below the mark/floor. An eager fan-out runs one round on an empty cache.
+pub(crate) fn round(
     cache: &mut Option<FrontierCache>,
     lanes: &[Lane<'_>],
     stamp: u64,
@@ -387,58 +415,65 @@ fn round(
     min_score: u64,
     low_water: Option<(u64, u64)>,
 ) -> (Vec<Point>, bool) {
-    let mut scratch = Vec::with_capacity(1);
-    let reuse = matches!(cache, Some(c) if c.stamp == stamp && c.drains.len() == lanes.len());
+    let reuse = matches!(cache, Some(c) if c.stamp == stamp && c.lanes.len() == lanes.len());
     if !reuse {
         // `hi` is exclusive, so the mark's own score is not re-emitted.
         let hi = low_water.map_or(u64::MAX, |(score, _)| score);
-        let mut drains: Vec<PilotDrain> = lanes
-            .iter()
-            .map(|lane| {
-                lane.index
-                    .pilot()
-                    .drain_window(lane.x1, lane.x2, min_score, hi)
-            })
-            .collect();
-        let mut heads = BinaryHeap::with_capacity(drains.len());
-        for (slot, (drain, lane)) in drains.iter_mut().zip(lanes).enumerate() {
-            if let Some(point) = pull_one(drain, lane, &mut scratch) {
-                heads.push(MergeEntry { point, slot });
-            }
-        }
         *cache = Some(FrontierCache {
             stamp,
-            drains,
-            heads,
+            lanes: lanes
+                .iter()
+                .map(|lane| LaneState {
+                    drain: lane
+                        .index
+                        .pilot()
+                        .drain_window(lane.x1, lane.x2, min_score, hi),
+                    buf: Vec::new(),
+                    next_pull: 1,
+                    drained: false,
+                })
+                .collect(),
+            heads: BinaryHeap::with_capacity(lanes.len()),
+            pending: (0..lanes.len()).collect(),
         });
     }
     let cache = cache.as_mut().expect("frontier cache was just ensured");
-    let mut out = Vec::with_capacity(need);
+    // `need` comes from the caller's `k` or page size; the lanes hold at
+    // most `stored` points.
+    let stored: u64 = lanes.iter().map(|lane| lane.index.len()).sum();
+    let mut out = Vec::with_capacity(need.min(usize::try_from(stored).unwrap_or(usize::MAX)));
     while out.len() < need {
-        let Some(MergeEntry { point, slot }) = cache.heads.pop() else {
+        // A lane without a head may hold the next point: pull it first.
+        for slot in cache.pending.drain(..) {
+            if let Some(point) = cache
+                .lanes
+                .get_mut(slot)
+                .zip(lanes.get(slot))
+                .and_then(|(state, lane)| state.refill(lane, need - out.len()))
+            {
+                cache.heads.push((point.score, point.x, slot));
+            }
+        }
+        let Some((score, x, slot)) = cache.heads.pop() else {
             break;
         };
-        if let Some(next) = cache
-            .drains
-            .get_mut(slot)
-            .zip(lanes.get(slot))
-            .and_then(|(drain, lane)| pull_one(drain, lane, &mut scratch))
-        {
-            cache.heads.push(MergeEntry { point: next, slot });
+        if let Some(state) = cache.lanes.get_mut(slot) {
+            match state.buf.pop() {
+                Some(next) => cache.heads.push((next.score, next.x, slot)),
+                None if !state.drained => cache.pending.push(slot),
+                None => {}
+            }
         }
         // The drain windows already exclude the emitted prefix; this guard
         // only matters when the mark's score is `u64::MAX` (which collides
         // with the drains' "no ceiling" sentinel).
-        if let Some((mark, _)) = low_water {
-            if point.score >= mark {
-                continue;
-            }
+        if low_water.is_some_and(|(mark, _)| score >= mark) {
+            continue;
         }
-        out.push(point);
+        out.push(Point::new(x, score));
     }
-    // Heads empty ⟺ every lane's drain is exhausted below the mark/floor:
-    // a non-exhausted lane always has exactly one pending head.
-    let exhausted = cache.heads.is_empty();
+    // Every lane is drained once no lane holds a head or awaits a pull.
+    let exhausted = cache.heads.is_empty() && cache.pending.is_empty();
     (out, exhausted)
 }
 
@@ -668,6 +703,65 @@ mod tests {
     }
 
     #[test]
+    fn short_cursor_prefix_of_large_k_costs_fewer_ios_than_materializing() {
+        // Bare index, cold pool: five points of k = 16,384 read under half
+        // the pages of the eager answer.
+        let device = Device::new(EmConfig::new(256, 256 * 256));
+        let index = std::sync::Arc::new(TopKIndex::new(&device, TopKConfig::for_tests()));
+        let pts = points(40_000);
+        index.bulk_build(&pts).unwrap();
+        let k = 16_384;
+        device.drop_cache();
+        let (full, full_cost) = device.measure(|| index.query(0, u64::MAX, k).unwrap());
+        device.drop_cache();
+        let (prefix, prefix_cost) = device.measure(|| {
+            std::sync::Arc::clone(&index)
+                .cursor(QueryRequest::range(0, u64::MAX).top(k).page_size(5))
+                .unwrap()
+                .next_batch()
+                .unwrap()
+        });
+        assert_eq!(prefix[..], full[..5]);
+        assert!(
+            prefix_cost.reads < full_cost.reads / 2,
+            "5 of {k} should be far cheaper: {} vs {} reads",
+            prefix_cost.reads,
+            full_cost.reads
+        );
+    }
+
+    #[test]
+    fn short_cursor_prefix_over_a_fan_out_is_lazy_and_exact() {
+        // Four shards, every one overlapping: the lanes pull only about
+        // the prefix the merge emits. Counted in logical accesses — the
+        // pool holds every page at this size, so physical reads cannot
+        // tell the two apart.
+        let device = Device::new(EmConfig::new(256, 256 * 256));
+        let index = std::sync::Arc::new(ShardedTopK::new(&device, TopKConfig::for_tests(), 4));
+        let pts = points(2000);
+        index.bulk_build(&pts).unwrap();
+        let k = 1500;
+        device.drop_cache();
+        let (full, full_cost) = device.measure(|| index.query(0, u64::MAX, k).unwrap());
+        assert_eq!(full, Oracle::from_points(&pts).query(0, u64::MAX, k));
+        device.drop_cache();
+        let (prefix, prefix_cost) = device.measure(|| {
+            std::sync::Arc::clone(&index)
+                .cursor(QueryRequest::range(0, u64::MAX).top(k).page_size(5))
+                .unwrap()
+                .next_batch()
+                .unwrap()
+        });
+        assert_eq!(prefix[..], full[..5]);
+        assert!(
+            prefix_cost.logical < full_cost.logical / 2,
+            "prefix {} logical accesses vs full {}",
+            prefix_cost.logical,
+            full_cost.logical
+        );
+    }
+
+    #[test]
     fn cursor_holds_no_lock_between_rounds() {
         let device = Device::new(EmConfig::new(256, 256 * 256));
         let index = std::sync::Arc::new(ShardedTopK::new(&device, TopKConfig::for_tests(), 1));
@@ -680,7 +774,7 @@ mod tests {
         let first = cursor.next_batch().unwrap();
         assert_eq!(first.len(), 10);
         // A writer gets the exclusive lock while the cursor is idle — this
-        // would deadlock with a guard-held stream.
+        // would deadlock with a read guard held across the pages.
         index.insert(Point::new(999_999, 999_999)).unwrap();
         let second = cursor.next_batch().unwrap();
         assert_eq!(second.len(), 10);

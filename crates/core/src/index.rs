@@ -16,7 +16,11 @@ use crate::builder::IndexBuilder;
 use crate::config::TopKConfig;
 use crate::error::{Result, TopKError};
 use crate::persist::{DurableStore, OP_DELETE, OP_INSERT};
-use crate::query::{QueryRequest, TopKResults};
+use crate::query::QueryRequest;
+
+/// The paper's global rebuilding: rebuild once the live size has grown or
+/// shrunk by this factor since the last rebuild.
+const REBUILD_FACTOR: u64 = 2;
 
 /// The set of live scores, kept RAM-side purely to validate the model's
 /// distinct-scores precondition (DESIGN.md §5: validation metadata outside
@@ -340,8 +344,7 @@ impl TopKIndex {
     pub(crate) fn maybe_rebuild(&self) -> Option<Vec<Point>> {
         let n0 = self.size_at_rebuild.load(Ordering::Relaxed).max(64);
         let n = self.len();
-        let factor = self.config.rebuild_factor.max(2);
-        if n > factor * n0 || (n0 >= 128 && n < n0 / factor) {
+        if n > REBUILD_FACTOR * n0 || (n0 >= 128 && n < n0 / REBUILD_FACTOR) {
             let pts = self.pilot.all_points();
             self.rebuild_unvalidated(&pts);
             return Some(pts);
@@ -383,7 +386,7 @@ impl TopKIndex {
     ///
     /// Cost: `O(lg n + k/B)` I/Os from the §2 pilot drain, for every `k`.
     /// To consume the answer incrementally — paying only for the prefix
-    /// actually taken — use [`TopKIndex::stream`].
+    /// actually taken — open a [`cursor`](TopKIndex::cursor).
     ///
     /// # Errors
     ///
@@ -391,31 +394,7 @@ impl TopKIndex {
     /// `k == 0` (the seed code answered both with a silent empty vector).
     pub fn query(&self, x1: u64, x2: u64, k: usize) -> Result<Vec<Point>> {
         validate_query(x1, x2, k)?;
-        #[allow(unused_mut)]
-        let mut out = self.query_unvalidated(x1, x2, k);
-        #[cfg(feature = "testkit-hooks")]
-        crate::hooks::mutate_answer(&mut out);
-        Ok(out)
-    }
-
-    /// Stream the answer to `request` lazily, in descending score order: see
-    /// [`TopKResults`]. The pilot fetches run only as the caller demands
-    /// more points, so taking a short prefix of a large `k` never
-    /// materializes the rest.
-    ///
-    /// The iterator borrows the index; on a
-    /// [`ShardedTopK`](crate::ShardedTopK), stream through a read
-    /// guard: `let g = idx.read(); for p in g.stream(req)? { … }` — or, for
-    /// long-lived consumers that must not block writers, use the owned
-    /// [`QueryCursor`](crate::QueryCursor) instead.
-    ///
-    /// # Errors
-    ///
-    /// The same validation as [`TopKIndex::query`], performed up front, plus
-    /// [`TopKError::InvalidConfig`] for the cursor-only request extensions
-    /// (multiple ranges, a score floor, a resume position).
-    pub fn stream(&self, request: QueryRequest) -> Result<TopKResults<'_>> {
-        TopKResults::new(self, request)
+        Ok(self.query_unvalidated(x1, x2, k))
     }
 
     /// Open an owned [`QueryCursor`](crate::QueryCursor) over this bare
@@ -432,8 +411,8 @@ impl TopKIndex {
 
     /// The eager query path: one bulk pull from a §2 pilot drain,
     /// `O(lg n + k/B)`, so its I/O profile is the seed's single-shot plan;
-    /// [`TopKIndex::stream`] trades up to one extra doubling pass on full
-    /// consumption for laziness. The best-first drain replaces
+    /// a cursor's doubling pulls trade a little CPU on full consumption for
+    /// laziness. The best-first drain replaces
     /// `query_top_k`'s fixed-size heap selection + sibling expansion, whose
     /// `Θ(φ·lg n)` constant made every query pay the `k = Θ(B·lg n)` worst
     /// case (the "k-cliff" in BENCH_query_scaling.json).
@@ -471,7 +450,7 @@ impl TopKIndex {
         self.pilot.all_points()
     }
 
-    // ----- structure access for the streaming paths and `TheoremOne` -----
+    // ----- structure access for the cursor's lanes and `TheoremOne` -----
 
     pub(crate) fn pilot(&self) -> &PilotPst {
         &self.pilot
@@ -584,7 +563,7 @@ pub(crate) fn check_distinct(points: &[Point]) -> Result<(Vec<Point>, HashSet<u6
     Ok((sorted, scores))
 }
 
-/// Shared argument validation for the eager and streaming query paths.
+/// Shared argument validation of the eager query paths.
 pub(crate) fn validate_query(x1: u64, x2: u64, k: usize) -> Result<()> {
     if x1 > x2 {
         return Err(TopKError::InvertedRange { x1, x2 });

@@ -14,7 +14,7 @@
 //!   `k = Ω(B·lg n)`),
 //! * linear space (`O(n/B)` blocks).
 //!
-//! The API is builder-first, fallible, batched and streaming:
+//! The API is builder-first, fallible, batched and lazy:
 //!
 //! * [`IndexBuilder`] (via [`TopKIndex::builder`]) owns device construction
 //!   — no hand-built [`emsim::Device`] required;
@@ -25,16 +25,13 @@
 //! * [`UpdateBatch`]es commit atomically — under [`ShardedTopK`] with one
 //!   write-lock acquisition per affected shard and one deferred rebuild
 //!   check each;
-//! * [`TopKIndex::stream`] returns a lazy [`TopKResults`] iterator that
-//!   fetches in escalating rounds, so consuming a short prefix of a large
-//!   `k` never materializes the whole answer;
-//! * the read plane is served by **owned cursors**: [`TopK`] (from
+//! * the lazy read plane is the **owned cursor**: [`TopK`] (from
 //!   [`IndexBuilder::build_auto`]) is the topology-agnostic handle, and
-//!   [`TopK::cursor`] opens a [`QueryCursor`] that acquires the read lock
-//!   only per fetch round — long-lived paginating readers cost writers
-//!   nothing, positions serialize into [`ResumeToken`]s, and
-//!   [`Consistency`] picks the exact contract when writes interleave
-//!   between rounds (DESIGN.md §6).
+//!   [`TopK::cursor`] opens a [`QueryCursor`] that fetches only the prefix
+//!   its caller consumes and acquires the read lock only per fetch round —
+//!   long-lived paginating readers cost writers nothing, positions
+//!   serialize into [`ResumeToken`]s, and [`Consistency`] picks the exact
+//!   contract when writes interleave between rounds (DESIGN.md §6).
 //!
 //! Internally the index is one of the paper's components, the pilot-set
 //! priority search tree of §2 ([`epst::PilotPst`]): its drain answers every
@@ -68,13 +65,16 @@
 //! production). See DESIGN.md §10.
 //!
 //! ```
+//! use std::sync::Arc;
 //! use topk_core::{Point, QueryRequest, TopKIndex, UpdateBatch};
 //!
-//! let index = TopKIndex::builder()
-//!     .block_words(512)          // 4 KiB blocks
-//!     .pool_bytes(8 << 20)       // 8 MiB buffer pool
-//!     .expected_n(1 << 20)
-//!     .build()?;
+//! let index = Arc::new(
+//!     TopKIndex::builder()
+//!         .block_words(512)      // 4 KiB blocks
+//!         .pool_bytes(8 << 20)   // 8 MiB buffer pool
+//!         .expected_n(1 << 20)
+//!         .build()?,
+//! );
 //! for i in 0..1000u64 {
 //!     index.insert(Point::new(i, (i * 2654435761) % 1_000_003))?;
 //! }
@@ -82,11 +82,11 @@
 //! assert_eq!(top.len(), 5);
 //! assert!(top[0].score >= top[4].score);
 //!
-//! // Stream lazily: only the consumed prefix is fetched.
-//! let best = index
-//!     .stream(QueryRequest::range(100, 900).top(500))?
-//!     .next();
-//! assert_eq!(best, top.first().copied());
+//! // Read lazily: a cursor fetches only the prefix it hands out.
+//! let best = Arc::clone(&index)
+//!     .cursor(QueryRequest::range(100, 900).top(500).page_size(1))?
+//!     .next_batch()?;
+//! assert_eq!(best, top[..1]);
 //!
 //! // Batch updates validate and commit as one unit.
 //! index.apply(&UpdateBatch::new()
@@ -102,8 +102,6 @@ mod config;
 mod cursor;
 mod error;
 mod facade;
-#[cfg(feature = "testkit-hooks")]
-pub mod hooks;
 mod index;
 mod oracle;
 mod paper;
@@ -124,9 +122,9 @@ pub use facade::TopK;
 pub use index::TopKIndex;
 pub use oracle::Oracle;
 pub use paper::TheoremOne;
-pub use query::{Consistency, QueryRequest, TopKResults};
+pub use query::{Consistency, QueryRequest};
 pub use ranked::RankedIndex;
-pub use sharded::{ShardedReadGuard, ShardedResults, ShardedTopK};
+pub use sharded::{ShardedReadGuard, ShardedTopK};
 
 #[cfg(test)]
 mod tests {

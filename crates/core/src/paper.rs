@@ -9,8 +9,7 @@
 //! maintains all three structures. It measures slower than the serving index
 //! at every size tried (DESIGN.md §3.6) and exists to reproduce the paper;
 //! it is the only index that builds the reporter, and no serving path
-//! builds it, so it has no stream, cursor, batch commit, sharding or
-//! durability.
+//! builds it, so it has no cursor, batch commit, sharding or durability.
 
 use emsim::Device;
 use epst::{top_k_by_score, Point, ThreeSidedPst};

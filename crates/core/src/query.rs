@@ -1,33 +1,16 @@
-//! Query requests and streaming results.
+//! Query requests.
 //!
-//! [`QueryRequest`] names the query parameters once; [`TopKResults`] streams
-//! the answer lazily in descending score order. Laziness is the point: the
-//! seed's `query()` materialized a full `Vec<Point>` even when the caller
-//! consumed three results. The iterator instead fetches in doubling pilot
-//! rounds and runs a round only when the caller actually demands more
-//! points, so a short prefix of a large `k` never pays for the rest.
-//!
-//! Escalation is *incremental*: every round pulls from one persistent
-//! [`PilotDrain`] descent frontier — no round re-descends from the root or
-//! re-materializes the already-emitted prefix, so consuming `k` points costs
-//! one query's `O(lg n + k/B)` I/Os regardless of round count.
-//!
-//! Because every round's points form a prefix of the global descending-score
-//! order, per-shard [`TopKResults`] streams also compose: a
-//! [`ShardedTopK`](crate::ShardedTopK) fan-out merges one stream per
-//! overlapping shard through a binary heap
-//! ([`ShardedResults`](crate::ShardedResults)) and each shard escalates only
-//! as far as the merge consumes it — from its own saved frontier.
-
-use epst::{PilotDrain, Point};
+//! [`QueryRequest`] names the query parameters once; an owned
+//! [`QueryCursor`](crate::QueryCursor) answers it lazily in descending
+//! score order, fetching per round only what the caller demands, so a short
+//! prefix of a large `k` never pays for the rest.
 
 use crate::cursor::ResumeToken;
 use crate::error::{Result, TopKError};
-use crate::index::TopKIndex;
 
 /// How an owned [`QueryCursor`](crate::QueryCursor) behaves when writes
-/// commit between its fetch rounds. Irrelevant to one-shot queries and to
-/// borrowing streams, which pin one index state for their whole lifetime.
+/// commit between its fetch rounds. Irrelevant to one-shot queries, which
+/// run under one read of the index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Consistency {
     /// Every fetch round is a *score-threshold set* of the index state at
@@ -146,17 +129,16 @@ impl QueryRequest {
     }
 
     /// Select the write-interleaving contract of cursors built from this
-    /// request (one-shot queries and borrowing streams ignore it).
+    /// request (one-shot queries ignore it).
     pub fn consistency(mut self, mode: Consistency) -> Self {
         self.consistency = mode;
         self
     }
 
     /// Pin the cursor's fetch-round size to exactly `points` per round
-    /// (pagination). Without it, rounds start small and double, mirroring
-    /// the escalating rounds of the borrowing stream. `0` poisons the
-    /// request like `top(0)` does; re-calling with a valid size clears
-    /// that poison.
+    /// (pagination). Without it, rounds start at 64 points and double. `0`
+    /// poisons the request like `top(0)` does; re-calling with a valid size
+    /// clears that poison.
     pub fn page_size(mut self, points: usize) -> Self {
         const ZERO_PAGE: TopKError = TopKError::InvalidConfig {
             what: "page_size must be at least 1",
@@ -230,17 +212,6 @@ impl QueryRequest {
         Ok(())
     }
 
-    /// Whether the borrowing single-range stream can serve this request.
-    /// Extensions that change the *answer* (multiple ranges, a score floor,
-    /// a resume position) disqualify it; the cursor-mechanics knobs do not
-    /// — a borrowed stream is strictly consistent by construction (the
-    /// guard pins the index), so [`QueryRequest::consistency`] is already
-    /// honoured, and [`QueryRequest::page_size`] only shapes cursor fetch
-    /// rounds, which a lazy point iterator does not have.
-    pub(crate) fn is_simple(&self) -> bool {
-        self.ranges.len() == 1 && self.min_score == 0 && self.resume.is_none()
-    }
-
     /// The ranges sorted by lower end with overlapping/adjacent ones
     /// coalesced: disjoint by construction, so per-range answers merge
     /// without duplicates.
@@ -259,145 +230,15 @@ impl QueryRequest {
     }
 }
 
-/// A lazy stream of query results in strictly descending score order,
-/// produced by [`TopKIndex::stream`].
-///
-/// Every batch of points fetched from the index is a *score-threshold set* —
-/// all live points in range with score at least some `τ` — and such a set is
-/// always a prefix of the global descending-score order. The iterator
-/// therefore emits each batch's unseen suffix and only escalates (doubling
-/// the pilot fetch size) when the caller keeps demanding points.
-///
-/// The iterator borrows the index; under
-/// [`ShardedTopK`](crate::ShardedTopK), stream through a read guard held for
-/// the stream's lifetime ([`ShardedReadGuard::stream`](crate::ShardedReadGuard::stream))
-/// so updates cannot tear the answer mid-iteration — and note that writers
-/// block for exactly that long. A long-lived or slow
-/// consumer (pagination, dashboards) should use the owned
-/// [`QueryCursor`](crate::QueryCursor) instead, which re-acquires the read
-/// side per fetch round and holds no lock in between.
-pub struct TopKResults<'a> {
-    index: &'a TopKIndex,
-    k: usize,
-    emitted: usize,
-    /// Reusable round buffer: each fetch round clears and refills it in
-    /// place, so steady-state paging allocates nothing once the buffer has
-    /// grown to the round size.
-    buf: Vec<Point>,
-    pos: usize,
-    /// The resumable drain over the pilot structure: each round pulls the
-    /// next `next_n` points from its saved frontier.
-    drain: PilotDrain,
-    /// The next round's size; it doubles per round, so full consumption
-    /// stays within a constant of one bulk fetch.
-    next_n: usize,
-    /// Every reportable point has been handed out (or buffered).
-    done: bool,
-}
-
-impl<'a> TopKResults<'a> {
-    pub(crate) fn new(index: &'a TopKIndex, request: QueryRequest) -> Result<Self> {
-        request.validate()?;
-        if !request.is_simple() {
-            return Err(TopKError::InvalidConfig {
-                what: "borrowing streams serve single-range requests without a score \
-                       floor or resume point; use an owned cursor for the extensions",
-            });
-        }
-        Ok(Self {
-            index,
-            k: request.k(),
-            emitted: 0,
-            buf: Vec::new(),
-            pos: 0,
-            // Opening a drain costs no I/O; the first pull primes it.
-            drain: index.pilot().drain(request.x1(), request.x2()),
-            next_n: index.config().l.max(1),
-            done: index.is_empty(),
-        })
-    }
-
-    /// Number of points handed out so far.
-    pub fn emitted(&self) -> usize {
-        self.emitted
-    }
-
-    /// One pilot round: pull the next `next_n` points from the drain's
-    /// saved frontier (doubling `next_n` for the next demand). No round
-    /// re-descends the script tree or re-fetches emitted points, so
-    /// consuming all `k` costs the same I/Os as one bulk extraction.
-    fn refill(&mut self) {
-        self.buf.clear();
-        self.pos = 0;
-        let want = self.next_n.min(self.k - self.emitted);
-        let got = self.drain.pull(self.index.pilot(), want, &mut self.buf);
-        if got < want || self.emitted + got >= self.k {
-            self.done = true;
-        } else {
-            self.next_n = self.next_n.saturating_mul(2);
-        }
-    }
-}
-
-impl Iterator for TopKResults<'_> {
-    type Item = Point;
-
-    fn next(&mut self) -> Option<Point> {
-        loop {
-            if self.emitted >= self.k {
-                return None;
-            }
-            if let Some(&p) = self.buf.get(self.pos) {
-                self.pos += 1;
-                self.emitted += 1;
-                return Some(p);
-            }
-            if self.done {
-                return None;
-            }
-            self.refill();
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.buf.len() - self.pos, Some(self.k - self.emitted))
-    }
-}
-
-impl std::iter::FusedIterator for TopKResults<'_> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Oracle, TopKConfig};
-    use emsim::{Device, EmConfig};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn build(n: u64) -> (Device, TopKIndex, Oracle) {
-        let device = Device::new(EmConfig::new(256, 256 * 256));
-        let index = TopKIndex::new(&device, TopKConfig::for_tests());
-        let mut pts = Vec::new();
-        for i in 0..n {
-            let x = (i * 7919) % (8 * n.max(1)) + 1;
-            pts.push(Point::new(x, i * 13 + 1));
-        }
-        index.bulk_build(&pts).unwrap();
-        (device, index, Oracle::from_points(&pts))
-    }
 
     #[test]
     fn request_builder_carries_parameters() {
         let req = QueryRequest::range(3, 9).top(17);
         assert_eq!((req.x1(), req.x2(), req.k()), (3, 9, 17));
         assert_eq!(QueryRequest::range(3, 9).k(), 1);
-    }
-
-    #[test]
-    fn stream_validates_like_query() {
-        let (_d, index, _o) = build(100);
-        assert!(index.stream(QueryRequest::range(9, 3).top(5)).is_err());
-        assert!(index.stream(QueryRequest::range(3, 9).top(0)).is_err());
     }
 
     #[test]
@@ -414,83 +255,5 @@ mod tests {
             req.validate().unwrap_err(),
             crate::TopKError::InvertedRange { x1: 9, x2: 3 }
         );
-    }
-
-    #[test]
-    fn full_consumption_matches_eager_query_across_regimes() {
-        let (_d, index, oracle) = build(3000);
-        let mut rng = StdRng::seed_from_u64(3);
-        // k below, at, and above the first pilot round l = 64; narrow and
-        // wide ranges.
-        for &k in &[1usize, 5, 63, 64, 65, 200, 1000, 5000] {
-            for _ in 0..6 {
-                let a = rng.gen_range(0..24_000u64);
-                let b = rng.gen_range(a..=24_000u64);
-                let streamed: Vec<Point> = index
-                    .stream(QueryRequest::range(a, b).top(k))
-                    .unwrap()
-                    .collect();
-                let at = format!("[{a},{b}] k={k}");
-                assert_eq!(streamed, index.query(a, b, k).unwrap(), "{at}");
-                assert_eq!(streamed, oracle.query(a, b, k), "{at}");
-            }
-        }
-    }
-
-    #[test]
-    fn partial_consumption_yields_the_exact_prefix() {
-        let (_d, index, oracle) = build(2000);
-        for &(k, take) in &[(50usize, 3usize), (200, 7), (1500, 10), (1500, 1)] {
-            let got: Vec<Point> = index
-                .stream(QueryRequest::range(0, u64::MAX).top(k))
-                .unwrap()
-                .take(take)
-                .collect();
-            let full = oracle.query(0, u64::MAX, k);
-            assert_eq!(
-                got,
-                full[..take.min(full.len())].to_vec(),
-                "k={k} take={take}"
-            );
-        }
-    }
-
-    #[test]
-    fn short_prefix_of_large_k_costs_fewer_ios_than_materializing() {
-        let (device, index, _o) = build(40_000);
-        let k = 16_384;
-        device.drop_cache();
-        let (_, full) = device.measure(|| index.query(0, u64::MAX, k).unwrap());
-        device.drop_cache();
-        let (_, partial) = device.measure(|| {
-            index
-                .stream(QueryRequest::range(0, u64::MAX).top(k))
-                .unwrap()
-                .take(5)
-                .count()
-        });
-        assert!(
-            partial.reads < full.reads / 2,
-            "streaming 5 of {k} should be far cheaper: {} vs {} reads",
-            partial.reads,
-            full.reads
-        );
-    }
-
-    #[test]
-    fn stream_is_fused_and_respects_k() {
-        let (_d, index, _o) = build(50);
-        let mut s = index
-            .stream(QueryRequest::range(0, u64::MAX).top(3))
-            .unwrap();
-        assert_eq!(s.by_ref().count(), 3);
-        assert_eq!(s.emitted(), 3);
-        assert!(s.next().is_none());
-        assert!(s.next().is_none());
-        // Asking for more than stored yields everything, exactly once.
-        let s = index
-            .stream(QueryRequest::range(0, u64::MAX).top(500))
-            .unwrap();
-        assert_eq!(s.count(), 50);
     }
 }

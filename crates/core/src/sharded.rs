@@ -15,12 +15,12 @@
 //!   deferred rebuild check — readers observe either the pre-batch or the
 //!   post-batch state of every affected shard, never anything in between;
 //! * **queries** lock only the shards overlapping `[x1, x2]`. A range inside
-//!   one shard runs that shard's one-shot [`TopKIndex`] plan; a fan-out
-//!   merges the per-shard streaming [`TopKResults`] through a k-bounded
-//!   binary heap ([`ShardedResults`]), so each shard is only asked for the
-//!   prefix the merge actually consumes — the prefix-only cost of the
-//!   streaming API is preserved across the fan-out (`tests/io_cost.rs` pins
-//!   the bound at `overlapping_shards × O(log_B(n/S) + k/B)` page reads);
+//!   one shard runs that shard's one-shot [`TopKIndex`] plan; a fan-out runs
+//!   one round of the cursor's lane merge, one pilot drain per overlapping
+//!   shard whose pulls start at one point and double, so each shard is only
+//!   asked for about the prefix the merge actually consumes
+//!   (`tests/io_cost.rs` pins the bound at `overlapping_shards ×
+//!   O(log_B(n/S) + k/B)` page reads);
 //! * **rebalancing** migrates points once a shard exceeds twice the mean
 //!   occupancy: the writer that trips the threshold repartitions *after* its
 //!   own commit has released every per-operation lock, so the check runs off
@@ -58,7 +58,7 @@
 //! directory has one journal, so every path that mutates a shard ends by
 //! committing that shard's journal (a no-op without a directory).
 
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::HashSet;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -70,11 +70,11 @@ use crate::backend::Medium;
 use crate::batch::{self, BatchSummary, UpdateBatch};
 use crate::builder::IndexBuilder;
 use crate::config::TopKConfig;
-use crate::cursor::QueryCursor;
+use crate::cursor::{self, Lane, QueryCursor};
 use crate::error::{Result, TopKError};
 use crate::facade::TopK;
 use crate::index::{check_distinct, validate_query, ScoreRegistry, TopKIndex};
-use crate::query::{QueryRequest, TopKResults};
+use crate::query::QueryRequest;
 use crate::stripe::{thread_stripe, STRIPES};
 
 /// Rebalance only once the index holds this many points per shard on
@@ -447,9 +447,8 @@ impl ShardedTopK {
     // ----- queries -----
 
     /// Acquire the read side of *every* shard, pinning one consistent
-    /// version of the whole index — for callers that want several queries,
-    /// or a held [`ShardedReadGuard::stream`] iterator, against an unmoving
-    /// state. Targeted one-shot queries should prefer
+    /// version of the whole index — for callers that want several queries
+    /// against an unmoving state. Targeted one-shot queries should prefer
     /// [`ShardedTopK::query`], which locks only the overlapping shards. No
     /// router lock is taken: the guard carries the routing snapshot,
     /// epoch-validated after the shard locks are held.
@@ -475,7 +474,7 @@ impl ShardedTopK {
     }
 
     /// Read locks for the shards overlapping `[x1, x2]` only (`x1 ≤ x2`).
-    /// Used by the fan-out query paths and by the cursor read plane, which
+    /// Used by the eager query paths and by the cursor read plane, which
     /// re-acquires it once per fetch round. Lock-free routing: snapshot,
     /// acquire, validate the epoch, retry on the (rare) repartition race.
     pub(crate) fn read_span(&self, x1: u64, x2: u64) -> ShardedReadGuard<'_> {
@@ -506,9 +505,9 @@ impl ShardedTopK {
 
     /// Report the `k` highest-scoring points with `x ∈ [x1, x2]`, descending:
     /// read-lock the overlapping shards and answer as
-    /// [`ShardedReadGuard::query`] does — one shard's one-shot plan, or a
-    /// lazy merge of per-shard streams ([`ShardedResults`]) on a fan-out.
-    /// Shards outside the range are neither locked nor touched.
+    /// [`ShardedReadGuard::query`] does — one shard's one-shot plan, or one
+    /// round of the cursor's lane merge on a fan-out. Shards outside the
+    /// range are neither locked nor touched.
     ///
     /// # Errors
     ///
@@ -516,12 +515,7 @@ impl ShardedTopK {
     /// [`TopKIndex::query`].
     pub fn query(&self, x1: u64, x2: u64, k: usize) -> Result<Vec<Point>> {
         validate_query(x1, x2, k)?;
-        let guard = self.read_span(x1, x2);
-        #[allow(unused_mut)]
-        let mut out = guard.query(x1, x2, k)?;
-        #[cfg(feature = "testkit-hooks")]
-        crate::hooks::mutate_answer(&mut out);
-        Ok(out)
+        self.read_span(x1, x2).query(x1, x2, k)
     }
 
     /// Number of points with `x ∈ [x1, x2]`, summed over the overlapping
@@ -925,28 +919,10 @@ impl ShardedReadGuard<'_> {
         self.stamp
     }
 
-    /// Stream the answer to `request` lazily across shards: one
-    /// [`TopKIndex::stream`] per overlapping shard, merged in descending
-    /// score order by [`ShardedResults`]. Shards outside the range
-    /// contribute no I/O.
-    ///
-    /// # Errors
-    ///
-    /// The same validation as [`TopKIndex::query`].
-    pub fn stream(&self, request: QueryRequest) -> Result<ShardedResults<'_>> {
-        request.validate()?;
-        let (lo, hi) = self.overlap_held(request.x1(), request.x2());
-        let mut streams = Vec::with_capacity(hi.saturating_sub(lo) + 1);
-        for i in lo..=hi {
-            streams.push(self.shard(i).stream(request.clone())?);
-        }
-        Ok(ShardedResults::new(streams, request.k()))
-    }
-
     /// The eager query against this pinned version. A range inside one
-    /// shard runs that shard's one-shot [`TopKIndex::query`] plan — the
-    /// merge would only add per-point heap and stream overhead — and a
-    /// fan-out merges the per-shard streams.
+    /// shard runs that shard's one-shot [`TopKIndex::query`] plan; a
+    /// fan-out runs one uncached round of the cursor's lane merge, one lane
+    /// per overlapping shard.
     ///
     /// # Errors
     ///
@@ -957,7 +933,14 @@ impl ShardedReadGuard<'_> {
         if lo == hi {
             return Ok(self.shard(lo).query_unvalidated(x1, x2, k));
         }
-        Ok(self.stream(QueryRequest::range(x1, x2).top(k))?.collect())
+        let lanes: Vec<Lane<'_>> = (lo..=hi)
+            .map(|id| Lane {
+                x1,
+                x2,
+                index: self.shard(id),
+            })
+            .collect();
+        Ok(cursor::round(&mut None, &lanes, self.stamp, k, 0, None).0)
     }
 
     /// Global ids of the shards overlapping `[x1, x2]`, clamped to the
@@ -994,95 +977,6 @@ impl ShardedReadGuard<'_> {
             .sum())
     }
 }
-
-/// A merge-heap entry; ordered by score (globally distinct), coordinate as a
-/// deterministic tiebreak for defence in depth. Shared with the cursor read
-/// plane's per-round merge, so the two k-way merges cannot diverge on
-/// ordering.
-pub(crate) struct MergeEntry {
-    pub(crate) point: Point,
-    pub(crate) slot: usize,
-}
-
-impl PartialEq for MergeEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.point.score, self.point.x) == (other.point.score, other.point.x)
-    }
-}
-impl Eq for MergeEntry {}
-impl PartialOrd for MergeEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MergeEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.point.score, self.point.x).cmp(&(other.point.score, other.point.x))
-    }
-}
-
-/// The lazy merged answer of a sharded fan-out query, in strictly descending
-/// score order — the sharded analogue of [`TopKResults`].
-///
-/// Each overlapping shard contributes its own streaming [`TopKResults`]; the
-/// merge keeps exactly one candidate per stream in a binary heap (≤ the
-/// fan-out width, itself ≤ `k` useful entries) and pulls a stream's next
-/// point only after emitting its previous one. Per-shard escalation rounds
-/// therefore run only as far as the merge actually consumes that shard —
-/// prefix-only cost survives the fan-out.
-pub struct ShardedResults<'g> {
-    streams: Vec<TopKResults<'g>>,
-    heap: BinaryHeap<MergeEntry>,
-    emitted: usize,
-    k: usize,
-}
-
-impl<'g> ShardedResults<'g> {
-    fn new(mut streams: Vec<TopKResults<'g>>, k: usize) -> Self {
-        let mut heap = BinaryHeap::with_capacity(streams.len());
-        for (slot, stream) in streams.iter_mut().enumerate() {
-            if let Some(point) = stream.next() {
-                heap.push(MergeEntry { point, slot });
-            }
-        }
-        Self {
-            streams,
-            heap,
-            emitted: 0,
-            k,
-        }
-    }
-
-    /// Number of points handed out so far.
-    pub fn emitted(&self) -> usize {
-        self.emitted
-    }
-}
-
-impl Iterator for ShardedResults<'_> {
-    type Item = Point;
-
-    fn next(&mut self) -> Option<Point> {
-        if self.emitted >= self.k {
-            return None;
-        }
-        let entry = self.heap.pop()?;
-        if let Some(point) = self.streams.get_mut(entry.slot).and_then(|s| s.next()) {
-            self.heap.push(MergeEntry {
-                point,
-                slot: entry.slot,
-            });
-        }
-        self.emitted += 1;
-        Some(entry.point)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (0, Some(self.k - self.emitted))
-    }
-}
-
-impl std::iter::FusedIterator for ShardedResults<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -1144,15 +1038,10 @@ mod tests {
         index.insert(pts[0]).unwrap();
         assert_eq!(index.len(), 500);
         assert!(index.space_blocks() > 0);
-        // Streaming through a read guard pins one version of the index, and
-        // the guard's one-shot query agrees with the stream.
+        // A read guard pins one version of the index for several reads.
         let guard = index.read();
-        let streamed: Vec<Point> = guard
-            .stream(QueryRequest::range(10, 900).top(7))
-            .unwrap()
-            .collect();
-        assert_eq!(streamed, oracle.query(10, 900, 7));
-        assert_eq!(guard.query(10, 900, 7).unwrap(), streamed);
+        assert_eq!(guard.query(10, 900, 7).unwrap(), oracle.query(10, 900, 7));
+        assert_eq!(guard.count_in_range(0, u64::MAX).unwrap(), 500);
         drop(guard);
         index.check_invariants();
     }
@@ -1222,52 +1111,17 @@ mod tests {
                     oracle.count(a, b) as u64
                 );
             }
+            // Every shard: the lanes' doubling pulls cross the drain's
+            // bulk threshold (64) and the round's cap around these k; the
+            // last k allocates only for the points the shards hold.
+            for k in [63usize, 64, 65, 4096, usize::MAX] {
+                assert_eq!(
+                    index.query(0, u64::MAX, k).unwrap(),
+                    oracle.query(0, u64::MAX, k),
+                    "shards={shards} all-shard k={k}"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn streaming_through_the_guard_is_lazy_and_exact() {
-        let pts = points(13, 2000);
-        let oracle = Oracle::from_points(&pts);
-        let dev = device();
-        let index = ShardedTopK::new(&dev, TopKConfig::for_tests(), 4);
-        index.bulk_build(&pts).unwrap();
-        let guard = index.read();
-        let full: Vec<Point> = guard
-            .stream(QueryRequest::range(0, u64::MAX).top(300))
-            .unwrap()
-            .collect();
-        assert_eq!(full, oracle.query(0, u64::MAX, 300));
-        let mut s = guard
-            .stream(QueryRequest::range(0, u64::MAX).top(300))
-            .unwrap();
-        let prefix: Vec<Point> = s.by_ref().take(7).collect();
-        assert_eq!(prefix[..], full[..7]);
-        assert_eq!(s.emitted(), 7);
-        assert_eq!(guard.count_in_range(0, u64::MAX).unwrap(), 2000);
-        assert_eq!(guard.query(0, 500, 5).unwrap(), oracle.query(0, 500, 5));
-        drop(guard);
-        // A short prefix of a wide query does less work than materializing:
-        // the per-shard escalation rounds never run past the consumed
-        // prefix. (Counted in logical accesses — at this size the pool
-        // caches everything, so physical reads cannot tell them apart.)
-        dev.drop_cache();
-        let (_, full_cost) = dev.measure(|| index.query(0, u64::MAX, 1500).unwrap());
-        dev.drop_cache();
-        let (_, prefix_cost) = dev.measure(|| {
-            let guard = index.read();
-            guard
-                .stream(QueryRequest::range(0, u64::MAX).top(1500))
-                .unwrap()
-                .take(3)
-                .count()
-        });
-        assert!(
-            prefix_cost.logical < full_cost.logical / 2,
-            "prefix {} logical accesses vs full {}",
-            prefix_cost.logical,
-            full_cost.logical
-        );
     }
 
     #[test]

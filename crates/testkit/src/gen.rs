@@ -14,9 +14,9 @@ use workload::{PointDistribution, PointGen};
 
 use crate::trace::{BatchItem, Trace, TraceOp};
 
-/// The `k` palette the generators draw queries from: both sides of a
-/// stream's first pilot round (`crossover_l = 64` in the harness builds),
-/// whose end is where a lazy stream starts its second, doubled round.
+/// The `k` palette the generators draw queries from: both sides of 64, the
+/// pilot drain's bulk-pull threshold, which one-shot queries cross at `k`
+/// and a fan-out's doubling lane pulls cross on the way down.
 const K_PALETTE: [usize; 9] = [1, 2, 7, 31, 63, 64, 65, 200, 1000];
 
 /// Relative weights of the operation classes in a generated trace.

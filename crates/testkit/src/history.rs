@@ -139,7 +139,8 @@ impl Recorder {
 
     /// Query, recording the answer and its stamp window.
     pub fn query(&self, x1: u64, x2: u64, k: usize) -> TopKResult<Vec<Point>> {
-        let (answer, lo, hi) = self.handle.query_stamped(x1, x2, k)?;
+        let (mut answer, lo, hi) = self.handle.query_stamped(x1, x2, k)?;
+        crate::fault::transpose_if_injected(&mut answer);
         self.push(Event::Query {
             x1,
             x2,

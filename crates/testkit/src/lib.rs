@@ -36,7 +36,10 @@
 //!   minimal `.trace` written to `target/repro/`, plus the one-line
 //!   command that replays it;
 //! * [`Seed`] — one `TOPK_SEED` environment variable and one repro-line
-//!   format for every seeded harness in the workspace.
+//!   format for every seeded harness in the workspace;
+//! * [`mod@fault`] — a planted ordering bug in the answers the harness
+//!   receives, so the mutation tests can check that the checkers and the
+//!   shrinker catch a real fault.
 //!
 //! The `replay` example binary runs any `.trace` file against any
 //! topology: `cargo run -p topk-testkit --example replay -- file.trace
@@ -45,6 +48,7 @@
 
 pub mod crash;
 pub mod crashfs;
+pub mod fault;
 pub mod gen;
 pub mod history;
 pub mod replay;

@@ -127,7 +127,6 @@ pub fn replay(trace: &Trace, topology: Topology) -> Result<ReplayStats, Divergen
 pub fn replay_durable(trace: &Trace, dir: &std::path::Path) -> Result<ReplayStats, Divergence> {
     let handle = TopK::builder()
         .expected_n(expected_inserts(trace).max(64))
-        .crossover_l(64)
         .durable(dir)
         .build_auto()
         .expect("durable replay build parameters are valid");
@@ -393,10 +392,11 @@ impl Replayer {
             self.stats.skipped += 1;
             return Ok(());
         }
-        let got = self
+        let mut got = self
             .handle
             .query(x1, x2, k)
             .map_err(|e| self.diverge(step, op, format!("engine rejected a valid query: {e}")))?;
+        crate::fault::transpose_if_injected(&mut got);
         let expect = self.spec.query(x1, x2, k).expect("spec query is valid");
         if got != expect {
             return Err(self.diverge(

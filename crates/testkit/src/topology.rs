@@ -44,7 +44,6 @@ impl Topology {
                 TopKIndex::builder()
                     .device(device)
                     .expected_n(expected_n)
-                    .crossover_l(64)
                     .build()
                     .expect("harness build parameters are valid"),
             ),
@@ -53,7 +52,6 @@ impl Topology {
                     .device(device)
                     .expected_n(expected_n)
                     .shards(shards)
-                    .crossover_l(64)
                     .build_sharded()
                     .expect("harness build parameters are valid"),
             ),

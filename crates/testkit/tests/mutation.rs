@@ -1,6 +1,6 @@
 //! Mutation-testing the checker and the shrinker: a deliberately injected
-//! ordering bug (the `testkit-hooks` fault-injection point in
-//! `topk_core::hooks`) must be **caught** by the differential replayer and
+//! ordering bug (`topk_testkit::fault`, which transposes the answers the
+//! harness receives) must be **caught** by the differential replayer and
 //! the history checker, and **shrunk** to a replayable `.trace` of at most
 //! 20 ops. A checker that cannot catch a planted bug verifies nothing.
 //!
@@ -8,7 +8,7 @@
 //! `#[test]` in its own integration-test binary — no parallel test can
 //! observe the mutated answers.
 
-use topk_core::hooks;
+use topk_testkit::fault;
 use topk_testkit::{
     check, generate, replay, shrink_to_file, Recorder, Seed, Topology, Trace, TraceSpec,
 };
@@ -19,7 +19,7 @@ struct InjectionGuard;
 
 impl Drop for InjectionGuard {
     fn drop(&mut self) {
-        hooks::inject_ordering_bug(false);
+        fault::inject_ordering_bug(false);
     }
 }
 
@@ -41,13 +41,13 @@ fn replayer_catches_and_shrinks_the_bug() {
     let context = seed.repro("mutation");
 
     // Sanity: the healthy engine replays the trace clean.
-    hooks::inject_ordering_bug(false);
+    fault::inject_ordering_bug(false);
     for topology in [Topology::Single, Topology::Sharded(1), Topology::Sharded(4)] {
         replay(&trace, topology)
             .unwrap_or_else(|d| panic!("healthy engine diverged: {d}; {context}"));
     }
 
-    hooks::inject_ordering_bug(true);
+    fault::inject_ordering_bug(true);
     for topology in [Topology::Single, Topology::Sharded(1), Topology::Sharded(4)] {
         // Caught: the differential replayer must notice the transposition.
         assert!(
@@ -76,12 +76,12 @@ fn replayer_catches_and_shrinks_the_bug() {
             replay(&minimal, topology).is_err(),
             "{topology}: minimal trace no longer reproduces; {context}"
         );
-        hooks::inject_ordering_bug(false);
+        fault::inject_ordering_bug(false);
         replay(&minimal, topology)
             .unwrap_or_else(|d| panic!("{topology}: healthy engine fails the repro: {d}"));
-        hooks::inject_ordering_bug(true);
+        fault::inject_ordering_bug(true);
     }
-    hooks::inject_ordering_bug(false);
+    fault::inject_ordering_bug(false);
 }
 
 fn history_checker_catches_the_bug() {
@@ -90,11 +90,11 @@ fn history_checker_catches_the_bug() {
         .collect();
     let (_device, handle) = Topology::Sharded(1).build(128);
     let recorder = Recorder::new(handle, &preload).unwrap();
-    hooks::inject_ordering_bug(true);
+    fault::inject_ordering_bug(true);
     recorder.query(0, u64::MAX, 5).unwrap();
     recorder.insert(epst::Point::new(9_000, 90_000)).unwrap();
     recorder.query(0, u64::MAX, 5).unwrap();
-    hooks::inject_ordering_bug(false);
+    fault::inject_ordering_bug(false);
     let history = recorder.into_history();
     let violation = check(&history).expect_err("the history checker missed the ordering bug");
     assert!(violation.detail.contains("matches no committed version"));

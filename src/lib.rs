@@ -3,7 +3,7 @@
 //! runnable examples (`examples/`) live in this package; the implementation
 //! is split across the crates under `crates/` (see README.md for the map).
 //!
-//! The API is builder-first, fallible, batched and streaming — see
+//! The API is builder-first, fallible, batched and lazy — see
 //! [`TopKIndex::builder`], [`TopKError`], [`UpdateBatch`] and
 //! [`QueryRequest`], and the migration table in README.md. The read plane is
 //! cursor-first: [`TopK`] (from [`IndexBuilder::build_auto`]) is the
@@ -14,6 +14,6 @@
 pub use emsim::{Device, EmConfig, IoDelta, IoSnapshot, IoStats};
 pub use topk_core::{
     BatchSummary, Consistency, IndexBuilder, Oracle, Point, QueryCursor, QueryRequest, RankedIndex,
-    Result, ResumeToken, ShardedReadGuard, ShardedResults, ShardedTopK, SmallKEngine, TheoremOne,
-    TopK, TopKConfig, TopKError, TopKIndex, TopKResults, UpdateBatch, UpdateOp,
+    Result, ResumeToken, ShardedReadGuard, ShardedTopK, SmallKEngine, TheoremOne, TopK, TopKConfig,
+    TopKError, TopKIndex, UpdateBatch, UpdateOp,
 };

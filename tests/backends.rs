@@ -22,7 +22,6 @@ fn build_ram(device: &Device, expected_n: usize) -> TopKIndex {
     TopKIndex::builder()
         .device(device)
         .expected_n(expected_n)
-        .crossover_l(64)
         .build()
         .unwrap()
 }
@@ -31,7 +30,6 @@ fn build_file(dir: &std::path::Path, expected_n: usize) -> TopKIndex {
     TopKIndex::builder()
         .durable(dir)
         .expected_n(expected_n)
-        .crossover_l(64)
         .build()
         .unwrap()
 }
@@ -136,11 +134,7 @@ fn generated_traces_replay_clean_over_the_file_backend() {
 #[test]
 fn snapshot_restore_round_trips_across_every_distribution() {
     for (i, distribution) in DISTRIBUTIONS.into_iter().enumerate() {
-        let source = TopK::builder()
-            .expected_n(300)
-            .crossover_l(64)
-            .build_auto()
-            .unwrap();
+        let source = TopK::builder().expected_n(300).build_auto().unwrap();
         let points = PointGen {
             distribution,
             seed: 0x5AAB + i as u64,
@@ -161,7 +155,6 @@ fn snapshot_restore_round_trips_across_every_distribution() {
         let restored = TopK::builder()
             .durable(&dir)
             .expected_n(300)
-            .crossover_l(64)
             .build_auto()
             .unwrap();
         assert_eq!(restored.len(), source.len(), "{distribution:?}");
@@ -278,7 +271,6 @@ fn durable_build_auto_is_one_shard_that_resumes_its_stamp() {
         TopK::builder()
             .durable(&dir)
             .expected_n(1 << 20)
-            .crossover_l(64)
             .build_auto()
             .unwrap()
     };
@@ -329,7 +321,6 @@ fn durable_one_shard_rebuild_batches_survive_reopen() {
         TopK::builder()
             .durable(&dir)
             .expected_n(512)
-            .crossover_l(64)
             .build_auto()
             .unwrap()
     };

@@ -31,7 +31,6 @@ fn write_dir() -> (Files, History) {
     let index = TopKIndex::builder()
         .durable(&dir)
         .expected_n(64)
-        .crossover_l(64)
         .build()
         .unwrap();
     let point = |i: u64| Point::new(i * 11 + 3, i * 17 + 1);

@@ -184,7 +184,7 @@ fn fan_out_reads_stay_within_per_shard_bound(shards: usize) {
 #[test]
 fn one_shard_queries_run_the_unsharded_one_shot_plan() {
     // A query inside one shard runs that shard's own `TopKIndex::query`
-    // plan, not the stream merge: on a one-shard index built the same way
+    // plan, not the lane merge: on a one-shard index built the same way
     // as a bare index on its own device, every cold query must return the
     // same answer for exactly the same physical reads (exact LRU makes the
     // counts deterministic).

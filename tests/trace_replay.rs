@@ -7,7 +7,9 @@
 //! `PilotPst::pull_up_if_needed` ordering bug this harness caught when it
 //! was built, plus a long cursor pagination (k far above the node cache,
 //! tiny pages, writes interleaved) pinning the stamp-gated frontier-carry
-//! read plane. Each trace replays against all four topologies
+//! read plane. No serving topology holds a `ThreeSidedPst` any more, so
+//! the two `epst_*` traces no longer reach the reporter: they replay as
+//! workloads and pass with their fixes reverted (DESIGN.md §7.4). Each trace replays against all four topologies
 //! ([`Topology::ALL`]) under full differential checking; a failure shrinks
 //! to `target/repro/<trace>-<topology>.trace` and panics with the one-line
 //! replay command.
