@@ -8,9 +8,10 @@
 
 use std::time::Instant;
 
+use emsim::Device;
 use topk_bench::json::JsonRow;
 use topk_bench::{build_index, build_serving, small_machine, uniform_points};
-use topk_core::{RankedIndex, SmallKEngine};
+use topk_core::{RankedIndex, ShardedTopK, SmallKEngine};
 use workload::{Query, QueryGen};
 
 const SAMPLES: usize = 10;
@@ -55,22 +56,38 @@ fn main() {
     // residual k-cliff visible as a throughput drop between neighbours,
     // which is what the CI perf-sanity gate checks. `topk_by_k` is
     // `TheoremOne` (the E2 reproduction), `serving_by_k` the same sweep on
-    // the serving index, whose pilot drain serves every k.
+    // the serving index, whose pilot drain serves every k, and
+    // `sharded_by_k` the same points on a 4-shard `ShardedTopK`, timed on
+    // the ranges that cross a shard boundary: one merged pull over the
+    // overlapping shards' drains per query.
     let pts = uniform_points(11, 1 << 15);
     let theorem_one = build_index(small_machine(), SmallKEngine::Polylog, 128, &pts);
     let serving = build_serving(small_machine(), &pts);
-    let builds: [(&str, &dyn RankedIndex); 2] =
-        [("topk_by_k", &theorem_one), ("serving_by_k", &serving)];
-    for (scenario, index) in builds {
+    let sharded = ShardedTopK::builder()
+        .device(&Device::new(small_machine()))
+        .expected_n(pts.len())
+        .shards(4)
+        .build_sharded()
+        .expect("bench index parameters are valid");
+    sharded.bulk_build(&pts).expect("distinct points");
+    let builds: [(&str, &str, &dyn RankedIndex); 3] = [
+        ("topk_by_k", "single", &theorem_one),
+        ("serving_by_k", "single", &serving),
+        ("sharded_by_k", "sharded-4", &sharded),
+    ];
+    for (scenario, topology, index) in builds {
         println!("\nquery_scaling/{scenario} — k sweep at n = 32768, 25% selectivity");
         println!("{:>12} {:>16} {:>16}", "k", "queries/sec", "us/query");
         for &k in &[1usize, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096] {
-            let queries = QueryGen::new(0.25, k, 5).generate(&pts, 8);
+            let mut queries = QueryGen::new(0.25, k, 5).generate(&pts, 8);
+            if topology != "single" {
+                queries.retain(|q| sharded.overlapping_shards(q.x1, q.x2) > 1);
+            }
             let qps = queries_per_sec(index, &queries);
             println!("{k:>12} {qps:>16.0} {:>16.1}", 1e6 / qps);
             rows.push(
                 JsonRow::new(scenario, "queries_per_sec", qps)
-                    .topology("single")
+                    .topology(topology)
                     .threads(1)
                     .param(format!("k={k}")),
             );

@@ -4,7 +4,7 @@
 //! serves every k; Theorem 1's `TheoremOne` (the §3.3 small-k path below
 //! the crossover l = 128), whose regime switch a cliff could hide in; and a
 //! 4-shard `ShardedTopK`, whose 25% ranges cross shard boundaries, so every
-//! k runs the cursor's lane merge.
+//! k runs one merged pull over the overlapping shards' drains.
 //!
 //! This is a cliff detector, not a benchmark. The incremental-escalation
 //! work (persistent descent frontier + bulk pulls, DESIGN.md §6) makes

@@ -1,11 +1,11 @@
-//! The owned, snapshot-consistent cursor read plane, and the one k-way
-//! merge of the crate.
+//! The owned, snapshot-consistent cursor read plane, and the one merge of
+//! the crate.
 //!
 //! [`QueryCursor`] owns a cheap clone of the [`TopK`] handle and acquires
 //! the topology's read side only **per fetch round**, releasing it before
 //! the batch is handed to the caller. A reader that sleeps between pages
 //! therefore costs writers nothing (the `concurrent_reads` bench measures
-//! exactly this). Its per-round merge ([`round`]) is also what an eager
+//! exactly this). Its fetch round ([`round`]) is also what an eager
 //! [`ShardedReadGuard::query`](crate::ShardedReadGuard::query) fan-out runs,
 //! once and uncached.
 //!
@@ -33,20 +33,20 @@
 //!
 //! The cursor does not re-run a top-`cap` query per round. It keeps a
 //! stamp-gated [`FrontierCache`]: one resumable [`PilotDrain`] per canonical
-//! range — per overlapping `(range, shard)` pair on the sharded topology —
-//! with the points each lane pulled but has not yet emitted, plus the heads
-//! of a k-way merge over the lanes. A lane's first pull is one point and
-//! each later pull doubles, capped at what the round still needs, so a
-//! lane the merge barely touches reads little and a deep one reaches the
-//! drain's bulk path within a few pulls. A round re-acquires the topology's
-//! read side, and if the observed version stamp equals the cached one (no
-//! write committed in between, so every saved frontier still describes the
-//! live trees) it resumes the merge exactly where the previous round
-//! stopped: only pages *below* the previous low-water mark are touched, so
-//! paginating `k` points in `r` rounds costs one query's I/Os total, not per
-//! round. When the stamp moved, [`Consistency::PerRound`] rebuilds the
-//! drains with the low-water score as their ceiling (the next round is a
-//! fresh threshold-set of the *current* state below the mark), and
+//! range — per overlapping `(range, shard)` pair on the sharded topology.
+//! A round is one [`PilotDrain::pull_merged`] of the page's points over
+//! every lane's drain: one best-first search under one threshold, whose next
+//! page read is the best pending bound of any lane, so each lane is read
+//! about as far as its share of the page needs.
+//! A round re-acquires the topology's read side, and if the observed version
+//! stamp equals the cached one (no write committed in between, so every
+//! saved frontier still describes the live trees) it resumes the drains
+//! exactly where the previous round stopped: only pages *below* the previous
+//! low-water mark are touched, so paginating `k` points in `r` rounds costs
+//! one query's I/Os total, not per round. When the stamp moved,
+//! [`Consistency::PerRound`] rebuilds the drains with the inclusive ceiling
+//! `mark − 1` (the next round is a fresh threshold-set of the *current*
+//! state below the mark; a mark at score 0 leaves nothing), and
 //! [`Consistency::Strict`] surfaces the invalidation instead.
 //!
 //! # Resume tokens
@@ -65,7 +65,6 @@
 //! (`QueryRequest::after(&token).consistency(Consistency::PerRound)`),
 //! which ignores the stamp.
 
-use std::collections::BinaryHeap;
 use std::str::FromStr;
 
 use epst::{PilotDrain, Point};
@@ -126,9 +125,9 @@ pub struct QueryCursor {
     version: Option<u64>,
     /// Next round size when no page size is pinned.
     next_size: usize,
-    /// The resumable per-lane drains and merge heads of the previous round,
-    /// valid while the index's version stamp has not moved (module docs,
-    /// *Incremental rounds*).
+    /// The resumable per-lane drains of the previous round, valid while the
+    /// index's version stamp has not moved (module docs, *Incremental
+    /// rounds*).
     frontier: Option<FrontierCache>,
     done: bool,
     /// Buffer feeding the point-wise `Iterator` impl.
@@ -245,8 +244,8 @@ impl QueryCursor {
                 let stamp = guard.version();
                 self.observe_version(stamp)?;
                 // One lane per overlapping (range, shard) pair: each shard
-                // resumes its own saved frontier, and its doubling pulls
-                // stay within about twice what the merge consumes from it.
+                // resumes its own saved frontier, and the round's one merged
+                // pull reads each about as far as its share of the page.
                 let mut lanes = Vec::new();
                 for &(x1, x2) in &self.ranges {
                     let (lo, hi) = guard.overlap_held(x1, x2);
@@ -342,71 +341,36 @@ impl Iterator for QueryCursor {
 
 impl std::iter::FusedIterator for QueryCursor {}
 
-/// One merge lane of a fetch round: a canonical subrange against the index
-/// (or, on the sharded topology, one shard) that answers it. Lanes are
-/// derived fresh from each round's guard; the *drains* over them persist in
-/// the [`FrontierCache`] across rounds.
+/// One lane of a fetch round: a canonical subrange against the index (or,
+/// on the sharded topology, one shard) that answers it. Lanes are derived
+/// fresh from each round's guard; the *drains* over them persist in the
+/// [`FrontierCache`] across rounds.
 pub(crate) struct Lane<'g> {
     pub(crate) x1: u64,
     pub(crate) x2: u64,
     pub(crate) index: &'g TopKIndex,
 }
 
-/// A lane's saved position: its resumable drain and the points it pulled
-/// but has not yet offered to the merge.
-struct LaneState {
-    drain: PilotDrain,
-    /// Pulled, not yet offered to the merge; best point last.
-    buf: Vec<Point>,
-    /// The size of the next pull before the round's cap: 1, then doubling.
-    next_pull: usize,
-    /// A pull came back short: the drain holds nothing more.
-    drained: bool,
-}
-
-impl LaneState {
-    /// Pull the lane's next batch, `next_pull` points capped at `cap` (what
-    /// the round still needs), and return its best point.
-    fn refill(&mut self, lane: &Lane<'_>, cap: usize) -> Option<Point> {
-        let want = self.next_pull.min(cap);
-        self.next_pull = self.next_pull.saturating_mul(2);
-        self.drain.pull(lane.index.pilot(), want, &mut self.buf);
-        self.drained = self.buf.len() < want;
-        self.buf.reverse();
-        self.buf.pop()
-    }
-}
-
-/// A merge-heap entry `(score, x, slot)`: the max-heap orders by score
-/// (globally distinct), the coordinate a deterministic tiebreak for defence
-/// in depth; `slot` indexes the lane.
-type MergeEntry = (u64, u64, usize);
-
-/// The cursor's saved position *inside* the pilot structures: one lane
-/// state per lane plus the merge heads, all valid exactly while the index's
-/// version stamp equals `stamp` — equal stamps witness that no write
-/// committed, so the saved frontiers and buffered points still describe the
-/// live trees. A round that observes the same stamp resumes here and
-/// touches only pages below the previous low-water mark.
+/// The cursor's saved position *inside* the pilot structures: one
+/// resumable drain per lane, valid exactly while the index's version stamp
+/// equals `stamp` — equal stamps witness that no write committed, so the
+/// saved frontiers still describe the live trees. A round that observes
+/// the same stamp resumes here and touches only pages below the previous
+/// low-water mark.
 pub(crate) struct FrontierCache {
     stamp: u64,
-    lanes: Vec<LaneState>,
-    /// The k-way merge heads, at most one per lane (`slot` indexes
-    /// `lanes`). Persisted so a point pulled at a round boundary is
-    /// emitted by the next round instead of being lost.
-    heads: BinaryHeap<MergeEntry>,
-    /// Lanes with no head and an empty buffer whose drain is not yet known
-    /// to be empty: each pulls again before the merge picks its next head.
-    pending: Vec<usize>,
+    drains: Vec<PilotDrain>,
 }
 
 /// One fetch round against one consistent view of the index (the caller
-/// holds whatever guard the lanes borrow from). Reuses the cached frontier
-/// when `stamp` matches; otherwise rebuilds every lane's drain over the
-/// score window `[min_score, low-water)` — the round is then a fresh
-/// threshold-set of the current state below the mark. Returns up to `need`
-/// points in descending score order plus whether the ranges are exhausted
-/// below the mark/floor. An eager fan-out runs one round on an empty cache.
+/// holds whatever guard the lanes borrow from): one merged pull of `need`
+/// points over every lane's drain. Reuses the cached drains when `stamp`
+/// matches; otherwise rebuilds every lane's drain over the score window
+/// `[min_score, mark − 1]` below the low-water mark — the round is then a
+/// fresh threshold-set of the current state below the mark. Returns up to
+/// `need` points in descending score order plus whether the ranges are
+/// exhausted below the mark/floor. An eager fan-out runs one round on an
+/// empty cache.
 pub(crate) fn round(
     cache: &mut Option<FrontierCache>,
     lanes: &[Lane<'_>],
@@ -415,65 +379,36 @@ pub(crate) fn round(
     min_score: u64,
     low_water: Option<(u64, u64)>,
 ) -> (Vec<Point>, bool) {
-    let reuse = matches!(cache, Some(c) if c.stamp == stamp && c.lanes.len() == lanes.len());
+    let reuse = matches!(cache, Some(c) if c.stamp == stamp && c.drains.len() == lanes.len());
     if !reuse {
-        // `hi` is exclusive, so the mark's own score is not re-emitted.
-        let hi = low_water.map_or(u64::MAX, |(score, _)| score);
+        // Nothing scores below a mark at score 0.
+        let Some(hi) = low_water.map_or(Some(u64::MAX), |(score, _)| score.checked_sub(1)) else {
+            return (Vec::new(), true);
+        };
         *cache = Some(FrontierCache {
             stamp,
-            lanes: lanes
+            drains: lanes
                 .iter()
-                .map(|lane| LaneState {
-                    drain: lane
-                        .index
+                .map(|lane| {
+                    lane.index
                         .pilot()
-                        .drain_window(lane.x1, lane.x2, min_score, hi),
-                    buf: Vec::new(),
-                    next_pull: 1,
-                    drained: false,
+                        .drain_window(lane.x1, lane.x2, min_score, hi)
                 })
                 .collect(),
-            heads: BinaryHeap::with_capacity(lanes.len()),
-            pending: (0..lanes.len()).collect(),
         });
     }
     let cache = cache.as_mut().expect("frontier cache was just ensured");
+    let mut pulls: Vec<_> = lanes
+        .iter()
+        .map(|lane| lane.index.pilot())
+        .zip(cache.drains.iter_mut())
+        .collect();
     // `need` comes from the caller's `k` or page size; the lanes hold at
     // most `stored` points.
     let stored: u64 = lanes.iter().map(|lane| lane.index.len()).sum();
     let mut out = Vec::with_capacity(need.min(usize::try_from(stored).unwrap_or(usize::MAX)));
-    while out.len() < need {
-        // A lane without a head may hold the next point: pull it first.
-        for slot in cache.pending.drain(..) {
-            if let Some(point) = cache
-                .lanes
-                .get_mut(slot)
-                .zip(lanes.get(slot))
-                .and_then(|(state, lane)| state.refill(lane, need - out.len()))
-            {
-                cache.heads.push((point.score, point.x, slot));
-            }
-        }
-        let Some((score, x, slot)) = cache.heads.pop() else {
-            break;
-        };
-        if let Some(state) = cache.lanes.get_mut(slot) {
-            match state.buf.pop() {
-                Some(next) => cache.heads.push((next.score, next.x, slot)),
-                None if !state.drained => cache.pending.push(slot),
-                None => {}
-            }
-        }
-        // The drain windows already exclude the emitted prefix; this guard
-        // only matters when the mark's score is `u64::MAX` (which collides
-        // with the drains' "no ceiling" sentinel).
-        if low_water.is_some_and(|(mark, _)| score >= mark) {
-            continue;
-        }
-        out.push(Point::new(x, score));
-    }
-    // Every lane is drained once no lane holds a head or awaits a pull.
-    let exhausted = cache.heads.is_empty() && cache.pending.is_empty();
+    PilotDrain::pull_merged(&mut pulls, need, &mut out);
+    let exhausted = cache.drains.iter().all(PilotDrain::is_exhausted);
     (out, exhausted)
 }
 
@@ -733,7 +668,7 @@ mod tests {
     #[test]
     fn short_cursor_prefix_over_a_fan_out_is_lazy_and_exact() {
         // Four shards, every one overlapping: the lanes pull only about
-        // the prefix the merge emits. Counted in logical accesses — the
+        // the prefix the round emits. Counted in logical accesses — the
         // pool holds every page at this size, so physical reads cannot
         // tell the two apart.
         let device = Device::new(EmConfig::new(256, 256 * 256));

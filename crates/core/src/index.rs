@@ -409,13 +409,13 @@ impl TopKIndex {
         crate::cursor::QueryCursor::new(crate::facade::TopK::Single(self), request)
     }
 
-    /// The eager query path: one bulk pull from a §2 pilot drain,
-    /// `O(lg n + k/B)`, so its I/O profile is the seed's single-shot plan;
-    /// a cursor's doubling pulls trade a little CPU on full consumption for
-    /// laziness. The best-first drain replaces
-    /// `query_top_k`'s fixed-size heap selection + sibling expansion, whose
-    /// `Θ(φ·lg n)` constant made every query pay the `k = Θ(B·lg n)` worst
-    /// case (the "k-cliff" in BENCH_query_scaling.json).
+    /// The eager query path: one pull of `k` points from a fresh §2 pilot
+    /// drain, `O(lg n + k/B)`, so its I/O profile is the seed's single-shot
+    /// plan; a cursor instead pulls its drains one page per round. The
+    /// best-first drain replaces `query_top_k`'s fixed-size heap selection +
+    /// sibling expansion, whose `Θ(φ·lg n)` constant made every query pay
+    /// the `k = Θ(B·lg n)` worst case (the "k-cliff" in
+    /// BENCH_query_scaling.json).
     pub(crate) fn query_unvalidated(&self, x1: u64, x2: u64, k: usize) -> Vec<Point> {
         if k == 0 || x1 > x2 || self.is_empty() {
             return Vec::new();

@@ -16,11 +16,12 @@
 //!   post-batch state of every affected shard, never anything in between;
 //! * **queries** lock only the shards overlapping `[x1, x2]`. A range inside
 //!   one shard runs that shard's one-shot [`TopKIndex`] plan; a fan-out runs
-//!   one round of the cursor's lane merge, one pilot drain per overlapping
-//!   shard whose pulls start at one point and double, so each shard is only
-//!   asked for about the prefix the merge actually consumes
-//!   (`tests/io_cost.rs` pins the bound at `overlapping_shards ×
-//!   O(log_B(n/S) + k/B)` page reads);
+//!   one cursor round: one pilot drain per overlapping shard and one merged
+//!   pull of `k` points over all of them — a single best-first search under
+//!   one threshold, so each shard is read about as far as its share of the
+//!   answer needs (`tests/io_cost.rs` pins a two-shard fan-out to its
+//!   shares' one-shard reads plus one page per shard, and every fan-out to
+//!   `overlapping_shards × O(log_B(n/S) + k/B)` page reads);
 //! * **rebalancing** migrates points once a shard exceeds twice the mean
 //!   occupancy: the writer that trips the threshold repartitions *after* its
 //!   own commit has released every per-operation lock, so the check runs off
@@ -506,8 +507,8 @@ impl ShardedTopK {
     /// Report the `k` highest-scoring points with `x ∈ [x1, x2]`, descending:
     /// read-lock the overlapping shards and answer as
     /// [`ShardedReadGuard::query`] does — one shard's one-shot plan, or one
-    /// round of the cursor's lane merge on a fan-out. Shards outside the
-    /// range are neither locked nor touched.
+    /// merged pull over the overlapping shards on a fan-out. Shards outside
+    /// the range are neither locked nor touched.
     ///
     /// # Errors
     ///
@@ -921,7 +922,7 @@ impl ShardedReadGuard<'_> {
 
     /// The eager query against this pinned version. A range inside one
     /// shard runs that shard's one-shot [`TopKIndex::query`] plan; a
-    /// fan-out runs one uncached round of the cursor's lane merge, one lane
+    /// fan-out runs one uncached cursor round, one merged pull over a drain
     /// per overlapping shard.
     ///
     /// # Errors
@@ -945,7 +946,7 @@ impl ShardedReadGuard<'_> {
 
     /// Global ids of the shards overlapping `[x1, x2]`, clamped to the
     /// shards this guard actually holds. Used by the cursor read plane to
-    /// lay out one merge lane per `(range, shard)` pair.
+    /// lay out one lane per `(range, shard)` pair.
     pub(crate) fn overlap_held(&self, x1: u64, x2: u64) -> (usize, usize) {
         let (lo, hi) = self.router.overlap(x1, x2);
         (
@@ -1111,9 +1112,9 @@ mod tests {
                     oracle.count(a, b) as u64
                 );
             }
-            // Every shard: the lanes' doubling pulls cross the drain's
-            // bulk threshold (64) and the round's cap around these k; the
-            // last k allocates only for the points the shards hold.
+            // Every shard: the merged pull crosses the bulk threshold (64)
+            // around these k; the last k allocates only for the points the
+            // shards hold.
             for k in [63usize, 64, 65, 4096, usize::MAX] {
                 assert_eq!(
                     index.query(0, u64::MAX, k).unwrap(),

@@ -36,6 +36,14 @@
 //! `O(1)` times instead of paying a heap sift per emission, which is what
 //! keeps deep pulls (`k ≫ B`) CPU-cheap on top of being I/O-cheap.
 //!
+//! [`pull`] runs one pull over *several* frontiers (one per [`Lane`]: a
+//! range of one tree) as one best-first search: the next event is the best
+//! run head or node bound across every lane, and a bulk pull expands the
+//! best pending node of any lane under one shared threshold, so the lanes'
+//! pools together yield exactly the `n` best points of their union. Each
+//! lane's unemitted remainder stays in its own frontier, so every lane stays
+//! resumable; one lane is the plain drain.
+//!
 //! A drain is only meaningful against the tree state it was primed on;
 //! callers that interleave updates must discard and rebuild it (the cursor
 //! layer gates reuse on the index's version stamp).
@@ -126,12 +134,13 @@ pub(crate) struct Frontier<I> {
     /// back into a proper run lazily; bulk pulls reclaim them as-is.
     loose: Vec<Point>,
     /// Candidate buffer of an in-progress bulk pull: every point seen that
-    /// is not yet provably outside the requested top `n`. Emptied back into
-    /// `out`/`loose` by [`finish_bulk`](Self::finish_bulk).
+    /// is not yet provably outside the requested top `n`. Emptied into the
+    /// pull's output, or back into `loose`, when the pull ends.
     bulk_buf: Vec<Point>,
-    /// Bulk routing threshold: the running `n`-th best score of the pull.
-    /// Points at or below it go straight to `loose` (kept for resumption,
-    /// out of this pull); points above it are candidates.
+    /// Bulk routing threshold: the running `n`-th best score of the pull,
+    /// shared by every lane it pulls. Points at or below it go straight to
+    /// `loose` (kept for resumption, out of this pull); points above it are
+    /// candidates.
     cut: Option<u64>,
     /// While set, [`push_run`](Self::push_run) routes points through
     /// `bulk_buf`/`loose` instead of building a heap run — expansion during
@@ -277,7 +286,7 @@ impl<I> Frontier<I> {
     /// Start a bulk pull: every pending point — run heads, spilled tails,
     /// loose stash — becomes a candidate, and expansion routes new points
     /// by the running threshold instead of building sorted runs.
-    pub fn begin_bulk(&mut self) {
+    fn begin_bulk(&mut self) {
         self.bulk = true;
         self.cut = None;
         self.runs.clear();
@@ -306,55 +315,6 @@ impl<I> Frontier<I> {
         }
     }
 
-    /// Tighten the threshold once the candidate buffer outgrows `1.5n`: one
-    /// quickselect finds the running `n`-th best — the tightest cut any
-    /// strategy could have at this moment — and the overflow moves to the
-    /// stash. Amortized `O(1)` selection work per point. Returns the current
-    /// threshold.
-    pub fn compact_bulk(&mut self, n: usize) -> Option<u64> {
-        if self.bulk_buf.len() >= n.saturating_add(n / 2) {
-            self.bulk_buf.select_nth_unstable_by(n - 1, desc);
-            self.cut = Some(self.bulk_buf[n - 1].score);
-            self.loose.extend_from_slice(&self.bulk_buf[n..]);
-            self.bulk_buf.truncate(n);
-        }
-        self.cut
-    }
-
-    /// End a bulk pull: sort the winning prefix into `out` (descending) and
-    /// stash the unemitted remainder unsorted — it is folded back into a
-    /// sorted run only if a later per-point `step()` needs it. Returns how
-    /// many points were emitted.
-    pub fn finish_bulk(&mut self, n: usize, out: &mut Vec<Point>) -> usize {
-        self.bulk = false;
-        self.cut = None;
-        let take = n.min(self.bulk_buf.len());
-        if take > 0 {
-            if self.bulk_buf.len() > take {
-                self.bulk_buf.select_nth_unstable_by(take - 1, desc);
-            }
-            sort_desc(&mut self.bulk_buf[..take]);
-        }
-        let leftover = self.bulk_buf.split_off(take);
-        out.append(&mut self.bulk_buf);
-        if self.loose.is_empty() {
-            self.loose = leftover; // adopt the buffer, no copy
-        } else {
-            self.loose.extend_from_slice(&leftover);
-        }
-        take
-    }
-
-    /// The largest pending node bound, if any node is pending.
-    pub fn top_node_bound(&self) -> Option<u64> {
-        self.nodes.peek().map(|n| n.bound)
-    }
-
-    /// Pop the node with the largest bound.
-    pub fn pop_node(&mut self) -> Option<I> {
-        self.nodes.pop().map(|n| n.id)
-    }
-
     /// The next event in rank order, consuming run heads in place: the top
     /// run's head is emitted and its entry re-keyed under
     /// [`std::collections::binary_heap::PeekMut`], so a point emission costs
@@ -363,10 +323,7 @@ impl<I> Frontier<I> {
     /// the head is emitted — only reachable with non-distinct scores, but
     /// cheap insurance.
     pub fn step(&mut self) -> Option<Step<I>> {
-        if !self.loose.is_empty() {
-            let stash = std::mem::take(&mut self.loose);
-            self.push_run(stash);
-        }
+        self.fold_loose();
         let bound = self.nodes.peek().map(|n| n.bound);
         match self.runs.peek_mut() {
             Some(mut top) if bound.is_none_or(|b| top.score > b) => {
@@ -394,10 +351,188 @@ impl<I> Frontier<I> {
         }
     }
 
+    /// The rank of the event [`step`](Self::step) would return next: the
+    /// best run head's score or the largest node bound, with a node ranking
+    /// above a run head of equal score (the order `step` breaks that tie
+    /// in).
+    fn next_rank(&mut self) -> Option<(u64, bool)> {
+        self.fold_loose();
+        let head = self.runs.peek().map(|r| (r.score, false));
+        head.max(self.nodes.peek().map(|n| (n.bound, true)))
+    }
+
+    /// Sort a bulk pull's unemitted stash into a run before a per-point
+    /// step needs it.
+    fn fold_loose(&mut self) {
+        if !self.loose.is_empty() {
+            let stash = std::mem::take(&mut self.loose);
+            self.push_run(stash);
+        }
+    }
+
     pub fn is_empty(&self) -> bool {
         self.runs.is_empty()
             && self.loose.is_empty()
             && self.bulk_buf.is_empty()
             && self.nodes.is_empty()
     }
+}
+
+/// Pulls of at least this many points take the bulk path instead of the
+/// per-point merge. Small enough that every `k ≥ l` query qualifies, large
+/// enough that a selection pass over the pool amortizes.
+const BULK_PULL_MIN: usize = 64;
+
+/// One lane of a merged [`pull`]: a primed frontier over one range of one
+/// tree, and the tree read that expands one of its pending nodes.
+pub(crate) trait Lane {
+    type Id;
+    fn frontier(&mut self) -> &mut Frontier<Self::Id>;
+    /// Read node `id`'s page into the frontier: its in-window points and
+    /// its overlapping children.
+    fn expand(&mut self, id: Self::Id);
+}
+
+/// Emit up to `n` further points of the lanes' union into `out`, in
+/// descending score order, resuming every lane's frontier. Returns how many
+/// were emitted; fewer than `n` means every lane is exhausted.
+pub(crate) fn pull<L: Lane>(lanes: &mut [L], n: usize, out: &mut Vec<Point>) -> usize {
+    if n >= BULK_PULL_MIN {
+        pull_bulk(lanes, n, out)
+    } else {
+        pull_steps(lanes, n, out)
+    }
+}
+
+/// Per-point pull: step whichever lane's next event ranks highest.
+fn pull_steps<L: Lane>(lanes: &mut [L], n: usize, out: &mut Vec<Point>) -> usize {
+    let mut taken = 0;
+    while taken < n {
+        let best = lanes
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, lane)| lane.frontier().next_rank().map(|rank| (rank, i)))
+            .max();
+        let Some(lane) = best.and_then(|(_, i)| lanes.get_mut(i)) else {
+            break;
+        };
+        match lane.frontier().step() {
+            None => break,
+            Some(Step::Point(p)) => {
+                out.push(p);
+                taken += 1;
+            }
+            Some(Step::Expand(id)) => lane.expand(id),
+        }
+    }
+    taken
+}
+
+/// Bulk extraction: expand pages best-first across every lane into the
+/// lanes' flat pools until the pools' `n`-th best score provably beats
+/// every pending subtree of every lane, then select and sort just the
+/// winning prefix. Each lane's unemitted remainder goes back to its own
+/// frontier unsorted (sorted lazily if ever needed), so every lane stays
+/// resumable.
+///
+/// The stopping rule is exact even with a stale threshold: nodes pop in
+/// descending bound order across the lanes, and a point can only score
+/// below its node's bound, so when the next bound is `b` *every* point
+/// scoring ≥ `b` is already pooled. If the pools' `n`-th best is ≥ `b`,
+/// nothing unexpanded can displace the current top `n`. The threshold is
+/// re-selected only after the pools grow by half, keeping selection work
+/// `O(1)` amortized per pooled point; staleness can only cost a few extra
+/// page reads, never correctness.
+fn pull_bulk<L: Lane>(lanes: &mut [L], n: usize, out: &mut Vec<Point>) -> usize {
+    for lane in lanes.iter_mut() {
+        lane.frontier().begin_bulk();
+    }
+    let mut scores = Vec::new();
+    let mut cut = None;
+    loop {
+        // Tighten the shared threshold once the pools outgrow `1.5n`; from
+        // then on expansion sends weaker points straight to the stashes.
+        if pooled(lanes) >= n.saturating_add(n / 2) {
+            let c = split_pools(lanes, n, &mut scores);
+            for lane in lanes.iter_mut() {
+                lane.frontier().cut = Some(c);
+            }
+            cut = Some(c);
+        }
+        let next = lanes
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, lane)| lane.frontier().nodes.peek().map(|node| (node.bound, i)))
+            .max();
+        // Exact stop: nodes pop in descending bound order and a point
+        // scores below its node's bound, so every point ≥ bound is already
+        // pooled; a threshold ≥ bound proves the top n are in hand.
+        let Some((_, i)) = next.filter(|&(bound, _)| cut.is_none_or(|c| bound > c)) else {
+            break;
+        };
+        let Some(lane) = lanes.get_mut(i) else {
+            break;
+        };
+        let node = lane.frontier().nodes.pop().expect("bound was just peeked");
+        lane.expand(node.id);
+    }
+    // The winners are the pools once cut to `n`: one sort orders them.
+    if pooled(lanes) > n {
+        split_pools(lanes, n, &mut scores);
+    }
+    let start = out.len();
+    for lane in lanes.iter_mut() {
+        let frontier = lane.frontier();
+        out.append(&mut frontier.bulk_buf);
+        frontier.bulk = false;
+        frontier.cut = None;
+    }
+    sort_desc(&mut out[start..]);
+    out.len() - start
+}
+
+/// Points pooled by the lanes' bulk buffers.
+fn pooled<L: Lane>(lanes: &mut [L]) -> usize {
+    lanes
+        .iter_mut()
+        .map(|lane| lane.frontier().bulk_buf.len())
+        .sum()
+}
+
+/// Cut the lanes' pools to their `rank` best points — the tightest
+/// threshold any strategy could have at this moment — moving every other
+/// pooled point to its own lane's stash, and return the `rank`-th best
+/// score. One pool selects in place; several select over a copy of their
+/// scores and then split each pool at that score. `rank` must be at least 1
+/// and at most the number of pooled points.
+fn split_pools<L: Lane>(lanes: &mut [L], rank: usize, scores: &mut Vec<u64>) -> u64 {
+    if let [lane] = lanes {
+        let frontier = lane.frontier();
+        frontier.bulk_buf.select_nth_unstable_by(rank - 1, desc);
+        frontier.loose.extend_from_slice(&frontier.bulk_buf[rank..]);
+        frontier.bulk_buf.truncate(rank);
+        return frontier.bulk_buf[rank - 1].score;
+    }
+    scores.clear();
+    for lane in lanes.iter_mut() {
+        scores.extend(lane.frontier().bulk_buf.iter().map(|p| p.score));
+    }
+    let cut = *scores.select_nth_unstable_by(rank - 1, |a, b| b.cmp(a)).1;
+    // Scores are distinct system-wide; should several tie at the cut, only
+    // as many stay as fill the `rank` places.
+    let mut ties = rank - scores.iter().filter(|&&s| s > cut).count();
+    for lane in lanes.iter_mut() {
+        let frontier = lane.frontier();
+        frontier.bulk_buf.retain(|p| {
+            let keep = p.score > cut || (p.score == cut && ties > 0);
+            if p.score == cut && keep {
+                ties -= 1;
+            }
+            if !keep {
+                frontier.loose.push(*p);
+            }
+            keep
+        });
+    }
+    cut
 }

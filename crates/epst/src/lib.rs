@@ -20,8 +20,10 @@
 //! The pilot structure also exposes a *resumable drain* ([`PilotDrain`]): an
 //! owned best-first frontier that emits a range's points in descending score
 //! order across arbitrarily many pulls without ever re-descending from the
-//! root — the substrate of the incremental rounds in `topk-core`'s streaming
-//! and cursor query paths.
+//! root. Several drains — ranges of one structure or of several — pull as
+//! one best-first search under one threshold
+//! ([`PilotDrain::pull_merged`]): the substrate of `topk-core`'s eager
+//! queries, cursor rounds and sharded fan-outs.
 
 mod drain;
 mod pilot;

@@ -33,7 +33,7 @@ use emsim::{BlockFile, Device, Page, PageId};
 use heapsel::{select_top, HeapSource};
 use wbbtree::{NodeId, WbbConfig, WbbTree};
 
-use crate::drain::{Frontier, Step};
+use crate::drain::{self, Frontier, Lane};
 use crate::point::Point;
 use crate::top_k_by_score;
 
@@ -812,10 +812,9 @@ impl PilotPst {
         self.drain_window(x1, x2, 0, u64::MAX)
     }
 
-    /// A drain restricted to the score window `lo ≤ score < hi` (with
-    /// `hi == u64::MAX` meaning no ceiling) — the resume form used when a
-    /// saved frontier was invalidated by a write and must be rebuilt below a
-    /// low-water mark.
+    /// A drain restricted to the score window `lo ≤ score ≤ hi` — the resume
+    /// form used when a saved frontier was invalidated by a write and must
+    /// be rebuilt below a low-water mark. A window with `lo > hi` is empty.
     pub fn drain_window(&self, x1: u64, x2: u64, lo: u64, hi: u64) -> PilotDrain {
         PilotDrain {
             x1,
@@ -831,12 +830,11 @@ impl PilotPst {
     /// by the representative (every descendant scores strictly below it).
     fn drain_expand(&self, d: &mut PilotDrain, script: PageId) {
         self.scripts.with(script, |n| {
-            let survivors = n.pilot.iter().copied().filter(|q| {
-                q.x >= d.x1
-                    && q.x <= d.x2
-                    && q.score >= d.lo
-                    && (d.hi == u64::MAX || q.score < d.hi)
-            });
+            let survivors = n
+                .pilot
+                .iter()
+                .copied()
+                .filter(|q| q.x >= d.x1 && q.x <= d.x2 && q.score >= d.lo && q.score <= d.hi);
             if d.frontier.is_bulk() {
                 d.frontier.extend_bulk(survivors);
             } else {
@@ -978,86 +976,69 @@ pub struct PilotDrain {
     x2: u64,
     /// Inclusive score floor.
     lo: u64,
-    /// Exclusive score ceiling (`u64::MAX` = none).
+    /// Inclusive score ceiling.
     hi: u64,
     frontier: Frontier<PageId>,
 }
-
-/// Pulls at least this size go through the bulk select path instead of the
-/// per-point heap merge (see the `drain` module docs). Small enough that
-/// every `k ≥ l` query qualifies, large enough that a selection pass over
-/// the pool amortizes.
-const BULK_PULL_MIN: usize = 64;
 
 impl PilotDrain {
     /// Emit up to `n` further points into `out`, in descending score order,
     /// resuming from the saved frontier. Returns how many were emitted; fewer
     /// than `n` means the drain is exhausted. `pst` must be the structure the
-    /// drain was created on, unmutated since.
+    /// drain was created on, unmutated since. The one-drain case of
+    /// [`PilotDrain::pull_merged`].
     pub fn pull(&mut self, pst: &PilotPst, n: usize, out: &mut Vec<Point>) -> usize {
+        Self::pull_merged(&mut [(pst, self)], n, out)
+    }
+
+    /// Emit up to `n` further points of the union of several drains into
+    /// `out`, in descending score order — one best-first search over every
+    /// drain's pending pages under one threshold, not a merge of per-drain
+    /// pulls. Each `(pst, drain)` pair must name the structure the drain was
+    /// created on, unmutated since; the drains should cover disjoint point
+    /// sets (a point two drains both hold is emitted twice). Pulls of at
+    /// least 64 points pool the drains' candidates under one cut and select
+    /// the winners once; smaller pulls step whichever drain's next point or
+    /// page ranks highest. Every drain keeps its own unemitted remainder, so
+    /// each stays resumable. Returns how many points were emitted; fewer
+    /// than `n` means every drain is exhausted.
+    pub fn pull_merged(
+        drains: &mut [(&PilotPst, &mut PilotDrain)],
+        n: usize,
+        out: &mut Vec<Point>,
+    ) -> usize {
+        for (pst, drain) in drains.iter_mut() {
+            drain.prime(pst);
+        }
+        drain::pull(drains, n, out)
+    }
+
+    /// Push the root on the first pull, so constructing a drain costs no
+    /// I/Os.
+    fn prime(&mut self, pst: &PilotPst) {
         if !self.frontier.primed() {
             self.frontier.set_primed();
-            if self.x1 <= self.x2 && !pst.is_empty() && (self.hi == u64::MAX || self.lo < self.hi) {
+            if self.x1 <= self.x2 && self.lo <= self.hi && !pst.is_empty() {
                 self.frontier.push_node(u64::MAX, pst.script_root());
             }
         }
-        if n >= BULK_PULL_MIN {
-            return self.pull_bulk(pst, n, out);
-        }
-        let mut taken = 0;
-        while taken < n {
-            match self.frontier.step() {
-                None => break,
-                Some(Step::Point(p)) => {
-                    out.push(p);
-                    taken += 1;
-                }
-                Some(Step::Expand(id)) => pst.drain_expand(self, id),
-            }
-        }
-        taken
-    }
-
-    /// Bulk extraction: expand pages best-first into one flat pool until the
-    /// `n`-th best pooled score provably beats every pending subtree, then
-    /// quickselect + sort just the winning prefix. The unemitted remainder
-    /// goes back to the frontier unsorted (sorted lazily if ever needed), so
-    /// the drain stays resumable.
-    ///
-    /// The stopping rule is exact even with a stale threshold: nodes pop in
-    /// descending bound order, and a point can only score below its node's
-    /// bound, so when the next bound is `b` *every* point scoring ≥ `b` is
-    /// already in the pool. If the pool's `n`-th best is ≥ `b`, nothing
-    /// unexpanded can displace the current top `n`. The threshold is
-    /// re-selected only after the pool grows by half, keeping selection work
-    /// `O(1)` amortized per pooled point; staleness can only cost a few
-    /// extra page reads, never correctness.
-    fn pull_bulk(&mut self, pst: &PilotPst, n: usize, out: &mut Vec<Point>) -> usize {
-        // The frontier's bulk buffer holds every point not yet provably
-        // outside the top `n`; `compact_bulk` periodically tightens the
-        // routing threshold to the running `n`-th best, after which
-        // expansion sends weaker points straight to the resumption stash.
-        self.frontier.begin_bulk();
-        loop {
-            let threshold = self.frontier.compact_bulk(n);
-            let Some(b) = self.frontier.top_node_bound() else {
-                break;
-            };
-            // Exact stop: nodes pop in descending bound order and a point
-            // scores below its node's bound, so every point ≥ b is already
-            // accounted for; a threshold ≥ b proves the top n are in hand.
-            if threshold.is_some_and(|t| b <= t) {
-                break;
-            }
-            let id = self.frontier.pop_node().expect("bound was just peeked");
-            pst.drain_expand(self, id);
-        }
-        self.frontier.finish_bulk(n, out)
     }
 
     /// Whether the drain has emitted everything in its range and window.
     pub fn is_exhausted(&self) -> bool {
         self.frontier.primed() && self.frontier.is_empty()
+    }
+}
+
+impl Lane for (&PilotPst, &mut PilotDrain) {
+    type Id = PageId;
+
+    fn frontier(&mut self) -> &mut Frontier<PageId> {
+        &mut self.1.frontier
+    }
+
+    fn expand(&mut self, id: PageId) {
+        self.0.drain_expand(self.1, id);
     }
 }
 
@@ -1266,9 +1247,97 @@ mod tests {
         let full = oracle_top_k(&pts, 0, u64::MAX, 1000);
         let mark = full[99].score; // resume below the 100th point
         let mut rest = Vec::new();
-        pst.drain_window(0, u64::MAX, 0, mark)
+        pst.drain_window(0, u64::MAX, 0, mark - 1)
             .pull(&pst, usize::MAX, &mut rest);
         assert_eq!(rest, full[100..].to_vec());
+        // The ceiling is inclusive: the top score itself, and nothing when
+        // the window is inverted.
+        let mut top = Vec::new();
+        let best = full[0].score;
+        pst.drain_window(0, u64::MAX, best, best)
+            .pull(&pst, 5, &mut top);
+        assert_eq!(top, full[..1].to_vec());
+        let mut none = Vec::new();
+        let mut inverted = pst.drain_window(0, u64::MAX, best, best - 1);
+        assert_eq!(inverted.pull(&pst, 5, &mut none), 0);
+        assert!(inverted.is_exhausted());
+    }
+
+    #[test]
+    fn merged_pulls_emit_the_union_in_order_and_stay_resumable() {
+        // Three structures over an x-partition of one point set (the
+        // sharded shape) plus two disjoint ranges of one structure (the
+        // multi-range shape): one merged pull sequence must equal the
+        // oracle over the union, through step-sized and bulk-sized pulls.
+        let dev = device();
+        let pts = random_points(31, 3000);
+        let parts: Vec<Vec<Point>> = (0..3u64)
+            .map(|i| pts.iter().filter(|p| p.x / 5000 == i).copied().collect())
+            .collect();
+        let psts: Vec<PilotPst> = parts
+            .iter()
+            .enumerate()
+            .map(|(i, part)| {
+                let pst = PilotPst::new(&dev, &format!("pilot{i}"));
+                pst.rebuild_all(part);
+                pst
+            })
+            .collect();
+        let windows = [
+            (0usize, 0u64, 4_999u64),
+            (1, 5_000, 7_000),
+            (1, 8_000, 9_999),
+            (2, 10_000, u64::MAX),
+        ];
+        let in_union = |p: &Point| {
+            windows
+                .iter()
+                .any(|&(i, a, b)| p.x / 5000 == i as u64 && p.x >= a && p.x <= b)
+        };
+        let expect = oracle_top_k(
+            &pts.iter().copied().filter(in_union).collect::<Vec<_>>(),
+            0,
+            u64::MAX,
+            usize::MAX,
+        );
+        let mut rng = StdRng::seed_from_u64(32);
+        for trial in 0..8 {
+            let mut drains: Vec<PilotDrain> = windows
+                .iter()
+                .map(|&(i, a, b)| psts[i].drain(a, b))
+                .collect();
+            // The first trial pulls to exhaustion; the others stop early.
+            let pulls = if trial == 0 { usize::MAX } else { trial };
+            let mut got = Vec::new();
+            for _ in 0..pulls {
+                let chunk = *[1usize, 7, 63, 64, 100, 500].choose(&mut rng).unwrap();
+                let mut lanes: Vec<(&PilotPst, &mut PilotDrain)> = windows
+                    .iter()
+                    .zip(drains.iter_mut())
+                    .map(|(&(i, _, _), d)| (&psts[i], d))
+                    .collect();
+                let before = got.len();
+                let pulled = PilotDrain::pull_merged(&mut lanes, chunk, &mut got);
+                assert_eq!(pulled, got.len() - before);
+                assert_eq!(got[..], expect[..got.len()], "after a pull of {chunk}");
+                if pulled < chunk {
+                    break;
+                }
+            }
+            // Each drain kept its own remainder: pulled alone, it continues
+            // with exactly its part of the union below the merged prefix.
+            for (&(i, a, b), drain) in windows.iter().zip(drains.iter_mut()) {
+                let mut rest = Vec::new();
+                drain.pull(&psts[i], usize::MAX, &mut rest);
+                let own: Vec<Point> = expect[got.len()..]
+                    .iter()
+                    .filter(|p| p.x / 5000 == i as u64 && p.x >= a && p.x <= b)
+                    .copied()
+                    .collect();
+                assert_eq!(rest, own, "trial {trial}, window [{a},{b}]");
+                assert!(drain.is_exhausted());
+            }
+        }
     }
 
     #[test]

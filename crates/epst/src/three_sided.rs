@@ -695,11 +695,11 @@ mod tests {
 
     #[test]
     fn descending_scores_at_ascending_x_keep_heap_order() {
-        // Regression: a node with `below == 0` and a full cache used to
-        // capture a carry scoring under its cache minimum, swap-evicting the
-        // larger minimum downwards and breaking the heap-order invariant.
-        // Anti-correlated insertion order (ascending x, descending score)
-        // hits that shape within a few hundred points.
+        // Anti-correlated insertion order (ascending x, descending score):
+        // every insert scores under everything stored and descends to the
+        // rightmost leaf. It never builds a full cache with nothing below
+        // it, so it does not reach the full-cache carry bug;
+        // `full_cache_with_nothing_below_passes_a_smaller_carry_down` does.
         let dev = device();
         let pst = ThreeSidedPst::new(&dev, "pst");
         let mut pts = Vec::new();
@@ -719,6 +719,42 @@ mod tests {
             sorted(pst.query(10, 2_000, 96_000)),
             oracle_query(&pts, 10, 2_000, 96_000)
         );
+    }
+
+    #[test]
+    fn full_cache_with_nothing_below_passes_a_smaller_carry_down() {
+        // Regression: a node with a full cache and `below == 0` used to
+        // capture a carry scoring under its cache minimum, swap-evicting the
+        // larger minimum downwards and breaking the heap order. Shape: the
+        // root caches the top `cache_cap` points, the `m` points below it
+        // are deleted, and one point scoring under every cached score is
+        // inserted. Only `TheoremOne` builds this structure, so this test
+        // is the bug's one guard.
+        let dev = device();
+        let cap = ThreeSidedConfig::for_device(&dev).cache_cap as u64;
+        for m in 1..60u64 {
+            let pst = ThreeSidedPst::new(&dev, &format!("pst{m}"));
+            // Scores fall as x rises: the root caches the lowest `cap` x.
+            let pts: Vec<Point> = (0..cap + m)
+                .map(|i| Point {
+                    x: i * 3 + 1,
+                    score: 100_000 - i * 7,
+                })
+                .collect();
+            pst.rebuild_from_points(&pts);
+            let (cached, below) = pts.split_at(cap as usize);
+            for &p in below {
+                assert!(pst.delete(p), "m = {m}: deleting {p:?}");
+            }
+            let low = Point { x: 2, score: 1 };
+            pst.insert(low);
+            pst.check_invariants();
+            assert_eq!(
+                sorted(pst.query(0, u64::MAX, 0)),
+                sorted([cached, &[low]].concat()),
+                "m = {m}"
+            );
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@ use workload::{PointDistribution, PointGen};
 use crate::trace::{BatchItem, Trace, TraceOp};
 
 /// The `k` palette the generators draw queries from: both sides of 64, the
-/// pilot drain's bulk-pull threshold, which one-shot queries cross at `k`
-/// and a fan-out's doubling lane pulls cross on the way down.
+/// pilot drain's bulk-pull threshold, which one-shot queries and fan-outs
+/// cross at `k`.
 const K_PALETTE: [usize; 9] = [1, 2, 7, 31, 63, 64, 65, 200, 1000];
 
 /// Relative weights of the operation classes in a generated trace.

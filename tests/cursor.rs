@@ -510,3 +510,79 @@ fn multi_range_pagination_resumes_across_ranges() {
         assert_eq!(got, expect, "{name}");
     }
 }
+
+#[test]
+fn one_point_pages_continue_below_a_top_scored_mark_across_writes() {
+    // Page size 1 with a write between every pair of pages, so every round
+    // rebuilds its drains below the low-water mark. The first mark scores
+    // `u64::MAX` and the last scores 0, the two ends of the inclusive
+    // drain ceiling `mark − 1`: each page must be the oracle's next point
+    // strictly below the previous page, never the mark again and never a
+    // short page while points remain.
+    let topologies = || {
+        let dev = device();
+        let single = TopKIndex::builder().device(&dev).expected_n(64).build();
+        let dev = device();
+        let sharded = ShardedTopK::builder()
+            .device(&dev)
+            .expected_n(64)
+            .shards(4)
+            .build_sharded();
+        [
+            ("single", TopK::single(single.unwrap())),
+            ("sharded-4", TopK::sharded(sharded.unwrap())),
+        ]
+    };
+    for (name, handle) in topologies() {
+        let mut pts: Vec<Point> = (0..40u64).map(|i| Point::new(i * 5 + 1, i * 11)).collect();
+        pts.push(Point::new(2, u64::MAX));
+        handle.bulk_build(&pts).unwrap();
+        let oracle_dev = device();
+        let oracle = NaiveTopK::new(&oracle_dev, "oracle");
+        oracle.bulk_build(&pts).unwrap();
+        let next_below = |mark: Option<u64>| -> Vec<Point> {
+            let total = oracle.count_in_range(0, u64::MAX).unwrap() as usize;
+            oracle
+                .query(0, u64::MAX, total.max(1))
+                .unwrap()
+                .into_iter()
+                .filter(|p| mark.is_none_or(|m| p.score < m))
+                .take(1)
+                .collect()
+        };
+        let mut cursor = handle
+            .cursor(QueryRequest::range(0, u64::MAX).top(1000).page_size(1))
+            .unwrap();
+        let mut mark = None;
+        for page in 0u64.. {
+            let batch = cursor.next_batch().unwrap();
+            assert_eq!(batch, next_below(mark), "{name}: page {page}");
+            let Some(&emitted) = batch.first() else {
+                break;
+            };
+            mark = Some(emitted.score);
+            // The write: early on, a point just below the mark (the next
+            // page's answer) or the deletion of the next point; later the
+            // deletion of the point just emitted, down to the score-0 mark.
+            let write = if page < 10 && page % 2 == 0 {
+                (Point::new(1_000 + page, emitted.score - 1), true)
+            } else if page < 10 {
+                (next_below(mark)[0], false)
+            } else {
+                (emitted, false)
+            };
+            match write {
+                (p, true) => {
+                    handle.insert(p).unwrap();
+                    oracle.insert(p).unwrap();
+                }
+                (p, false) => {
+                    assert!(handle.delete(p).unwrap(), "{name}: page {page}");
+                    assert!(oracle.delete(p).unwrap(), "{name}: page {page}");
+                }
+            }
+        }
+        assert_eq!(mark, Some(0), "{name}: the last page emits score 0");
+        assert!(cursor.is_done(), "{name}");
+    }
+}

@@ -184,7 +184,7 @@ fn fan_out_reads_stay_within_per_shard_bound(shards: usize) {
 #[test]
 fn one_shard_queries_run_the_unsharded_one_shot_plan() {
     // A query inside one shard runs that shard's own `TopKIndex::query`
-    // plan, not the lane merge: on a one-shard index built the same way
+    // plan, not a merged pull: on a one-shard index built the same way
     // as a bare index on its own device, every cold query must return the
     // same answer for exactly the same physical reads (exact LRU makes the
     // counts deterministic).
@@ -214,6 +214,74 @@ fn one_shard_queries_run_the_unsharded_one_shot_plan() {
                 sharded_cost.reads, bare_cost.reads,
                 "one-shard query([{a},{b}], k={k}) read a different page set than \
                  the bare index"
+            );
+        }
+    }
+}
+
+#[test]
+fn two_shard_fan_outs_read_about_what_their_shares_read_alone() {
+    // A fan-out over two shards runs one best-first search over both
+    // shards' drains under one threshold, so it reads about the pages the
+    // two one-shard queries for each shard's share of the answer read, not
+    // a per-shard over-pull: at most one page more per shard (the children
+    // of a shard's lowest winning page, which only the global threshold
+    // cannot rule out). Same machine as the fan-out bound above.
+    let n = 40_000usize;
+    let em = EmConfig::new(512, 512 * 64).exact_lru();
+    let device = Device::new(em);
+    let index = ShardedTopK::builder()
+        .device(&device)
+        .shards(4)
+        .expected_n(n)
+        .build_sharded()
+        .unwrap();
+    index.bulk_build(&random_points(3, n)).unwrap();
+    let domain = 3 * n as u64;
+    let cold_reads = |x1: u64, x2: u64, k: usize| {
+        device.drop_cache();
+        device.measure(|| index.query(x1, x2, k).unwrap())
+    };
+
+    let mut rng = StdRng::seed_from_u64(37);
+    for &k in &[1usize, 10, 63, 64, 100, 1_000, 4_096] {
+        for _ in 0..60 {
+            let (a, b) = loop {
+                let a = rng.gen_range(0..domain);
+                let b = a.saturating_add(rng.gen_range(0..domain / 2));
+                if index.overlapping_shards(a, b) == 2 {
+                    break (a, b);
+                }
+            };
+            // The upper shard's first coordinate in the range: the least
+            // `split` with `[a, split]` already overlapping both shards.
+            let (mut lo, mut hi) = (a, b);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if index.overlapping_shards(a, mid) == 2 {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            let split = lo;
+            let (answer, fan_out) = cold_reads(a, b, k);
+            let lower = answer.iter().filter(|p| p.x < split).count();
+            let upper = answer.len() - lower;
+            let share = |x1, x2, m| {
+                if m == 0 {
+                    0
+                } else {
+                    cold_reads(x1, x2, m).1.reads
+                }
+            };
+            let bound = share(a, split - 1, lower) + share(split, b, upper) + 2;
+            assert!(
+                fan_out.reads <= bound,
+                "query([{a},{b}], k={k}) split at {split} ({lower} + {upper} points) took \
+                 {} cold reads; its shares alone read {} (+ one page per shard)",
+                fan_out.reads,
+                bound - 2
             );
         }
     }
