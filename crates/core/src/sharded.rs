@@ -931,6 +931,9 @@ impl ShardedReadGuard<'_> {
     pub fn query(&self, x1: u64, x2: u64, k: usize) -> Result<Vec<Point>> {
         validate_query(x1, x2, k)?;
         let (lo, hi) = self.overlap_held(x1, x2);
+        // A one-lane round pulls the same drain over the same pages; the
+        // shard's own plan skips the round's lane, drain and pull lists,
+        // which made one-shard k = 1 queries about 15% slower.
         if lo == hi {
             return Ok(self.shard(lo).query_unvalidated(x1, x2, k));
         }

@@ -108,13 +108,6 @@ impl<I> Ord for NodeEntry<I> {
     }
 }
 
-/// What a frontier hands back per step: the globally next point, or the
-/// next node to expand (the caller reads its page and pushes the results).
-pub(crate) enum Step<I> {
-    Point(Point),
-    Expand(I),
-}
-
 /// The owned descent frontier of a resumable drain.
 #[derive(Debug)]
 pub(crate) struct Frontier<I> {
@@ -130,8 +123,9 @@ pub(crate) struct Frontier<I> {
     /// expansion, not once per point.
     nodes: BinaryHeap<NodeEntry<I>>,
     /// Unordered pending points: the unemitted remainder a bulk pull stashed
-    /// without sorting (it may never be needed again). `step()` folds them
-    /// back into a proper run lazily; bulk pulls reclaim them as-is.
+    /// without sorting (it may never be needed again). A per-point pull
+    /// folds them back into a proper run lazily; bulk pulls reclaim them
+    /// as-is.
     loose: Vec<Point>,
     /// Candidate buffer of an in-progress bulk pull: every point seen that
     /// is not yet provably outside the requested top `n`. Emptied into the
@@ -315,54 +309,42 @@ impl<I> Frontier<I> {
         }
     }
 
-    /// The next event in rank order, consuming run heads in place: the top
-    /// run's head is emitted and its entry re-keyed under
-    /// [`std::collections::binary_heap::PeekMut`], so a point emission costs
-    /// one sift of the run heap (and none at all while the same run stays on
-    /// top). A node whose bound ties the best run head is expanded before
-    /// the head is emitted — only reachable with non-distinct scores, but
-    /// cheap insurance.
-    pub fn step(&mut self) -> Option<Step<I>> {
-        self.fold_loose();
-        let bound = self.nodes.peek().map(|n| n.bound);
-        match self.runs.peek_mut() {
-            Some(mut top) if bound.is_none_or(|b| top.score > b) => {
-                let slot = top.slot;
-                let pts = &mut self.spill[slot as usize];
-                let head = pts.pop().expect("runs are never empty");
-                match pts.last().copied() {
-                    Some(next) => {
-                        top.score = next.score;
-                        top.x = next.x;
-                        // Dropping the guard sifts the re-keyed entry down.
-                    }
-                    None => {
-                        pts.shrink_to_fit(); // return the spent buffer now
-                        self.free.push(slot);
-                        std::collections::binary_heap::PeekMut::pop(top);
-                    }
-                }
-                Some(Step::Point(head))
-            }
-            _ => {
-                let n = self.nodes.pop()?;
-                Some(Step::Expand(n.id))
-            }
-        }
-    }
-
-    /// The rank of the event [`step`](Self::step) would return next: the
-    /// best run head's score or the largest node bound, with a node ranking
-    /// above a run head of equal score (the order `step` breaks that tie
-    /// in).
-    fn next_rank(&mut self) -> Option<(u64, bool)> {
-        self.fold_loose();
+    /// The rank of the next event in emission order: the best run head's
+    /// score or the largest node bound, a node ranking above a run head of
+    /// equal score (expanding it first is only reachable with non-distinct
+    /// scores, but cheap insurance). Ignores the loose stash, which
+    /// [`fold_loose`](Self::fold_loose) must have emptied.
+    fn next_rank(&self) -> Option<(u64, bool)> {
         let head = self.runs.peek().map(|r| (r.score, false));
         head.max(self.nodes.peek().map(|n| (n.bound, true)))
     }
 
-    /// Sort a bulk pull's unemitted stash into a run before a per-point
-    /// step needs it.
+    /// Emit the best run's head, re-keying its entry under
+    /// [`std::collections::binary_heap::PeekMut`], so an emission costs one
+    /// sift of the run heap (and none at all while the same run stays on
+    /// top). `None` when no run is pending.
+    fn pop_head(&mut self) -> Option<Point> {
+        let mut top = self.runs.peek_mut()?;
+        let slot = top.slot;
+        let pts = &mut self.spill[slot as usize];
+        let head = pts.pop().expect("runs are never empty");
+        match pts.last().copied() {
+            Some(next) => {
+                top.score = next.score;
+                top.x = next.x;
+                // Dropping the guard sifts the re-keyed entry down.
+            }
+            None => {
+                pts.shrink_to_fit(); // return the spent buffer now
+                self.free.push(slot);
+                std::collections::binary_heap::PeekMut::pop(top);
+            }
+        }
+        Some(head)
+    }
+
+    /// Sort a bulk pull's unemitted stash into a run before per-point
+    /// pulls need it.
     fn fold_loose(&mut self) {
         if !self.loose.is_empty() {
             let stash = std::mem::take(&mut self.loose);
@@ -404,8 +386,14 @@ pub(crate) fn pull<L: Lane>(lanes: &mut [L], n: usize, out: &mut Vec<Point>) -> 
     }
 }
 
-/// Per-point pull: step whichever lane's next event ranks highest.
+/// Per-point pull: emit or expand whichever lane's next event ranks
+/// highest. Each event ranks every lane once, from its two heap tops, and
+/// acts on that ranking without looking again.
 fn pull_steps<L: Lane>(lanes: &mut [L], n: usize, out: &mut Vec<Point>) -> usize {
+    // Per-point pulls stash nothing loose, so each stash is folded once.
+    for lane in lanes.iter_mut() {
+        lane.frontier().fold_loose();
+    }
     let mut taken = 0;
     while taken < n {
         let best = lanes
@@ -413,16 +401,19 @@ fn pull_steps<L: Lane>(lanes: &mut [L], n: usize, out: &mut Vec<Point>) -> usize
             .enumerate()
             .filter_map(|(i, lane)| lane.frontier().next_rank().map(|rank| (rank, i)))
             .max();
-        let Some(lane) = best.and_then(|(_, i)| lanes.get_mut(i)) else {
+        let Some(((_, is_node), i)) = best else {
             break;
         };
-        match lane.frontier().step() {
-            None => break,
-            Some(Step::Point(p)) => {
-                out.push(p);
-                taken += 1;
-            }
-            Some(Step::Expand(id)) => lane.expand(id),
+        let Some(lane) = lanes.get_mut(i) else {
+            break;
+        };
+        let frontier = lane.frontier();
+        if is_node {
+            let node = frontier.nodes.pop().expect("a node bound was ranked");
+            lane.expand(node.id);
+        } else {
+            out.push(frontier.pop_head().expect("a run head was ranked"));
+            taken += 1;
         }
     }
     taken
@@ -502,9 +493,11 @@ fn pooled<L: Lane>(lanes: &mut [L]) -> usize {
 /// Cut the lanes' pools to their `rank` best points — the tightest
 /// threshold any strategy could have at this moment — moving every other
 /// pooled point to its own lane's stash, and return the `rank`-th best
-/// score. One pool selects in place; several select over a copy of their
-/// scores and then split each pool at that score. `rank` must be at least 1
-/// and at most the number of pooled points.
+/// score. Several pools select over a copy of their scores and then split
+/// each pool at that score. One pool selects in place instead: that skips
+/// the copy and the split pass, and made one-drain pulls of 256 to 4,096
+/// points 9–20% faster. `rank` must be at least 1 and at most the number
+/// of pooled points.
 fn split_pools<L: Lane>(lanes: &mut [L], rank: usize, scores: &mut Vec<u64>) -> u64 {
     if let [lane] = lanes {
         let frontier = lane.frontier();
