@@ -3,14 +3,14 @@
 //! goodput win of range sharding.
 //!
 //! Part 1 spawns 1, 2, 4 and 8 query threads against one shared one-shard
-//! [`ShardedTopK`] and reports wall-clock throughput: queries take their own
+//! [`TopK`] handle and reports wall-clock throughput: queries take their own
 //! stripe of the shard's striped read lock and only contend on the device's
 //! pool shards, so throughput should grow with the thread count.
 //!
 //! Part 2 measures the *mixed* workload: a fixed job of queries plus an
 //! update stream, committed first point-wise (one write-lock acquisition and
 //! one rebuild check per op), then as [`UpdateBatch`]es of 64 and 1024 ops
-//! through [`ShardedTopK::apply`] — one acquisition per batch, batch-wide
+//! through [`ShardedTopK::apply`](topk_core::ShardedTopK::apply) — one acquisition per batch, batch-wide
 //! validation (one `O(n/B)` scan instead of per-op descents), and, for
 //! batches that rewrite a sizable fraction of the set, the paper's global
 //! rebuild in place of per-op maintenance. The whole-workload queries/sec is
@@ -19,18 +19,18 @@
 //!
 //! Part 3 is the sharded multi-writer scenario: a fixed job of batched
 //! updates over disjoint coordinate territories, committed by 1, 2, 4 and 8
-//! writer threads against (a) a one-shard [`ShardedTopK`], where every
-//! batch serialises on one write lock, and (b) a [`ShardedTopK`] with one
+//! writer threads against (a) a one-shard [`TopK`] handle, where every
+//! batch serialises on one write lock, and (b) a handle with one
 //! shard per territory, where disjoint-territory batches take disjoint
 //! shard locks and commit in parallel. The updates/sec ratio at ≥ 4 threads
 //! is the write-scaling number the sharding tentpole claims.
 
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use topk_bench::json::JsonRow;
 use topk_bench::{small_machine, uniform_points};
-use topk_core::{Point, QueryRequest, RankedIndex, ShardedTopK, UpdateBatch, UpdateOp};
+use topk_core::{Point, QueryRequest, RankedIndex, TopK, UpdateBatch, UpdateOp};
 use workload::QueryGen;
 
 /// Build a one-shard index preloaded with the first `n` of `n + extra`
@@ -38,13 +38,13 @@ use workload::QueryGen;
 /// collision-free update stream. Query sets are generated per reader thread
 /// by the harnesses below — a shared set would measure stride overlap and
 /// harness serialization, not the index.
-fn build(n: usize, extra: usize) -> (ShardedTopK, Vec<Point>, Vec<Point>) {
+fn build(n: usize, extra: usize) -> (TopK, Vec<Point>, Vec<Point>) {
     let device = emsim::Device::new(small_machine());
-    let index = ShardedTopK::builder()
+    let index = TopK::builder()
         .device(&device)
         .expected_n(n + extra)
         .shards(1)
-        .build_sharded()
+        .build_auto()
         .expect("bench parameters are valid");
     let all = uniform_points(17, n + extra);
     index.bulk_build(&all[..n]).expect("distinct points");
@@ -67,7 +67,7 @@ fn reader_queries(points: &[Point], t: usize) -> Vec<workload::Query> {
 /// 8 threads it timed 32 queries per thread, mostly measuring spawn
 /// overhead). Shared with the `perf_sanity` CI gate via
 /// [`topk_bench::read_qps`].
-fn run_readers(index: &ShardedTopK, points: &[Point], threads: usize) -> f64 {
+fn run_readers(index: &TopK, points: &[Point], threads: usize) -> f64 {
     topk_bench::read_qps(index, points, threads, Duration::from_millis(300))
 }
 
@@ -193,7 +193,6 @@ fn run_slow_reader_goodput(
     style: SlowReader,
 ) -> f64 {
     let (index, preloaded, fresh) = build(n, updates);
-    let index = Arc::new(index);
     let ops: Vec<UpdateOp> = (0..updates)
         .map(|i| {
             if i % 2 == 0 {
@@ -210,7 +209,7 @@ fn run_slow_reader_goodput(
     let started = &Barrier::new(1 + readers);
     std::thread::scope(|scope| {
         let writer = {
-            let index = Arc::clone(&index);
+            let index = index.clone();
             let ops = &ops;
             scope.spawn(move || {
                 started.wait();
@@ -225,7 +224,7 @@ fn run_slow_reader_goodput(
         match style {
             SlowReader::None => {}
             SlowReader::GuardHeld => {
-                let index = Arc::clone(&index);
+                let index = index.clone();
                 scope.spawn(move || {
                     let guard = index.read();
                     started.wait();
@@ -238,7 +237,7 @@ fn run_slow_reader_goodput(
                 });
             }
             SlowReader::Cursor => {
-                let index = Arc::clone(&index);
+                let index = index.clone();
                 scope.spawn(move || {
                     let mut cursor = index
                         .cursor(QueryRequest::range(0, u64::MAX).top(k).page_size(page))
@@ -340,21 +339,21 @@ fn main() {
     );
     for writers in [1usize, 2, 4, 8] {
         let device = emsim::Device::new(small_machine());
-        let one_shard = ShardedTopK::builder()
+        let one_shard = TopK::builder()
             .device(&device)
             .expected_n(preload.len() * 2)
             .shards(1)
-            .build_sharded()
+            .build_auto()
             .expect("bench parameters are valid");
         one_shard.bulk_build(&preload).expect("distinct points");
         let one_shard_ups = run_multi_writer(&one_shard, &territory_ops, writers);
 
         let device = emsim::Device::new(small_machine());
-        let sharded = ShardedTopK::builder()
+        let sharded = TopK::builder()
             .device(&device)
             .expected_n(preload.len() * 2)
             .shards(TERRITORIES)
-            .build_sharded()
+            .build_auto()
             .expect("bench parameters are valid");
         sharded.bulk_build(&preload).expect("distinct points");
         let sharded_ups = run_multi_writer(&sharded, &territory_ops, writers);

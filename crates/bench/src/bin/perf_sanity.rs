@@ -3,7 +3,7 @@
 //! The sweep runs on three builds: the serving index, whose pilot drain
 //! serves every k; Theorem 1's `TheoremOne` (the §3.3 small-k path below
 //! the crossover l = 128), whose regime switch a cliff could hide in; and a
-//! 4-shard `ShardedTopK`, whose 25% ranges cross shard boundaries, so every
+//! 4-shard `TopK` handle, whose 25% ranges cross shard boundaries, so every
 //! k runs one merged pull over the overlapping shards' drains.
 //!
 //! This is a cliff detector, not a benchmark. The incremental-escalation
@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use epst::Point;
 use topk_bench::{build_index, build_serving, read_qps, small_machine, uniform_points};
-use topk_core::{RankedIndex, ShardedTopK, SmallKEngine};
+use topk_core::{RankedIndex, SmallKEngine, TopK};
 use workload::{Query, QueryGen};
 
 const REPEATS: usize = 3;
@@ -67,11 +67,11 @@ fn read_scaling_ratio(pts: &[Point]) -> Option<f64> {
         return None;
     }
     let device = emsim::Device::new(small_machine());
-    let index = ShardedTopK::builder()
+    let index = TopK::builder()
         .device(&device)
         .expected_n(pts.len())
         .shards(1)
-        .build_sharded()
+        .build_auto()
         .expect("gate index parameters are valid");
     index.bulk_build(pts).expect("distinct points");
     let best = |threads: usize| {
@@ -149,11 +149,11 @@ fn main() -> ExitCode {
     let mut cliff = false;
     let serving = build_serving(small_machine(), &pts);
     let theorem_one = build_index(small_machine(), SmallKEngine::Polylog, 128, &pts);
-    let fan_out = ShardedTopK::builder()
+    let fan_out = TopK::builder()
         .device(&emsim::Device::new(small_machine()))
         .expected_n(n)
         .shards(4)
-        .build_sharded()
+        .build_auto()
         .expect("gate index parameters are valid");
     fan_out.bulk_build(&pts).expect("distinct points");
     let builds: [(&str, &dyn RankedIndex); 3] = [

@@ -21,8 +21,8 @@ use crate::sharded::ShardedTopK;
 /// What [`IndexBuilder::resolve`] hands the builds.
 type Resolved = (Device, TopKConfig, Option<Arc<dyn Medium>>);
 
-/// Builder for [`TopKIndex`] / [`ShardedTopK`] / [`TopK`], obtained from
-/// [`TopKIndex::builder`], [`ShardedTopK::builder`] or [`TopK::builder`].
+/// Builder for a bare [`TopKIndex`] or a [`TopK`] serving handle, obtained
+/// from [`TopKIndex::builder`] or [`TopK::builder`].
 ///
 /// ```
 /// use topk_core::{Point, TopKIndex};
@@ -98,13 +98,13 @@ impl IndexBuilder {
     }
 
     /// The anticipated number of stored points. It sizes the default shard
-    /// count of [`IndexBuilder::build_sharded`].
+    /// count of [`IndexBuilder::build_auto`].
     pub fn expected_n(mut self, n: usize) -> Self {
         self.config.expected_n = n;
         self
     }
 
-    /// Number of range shards for [`IndexBuilder::build_sharded`]. Without
+    /// Number of range shards for [`IndexBuilder::build_auto`]. Without
     /// an explicit count, one shard per ~64 Ki expected points is used
     /// (rounded to a power of two, capped at 16) so small indexes pay no
     /// fan-out and large ones scale their writers; a durable index is one
@@ -122,7 +122,7 @@ impl IndexBuilder {
     pub fn build(self) -> Result<TopKIndex> {
         if self.shards.is_some() {
             return Err(TopKError::InvalidConfig {
-                what: "shards is set: use build_sharded() (build() is unsharded)",
+                what: "shards is set: use build_auto() (build() is unsharded)",
             });
         }
         match self.resolve()? {
@@ -131,17 +131,18 @@ impl IndexBuilder {
         }
     }
 
-    /// Build a range-sharded index: the shard count is
-    /// [`IndexBuilder::shards`] if set, otherwise derived from
-    /// [`IndexBuilder::expected_n`] — or one shard for a durable directory,
-    /// whose journal the shard opens with [`TopKIndex::open_durable`].
+    /// Build a [`TopK`] handle for concurrent serving over a range-sharded
+    /// [`ShardedTopK`]: the shard count is [`IndexBuilder::shards`] if set,
+    /// otherwise derived from [`IndexBuilder::expected_n`] — or one shard
+    /// for a durable directory, whose journal the shard opens with
+    /// [`TopKIndex::open_durable`].
     ///
     /// # Errors
     ///
     /// [`TopKError::InvalidConfig`] naming the offending parameter (including
     /// `shards > 1` on a durable index); [`TopKError::Storage`] if a durable
     /// directory cannot be opened or recovered.
-    pub fn build_sharded(mut self) -> Result<ShardedTopK> {
+    pub fn build_auto(mut self) -> Result<TopK> {
         let durable = self.durable_dir.is_some();
         let shards = match self.shards.take() {
             Some(0) => {
@@ -164,23 +165,11 @@ impl IndexBuilder {
             None if durable => 1,
             None => default_shards(self.config.expected_n),
         };
-        match self.resolve()? {
-            (device, config, Some(medium)) => ShardedTopK::open_durable(medium, &device, config),
-            (device, config, None) => Ok(ShardedTopK::new(&device, config, shards)),
-        }
-    }
-
-    /// Build a [`TopK`] facade handle for concurrent serving: the
-    /// [`ShardedTopK`] of [`IndexBuilder::build_sharded`], whose shard count
-    /// follows the workload shape (one shard for small and durable indexes).
-    /// [`TopK::Single`](crate::TopK::Single) is never chosen automatically —
-    /// wrap a [`TopKIndex`] explicitly for single-threaded embedding.
-    ///
-    /// # Errors
-    ///
-    /// As [`IndexBuilder::build_sharded`].
-    pub fn build_auto(self) -> Result<TopK> {
-        Ok(TopK::Sharded(Arc::new(self.build_sharded()?)))
+        let index = match self.resolve()? {
+            (device, config, Some(medium)) => ShardedTopK::open_durable(medium, &device, config)?,
+            (device, config, None) => ShardedTopK::new(&device, config, shards),
+        };
+        Ok(index.into())
     }
 
     /// The validated device and config, plus the medium of a durable
@@ -278,20 +267,14 @@ mod tests {
 
     #[test]
     fn sharded_build_defaults_scale_with_expected_n() {
-        let small = ShardedTopK::builder()
-            .expected_n(1000)
-            .build_sharded()
-            .unwrap();
+        let small = TopK::builder().expected_n(1000).build_auto().unwrap();
         assert_eq!(small.shard_count(), 1);
-        let large = ShardedTopK::builder()
-            .expected_n(1 << 20)
-            .build_sharded()
-            .unwrap();
+        let large = TopK::builder().expected_n(1 << 20).build_auto().unwrap();
         assert_eq!(large.shard_count(), 16);
-        let explicit = ShardedTopK::builder()
+        let explicit = TopK::builder()
             .expected_n(1000)
             .shards(6)
-            .build_sharded()
+            .build_auto()
             .unwrap();
         assert_eq!(explicit.shard_count(), 6);
         explicit.insert(Point::new(1, 2)).unwrap();
@@ -304,12 +287,12 @@ mod tests {
             (TopKIndex::builder().shards(0), "shards"),
             (TopKIndex::builder().shards(4096), "shards"),
         ] {
-            let TopKError::InvalidConfig { what } = builder.build_sharded().unwrap_err() else {
+            let TopKError::InvalidConfig { what } = builder.build_auto().unwrap_err() else {
                 panic!("expected InvalidConfig");
             };
             assert!(what.contains(needle), "{what}");
         }
-        // A builder with shards set must go through build_sharded().
+        // A builder with shards set must go through build_auto().
         let err = TopKIndex::builder().shards(4).build().unwrap_err();
         assert!(matches!(err, TopKError::InvalidConfig { .. }));
     }
@@ -317,10 +300,10 @@ mod tests {
     #[test]
     fn shared_device_and_concurrent_build() {
         let device = Device::new(EmConfig::new(256, 256 * 64));
-        let index = ShardedTopK::builder()
+        let index = TopK::builder()
             .device(&device)
             .expected_n(500)
-            .build_sharded()
+            .build_auto()
             .unwrap();
         assert_eq!(index.shard_count(), 1);
         index.insert(Point::new(1, 2)).unwrap();
@@ -379,15 +362,7 @@ mod tests {
         let device = Device::new(EmConfig::new(256, 256 * 64));
         let cases: Vec<(TopKError, &str)> = vec![
             // More than one shard and the directory's single journal don't
-            // compose, through either sharded entry point.
-            (
-                TopKIndex::builder()
-                    .durable(&dir)
-                    .shards(2)
-                    .build_sharded()
-                    .unwrap_err(),
-                "journal",
-            ),
+            // compose.
             (
                 TopK::builder()
                     .durable(&dir)
@@ -425,10 +400,7 @@ mod tests {
             .expected_n(1 << 20)
             .build_auto()
             .unwrap();
-        let TopK::Sharded(sharded) = &handle else {
-            panic!("build_auto must serve durable indexes sharded, got {handle:?}");
-        };
-        assert_eq!(sharded.shard_count(), 1);
+        assert_eq!(handle.shard_count(), 1);
         handle.insert(Point::new(9, 4)).unwrap();
         assert_eq!(handle.recovered_stamp(), Some(0));
         assert_eq!(handle.query(0, 10, 1).unwrap(), vec![Point::new(9, 4)]);

@@ -1,9 +1,10 @@
 //! The owned, snapshot-consistent cursor read plane, and the one merge of
 //! the crate.
 //!
-//! [`QueryCursor`] owns a cheap clone of the [`TopK`] handle and acquires
-//! the topology's read side only **per fetch round**, releasing it before
-//! the batch is handed to the caller. A reader that sleeps between pages
+//! [`QueryCursor`] owns a cheap clone of the [`TopK`] handle (or of a bare
+//! [`TopKIndex`]'s `Arc`) and acquires the overlapping shards' read side
+//! only **per fetch round**, releasing it before the batch is handed to the
+//! caller. A reader that sleeps between pages
 //! therefore costs writers nothing (the `concurrent_reads` bench measures
 //! exactly this). Its fetch round ([`round`]) is also what an eager
 //! [`ShardedReadGuard::query`](crate::ShardedReadGuard::query) fan-out runs,
@@ -33,12 +34,12 @@
 //!
 //! The cursor does not re-run a top-`cap` query per round. It keeps a
 //! stamp-gated [`FrontierCache`]: one resumable [`PilotDrain`] per canonical
-//! range — per overlapping `(range, shard)` pair on the sharded topology.
+//! range — per overlapping `(range, shard)` pair on a [`TopK`] handle.
 //! A round is one [`PilotDrain::pull_merged`] of the page's points over
 //! every lane's drain: one best-first search under one threshold, whose next
 //! page read is the best pending bound of any lane, so each lane is read
 //! about as far as its share of the page needs.
-//! A round re-acquires the topology's read side, and if the observed version
+//! A round re-acquires the index's read side, and if the observed version
 //! stamp equals the cached one (no write committed in between, so every
 //! saved frontier still describes the live trees) it resumes the drains
 //! exactly where the previous round stopped: only pages *below* the previous
@@ -66,6 +67,7 @@
 //! which ignores the stamp.
 
 use std::str::FromStr;
+use std::sync::Arc;
 
 use epst::{PilotDrain, Point};
 
@@ -79,8 +81,8 @@ use crate::query::{Consistency, QueryRequest, ResumeState};
 const INITIAL_ROUND: usize = 64;
 
 /// An owned cursor over a [`TopK`] handle: no lifetime parameter, no lock
-/// held between fetch rounds. Obtained from [`TopK::cursor`] (or the
-/// `cursor` methods on `Arc<ShardedTopK>` / `Arc<TopKIndex>`).
+/// held between fetch rounds. Obtained from [`TopK::cursor`] (or from
+/// [`TopKIndex::cursor`] on a bare `Arc<TopKIndex>`).
 ///
 /// Consume it per round with [`QueryCursor::next_batch`] — one round, one
 /// read-lock acquisition — or point-wise through the `Iterator` impl, which
@@ -108,7 +110,7 @@ const INITIAL_ROUND: usize = 64;
 /// # Ok::<(), topk_core::TopKError>(())
 /// ```
 pub struct QueryCursor {
-    target: TopK,
+    source: Source,
     /// Canonicalized (sorted, disjoint) coordinate ranges.
     ranges: Vec<(u64, u64)>,
     k: usize,
@@ -134,8 +136,17 @@ pub struct QueryCursor {
     buf: std::vec::IntoIter<Point>,
 }
 
+/// What a cursor reads: a bare index, which has no lock (the cursor is only
+/// meaningful without concurrent writers), or a handle, whose overlapping
+/// shards each round read-locks.
+#[derive(Clone)]
+pub(crate) enum Source {
+    Index(Arc<TopKIndex>),
+    Handle(TopK),
+}
+
 impl QueryCursor {
-    pub(crate) fn new(target: TopK, request: QueryRequest) -> Result<Self> {
+    pub(crate) fn new(source: Source, request: QueryRequest) -> Result<Self> {
         request.validate()?;
         let ranges = request.canonical_ranges();
         let (emitted, low_water, version) = match request.resume {
@@ -147,7 +158,7 @@ impl QueryCursor {
             None => (0, None, None),
         };
         Ok(Self {
-            target,
+            source,
             ranges,
             k: request.k(),
             min_score: request.score_floor(),
@@ -195,7 +206,7 @@ impl QueryCursor {
     }
 
     /// Fetch the next batch under **one** read-side acquisition of the
-    /// underlying topology, released before this returns. An empty batch
+    /// underlying index, released before this returns. An empty batch
     /// means the cursor is exhausted. Each batch continues strictly below
     /// the previous one in score order; the concatenation of all batches on
     /// a quiescent index equals the one-shot answer.
@@ -216,9 +227,9 @@ impl QueryCursor {
             .unwrap_or(self.next_size)
             .min(self.k - self.emitted)
             .max(1);
-        let target = self.target.clone();
-        let (points, exhausted) = match &target {
-            TopK::Single(index) => {
+        let source = self.source.clone();
+        let (points, exhausted) = match &source {
+            Source::Index(index) => {
                 let stamp = index.version();
                 self.observe_version(stamp)?;
                 let lanes: Vec<Lane<'_>> = self
@@ -235,7 +246,7 @@ impl QueryCursor {
                     self.low_water,
                 )
             }
-            TopK::Sharded(index) => {
+            Source::Handle(index) => {
                 let span = (
                     self.ranges.first().expect("validated: ranges non-empty").0,
                     self.ranges.last().expect("validated: ranges non-empty").1,
@@ -303,7 +314,6 @@ impl QueryCursor {
 impl std::fmt::Debug for QueryCursor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryCursor")
-            .field("topology", &self.target.topology())
             .field("ranges", &self.ranges)
             .field("k", &self.k)
             .field("emitted", &self.emitted)
@@ -342,7 +352,7 @@ impl Iterator for QueryCursor {
 impl std::iter::FusedIterator for QueryCursor {}
 
 /// One lane of a fetch round: a canonical subrange against the index (or,
-/// on the sharded topology, one shard) that answers it. Lanes are derived
+/// behind a handle, the one shard) that answers it. Lanes are derived
 /// fresh from each round's guard; the *drains* over them persist in the
 /// [`FrontierCache`] across rounds.
 pub(crate) struct Lane<'g> {
@@ -589,7 +599,7 @@ impl FromStr for ResumeToken {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Oracle, ShardedTopK, TopKConfig, TopKIndex};
+    use crate::{Oracle, ShardedTopK, TopKConfig};
     use emsim::{Device, EmConfig};
 
     fn points(n: u64) -> Vec<Point> {
@@ -598,12 +608,34 @@ mod tests {
             .collect()
     }
 
-    fn handles(device: &Device) -> Vec<TopK> {
+    /// Every cursor source: a bare index, and handles over one and four
+    /// shards.
+    fn handles(device: &Device) -> Vec<Source> {
         vec![
-            TopK::single(TopKIndex::new(device, TopKConfig::for_tests())),
-            TopK::sharded(ShardedTopK::new(device, TopKConfig::for_tests(), 1)),
-            TopK::sharded(ShardedTopK::new(device, TopKConfig::for_tests(), 4)),
+            Source::Index(Arc::new(TopKIndex::new(device, TopKConfig::for_tests()))),
+            Source::Handle(ShardedTopK::new(device, TopKConfig::for_tests(), 1).into()),
+            Source::Handle(ShardedTopK::new(device, TopKConfig::for_tests(), 4).into()),
         ]
+    }
+
+    impl Source {
+        fn bulk_build(&self, points: &[Point]) -> Result<()> {
+            match self {
+                Source::Index(index) => index.bulk_build(points),
+                Source::Handle(handle) => handle.bulk_build(points),
+            }
+        }
+
+        fn cursor(&self, request: QueryRequest) -> Result<QueryCursor> {
+            QueryCursor::new(self.clone(), request)
+        }
+
+        fn label(&self) -> String {
+            match self {
+                Source::Index(_) => "bare".to_string(),
+                Source::Handle(handle) => format!("sharded-{}", handle.shard_count()),
+            }
+        }
     }
 
     #[test]
@@ -631,7 +663,7 @@ mod tests {
                     got,
                     oracle.query(0, u64::MAX, k),
                     "{} k={k}",
-                    handle.topology()
+                    handle.label()
                 );
             }
         }
@@ -642,7 +674,7 @@ mod tests {
         // Bare index, cold pool: five points of k = 16,384 read under half
         // the pages of the eager answer.
         let device = Device::new(EmConfig::new(256, 256 * 256));
-        let index = std::sync::Arc::new(TopKIndex::new(&device, TopKConfig::for_tests()));
+        let index = Arc::new(TopKIndex::new(&device, TopKConfig::for_tests()));
         let pts = points(40_000);
         index.bulk_build(&pts).unwrap();
         let k = 16_384;
@@ -650,7 +682,7 @@ mod tests {
         let (full, full_cost) = device.measure(|| index.query(0, u64::MAX, k).unwrap());
         device.drop_cache();
         let (prefix, prefix_cost) = device.measure(|| {
-            std::sync::Arc::clone(&index)
+            Arc::clone(&index)
                 .cursor(QueryRequest::range(0, u64::MAX).top(k).page_size(5))
                 .unwrap()
                 .next_batch()
@@ -672,7 +704,7 @@ mod tests {
         // pool holds every page at this size, so physical reads cannot
         // tell the two apart.
         let device = Device::new(EmConfig::new(256, 256 * 256));
-        let index = std::sync::Arc::new(ShardedTopK::new(&device, TopKConfig::for_tests(), 4));
+        let index = TopK::from(ShardedTopK::new(&device, TopKConfig::for_tests(), 4));
         let pts = points(2000);
         index.bulk_build(&pts).unwrap();
         let k = 1500;
@@ -681,7 +713,7 @@ mod tests {
         assert_eq!(full, Oracle::from_points(&pts).query(0, u64::MAX, k));
         device.drop_cache();
         let (prefix, prefix_cost) = device.measure(|| {
-            std::sync::Arc::clone(&index)
+            index
                 .cursor(QueryRequest::range(0, u64::MAX).top(k).page_size(5))
                 .unwrap()
                 .next_batch()
@@ -699,11 +731,10 @@ mod tests {
     #[test]
     fn cursor_holds_no_lock_between_rounds() {
         let device = Device::new(EmConfig::new(256, 256 * 256));
-        let index = std::sync::Arc::new(ShardedTopK::new(&device, TopKConfig::for_tests(), 1));
+        let index = TopK::from(ShardedTopK::new(&device, TopKConfig::for_tests(), 1));
         let pts = points(500);
         index.bulk_build(&pts).unwrap();
         let mut cursor = index
-            .clone()
             .cursor(QueryRequest::range(0, u64::MAX).top(100).page_size(10))
             .unwrap();
         let first = cursor.next_batch().unwrap();
@@ -739,7 +770,7 @@ mod tests {
                 .unwrap()
                 .collect::<Result<Vec<_>>>()
                 .unwrap();
-            assert_eq!(got, expect, "{}", handle.topology());
+            assert_eq!(got, expect, "{}", handle.label());
         }
         // Sanity for the single-range floor as well.
         let got: Vec<Point> = handles(&device)
@@ -763,10 +794,9 @@ mod tests {
     #[test]
     fn no_op_batches_do_not_invalidate_strict_sharded_cursors() {
         let device = Device::new(EmConfig::new(256, 256 * 256));
-        let index = std::sync::Arc::new(ShardedTopK::new(&device, TopKConfig::for_tests(), 4));
+        let index = TopK::from(ShardedTopK::new(&device, TopKConfig::for_tests(), 4));
         index.bulk_build(&points(400)).unwrap();
         let mut cursor = index
-            .clone()
             .cursor(
                 QueryRequest::range(0, u64::MAX)
                     .top(40)
@@ -795,10 +825,9 @@ mod tests {
     #[test]
     fn strict_cursor_detects_interleaved_writes() {
         let device = Device::new(EmConfig::new(256, 256 * 256));
-        let index = std::sync::Arc::new(ShardedTopK::new(&device, TopKConfig::for_tests(), 1));
+        let index = TopK::from(ShardedTopK::new(&device, TopKConfig::for_tests(), 1));
         index.bulk_build(&points(800)).unwrap();
         let mut cursor = index
-            .clone()
             .cursor(
                 QueryRequest::range(0, u64::MAX)
                     .top(100)
@@ -817,7 +846,6 @@ mod tests {
         // A per-round resume from the strict token continues cleanly.
         let resumed = QueryRequest::after(&token).consistency(Consistency::PerRound);
         let rest: Vec<Point> = index
-            .clone()
             .cursor(resumed)
             .unwrap()
             .collect::<Result<Vec<_>>>()
@@ -872,7 +900,7 @@ mod tests {
                 handle.cursor(QueryRequest::range(9, 3).top(5)).unwrap_err(),
                 TopKError::InvertedRange { x1: 9, x2: 3 },
                 "{}",
-                handle.topology()
+                handle.label()
             );
             assert_eq!(
                 handle.cursor(QueryRequest::range(3, 9).top(0)).unwrap_err(),

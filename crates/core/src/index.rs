@@ -401,20 +401,17 @@ impl TopKIndex {
     /// index (consumes an `Arc` clone: `index.clone().cursor(req)?`). The
     /// bare index has no logical-atomicity lock, so the cursor is only
     /// meaningful without concurrent writers — under concurrency, take the
-    /// cursor from [`ShardedTopK`](crate::ShardedTopK::cursor) instead.
-    pub fn cursor(
-        self: std::sync::Arc<Self>,
-        request: QueryRequest,
-    ) -> Result<crate::cursor::QueryCursor> {
-        crate::cursor::QueryCursor::new(crate::facade::TopK::Single(self), request)
+    /// cursor from a [`TopK`](crate::TopK::cursor) handle instead.
+    pub fn cursor(self: Arc<Self>, request: QueryRequest) -> Result<crate::cursor::QueryCursor> {
+        crate::cursor::QueryCursor::new(crate::cursor::Source::Index(self), request)
     }
 
     /// The eager query path: one pull of `k` points from a fresh §2 pilot
     /// drain, `O(lg n + k/B)`, so its I/O profile is the seed's single-shot
     /// plan; a cursor instead pulls its drains one page per round. The
-    /// best-first drain replaces `query_top_k`'s fixed-size heap selection +
-    /// sibling expansion, whose `Θ(φ·lg n)` constant made every query pay
-    /// the `k = Θ(B·lg n)` worst case (the "k-cliff" in
+    /// best-first drain replaced Figure 2's fixed-size heap selection and
+    /// sibling expansion (since deleted), whose `Θ(φ·lg n)` constant made
+    /// every query pay the `k = Θ(B·lg n)` worst case (the "k-cliff" in
     /// BENCH_query_scaling.json).
     pub(crate) fn query_unvalidated(&self, x1: u64, x2: u64, k: usize) -> Vec<Point> {
         if k == 0 || x1 > x2 || self.is_empty() {
@@ -479,42 +476,6 @@ impl TopKIndex {
     pub(crate) fn check_components(&self) {
         self.pilot.check_invariants();
         assert_eq!(self.pilot.len(), self.len());
-    }
-}
-
-/// Commit-stamped operations for the `topk-testkit` history recorder: each
-/// write reports the exact version stamp its commit received, each query the
-/// stamp window it observed. The bare index has no logical-atomicity lock,
-/// so these are only meaningful without concurrent writers (exactly the
-/// contract of the `Single` topology).
-#[cfg(feature = "testkit-hooks")]
-impl TopKIndex {
-    /// Insert `p` and return the version stamp of the commit.
-    pub fn insert_stamped(&self, p: Point) -> Result<u64> {
-        self.insert(p)?;
-        Ok(self.version())
-    }
-
-    /// Delete `p`; `Some(stamp)` if it was present and the commit stamped.
-    pub fn delete_stamped(&self, p: Point) -> Result<Option<u64>> {
-        let deleted = self.delete(p)?;
-        Ok(deleted.then(|| self.version()))
-    }
-
-    /// Apply `batch` and return the post-commit version stamp (the batch
-    /// may bump the stamp several times on this unlocked topology; the
-    /// final stamp is the one history checking needs).
-    pub fn apply_stamped(&self, batch: &UpdateBatch) -> Result<(BatchSummary, u64)> {
-        let summary = self.apply(batch)?;
-        Ok((summary, self.version()))
-    }
-
-    /// The eager query answer plus the (degenerate, single-threaded) stamp
-    /// window it was computed under.
-    pub fn query_stamped(&self, x1: u64, x2: u64, k: usize) -> Result<(Vec<Point>, u64, u64)> {
-        let lo = self.version();
-        let out = self.query(x1, x2, k)?;
-        Ok((out, lo, self.version()))
     }
 }
 

@@ -26,7 +26,7 @@
 //!   write-lock acquisition per affected shard and one deferred rebuild
 //!   check each;
 //! * the lazy read plane is the **owned cursor**: [`TopK`] (from
-//!   [`IndexBuilder::build_auto`]) is the topology-agnostic handle, and
+//!   [`IndexBuilder::build_auto`]) is the serving handle, and
 //!   [`TopK::cursor`] opens a [`QueryCursor`] that fetches only the prefix
 //!   its caller consumes and acquires the read lock only per fetch round —
 //!   long-lived paginating readers cost writers nothing, positions
@@ -52,12 +52,13 @@
 //! measures faster at every size tried and spares every update the
 //! maintenance of both (DESIGN.md §3.6). Both return the same answers.
 //!
-//! [`TopKIndex`] is `Send + Sync`; concurrent traffic is served by
-//! [`ShardedTopK`] (range shards behind striped reader–writer locks: parallel
-//! queries, writers on disjoint shards in parallel — one shard for small and
-//! durable indexes, see DESIGN.md §4). The [`RankedIndex`] trait abstracts
-//! over this crate's engines and the `baselines` comparison structures for
-//! generic harness code.
+//! [`TopKIndex`] is `Send + Sync` but has no lock of its own; concurrent
+//! traffic is served through one handle, [`TopK`]: a cheaply-cloneable
+//! `Arc` over a [`ShardedTopK`] that derefs to it (range shards behind
+//! striped reader–writer locks: parallel queries, writers on disjoint shards
+//! in parallel — one shard for small and durable indexes, see DESIGN.md §4).
+//! The [`RankedIndex`] trait abstracts over this crate's engines and the
+//! `baselines` comparison structures for generic harness code.
 //!
 //! [`IndexBuilder::durable`] makes an index durable in a directory: a
 //! snapshot of the live points plus a journal of one synced frame per

@@ -29,8 +29,8 @@
 //!
 //! Locking: the `wal` mutex guards only the in-RAM journal state (DESIGN.md
 //! §8, class `wal`: no I/O while held); every medium call happens with it
-//! released. Writers are serialized by the serving topology (`Single`'s
-//! single-writer contract or the write lock of a durable index's one shard).
+//! released. Writers are serialized by their caller: a bare index's
+//! single-writer contract, or the write lock of a durable handle's one shard.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

@@ -154,25 +154,11 @@ impl QueryRequest {
 
     /// Rebuild the request a [`ResumeToken`] was cut from, positioned just
     /// past the last point that cursor emitted. Feed it to any index holding
-    /// the same data (`TopK::cursor`, `ShardedTopK::cursor`, …) to
-    /// continue the pagination — across threads or process boundaries.
+    /// the same data ([`TopK::cursor`](crate::TopK::cursor) or
+    /// [`TopKIndex::cursor`](crate::TopKIndex::cursor)) to continue the
+    /// pagination — across threads or process boundaries.
     pub fn after(token: &ResumeToken) -> Self {
         token.request()
-    }
-
-    /// Lower end of the (first) coordinate range.
-    pub fn x1(&self) -> u64 {
-        self.ranges.first().map_or(0, |r| r.0)
-    }
-
-    /// Upper end of the (first) coordinate range.
-    pub fn x2(&self) -> u64 {
-        self.ranges.first().map_or(0, |r| r.1)
-    }
-
-    /// The requested coordinate ranges, as given.
-    pub fn query_ranges(&self) -> &[(u64, u64)] {
-        &self.ranges
     }
 
     /// Number of points requested.
@@ -237,7 +223,7 @@ mod tests {
     #[test]
     fn request_builder_carries_parameters() {
         let req = QueryRequest::range(3, 9).top(17);
-        assert_eq!((req.x1(), req.x2(), req.k()), (3, 9, 17));
+        assert_eq!((req.canonical_ranges(), req.k()), (vec![(3, 9)], 17));
         assert_eq!(QueryRequest::range(3, 9).k(), 1);
     }
 

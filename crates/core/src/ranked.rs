@@ -9,11 +9,10 @@ use crate::cursor::QueryCursor;
 use crate::error::{Result, TopKError};
 use crate::index::TopKIndex;
 use crate::query::QueryRequest;
-use crate::sharded::ShardedTopK;
 
 /// A dynamic set of `(x, score)` points answering top-k range queries.
 ///
-/// Implemented by [`TopKIndex`], [`ShardedTopK`],
+/// Implemented by [`TopKIndex`], the [`TopK`](crate::TopK) handle,
 /// [`TheoremOne`](crate::TheoremOne) and the comparison structures in the
 /// `baselines` crate. All methods take `&self` — every
 /// engine in the workspace is internally synchronized — and all mutating or
@@ -59,14 +58,13 @@ pub trait RankedIndex: Send + Sync {
 
     /// Open an owned, snapshot-consistent cursor
     /// ([`QueryCursor`]): supported by engines that can hand out
-    /// lock-per-round snapshots — the [`TopK`](crate::TopK) facade and
-    /// whatever it wraps. Bare engines report
-    /// [`TopKError::InvalidConfig`]; wrap them in [`TopK`](crate::TopK) to
-    /// serve cursors.
+    /// lock-per-round snapshots, which is the [`TopK`](crate::TopK) handle.
+    /// Bare engines report [`TopKError::InvalidConfig`]; serve cursors from
+    /// a [`TopK`](crate::TopK) instead.
     fn cursor(&self, request: QueryRequest) -> Result<QueryCursor> {
         let _ = request;
         Err(TopKError::InvalidConfig {
-            what: "this engine serves owned cursors only through the TopK facade",
+            what: "this engine serves owned cursors only through the TopK handle",
         })
     }
 
@@ -132,48 +130,10 @@ impl RankedIndex for TopKIndex {
     }
 }
 
-impl RankedIndex for ShardedTopK {
-    fn engine_name(&self) -> &'static str {
-        "sharded-topk"
-    }
-
-    fn len(&self) -> u64 {
-        ShardedTopK::len(self)
-    }
-
-    fn space_blocks(&self) -> u64 {
-        ShardedTopK::space_blocks(self)
-    }
-
-    fn insert(&self, p: Point) -> Result<()> {
-        ShardedTopK::insert(self, p)
-    }
-
-    fn delete(&self, p: Point) -> Result<bool> {
-        ShardedTopK::delete(self, p)
-    }
-
-    fn bulk_build(&self, points: &[Point]) -> Result<()> {
-        ShardedTopK::bulk_build(self, points)
-    }
-
-    fn query(&self, x1: u64, x2: u64, k: usize) -> Result<Vec<Point>> {
-        ShardedTopK::query(self, x1, x2, k)
-    }
-
-    fn count_in_range(&self, x1: u64, x2: u64) -> Result<u64> {
-        ShardedTopK::count_in_range(self, x1, x2)
-    }
-
-    fn apply(&self, batch: &UpdateBatch) -> Result<BatchSummary> {
-        ShardedTopK::apply(self, batch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Oracle, TopKConfig};
+    use crate::{Oracle, ShardedTopK, TopK, TopKConfig};
     use emsim::{Device, EmConfig};
 
     #[test]
@@ -181,8 +141,16 @@ mod tests {
         let device = Device::new(EmConfig::new(128, 128 * 64));
         let engines: Vec<Box<dyn RankedIndex>> = vec![
             Box::new(TopKIndex::new(&device, TopKConfig::for_tests())),
-            Box::new(ShardedTopK::new(&device, TopKConfig::for_tests(), 1)),
-            Box::new(ShardedTopK::new(&device, TopKConfig::for_tests(), 4)),
+            Box::new(TopK::from(ShardedTopK::new(
+                &device,
+                TopKConfig::for_tests(),
+                1,
+            ))),
+            Box::new(TopK::from(ShardedTopK::new(
+                &device,
+                TopKConfig::for_tests(),
+                4,
+            ))),
         ];
         let pts: Vec<Point> = (0..300u64)
             .map(|i| Point::new(i * 3 + 1, i * 7 + 2))

@@ -1,4 +1,5 @@
-//! The concurrent serving topology: range shards, parallel writers.
+//! The concurrent serving index behind the [`TopK`](crate::TopK) handle:
+//! range shards, parallel writers.
 //!
 //! [`ShardedTopK`] range-partitions the coordinate space into `S ≥ 1`
 //! shards — each an independent [`TopKIndex`] behind its own striped
@@ -69,13 +70,10 @@ use epst::Point;
 
 use crate::backend::Medium;
 use crate::batch::{self, BatchSummary, UpdateBatch};
-use crate::builder::IndexBuilder;
 use crate::config::TopKConfig;
-use crate::cursor::{self, Lane, QueryCursor};
+use crate::cursor::{self, Lane};
 use crate::error::{Result, TopKError};
-use crate::facade::TopK;
 use crate::index::{check_distinct, validate_query, ScoreRegistry, TopKIndex};
-use crate::query::QueryRequest;
 use crate::stripe::{thread_stripe, STRIPES};
 
 /// Rebalance only once the index holds this many points per shard on
@@ -279,19 +277,20 @@ impl Deref for ShardWrite<'_> {
 /// merge lazily across them. The module-level docs describe the architecture
 /// and locking discipline.
 ///
-/// Built with [`ShardedTopK::builder`]
-/// (`…​.shards(s).build_sharded()?`; the default shard count is derived from
-/// [`expected_n`](IndexBuilder::expected_n), and a durable index is one
-/// shard). Shared across threads as `Arc<ShardedTopK>` or, with scoped
+/// Served through a [`TopK`](crate::TopK) handle, which derefs to it:
+/// built with [`TopK::builder`](crate::TopK::builder)
+/// (`…​.shards(s).build_auto()?`; the default shard count is derived from
+/// [`expected_n`](crate::IndexBuilder::expected_n), and a durable index is
+/// one shard). Shared across threads as a `TopK` clone or, with scoped
 /// threads, as `&ShardedTopK`.
 ///
 /// ```
-/// use topk_core::{Point, ShardedTopK};
+/// use topk_core::{Point, TopK};
 ///
-/// let index = ShardedTopK::builder()
+/// let index = TopK::builder()
 ///     .expected_n(1 << 20)
 ///     .shards(4)
-///     .build_sharded()?;
+///     .build_auto()?;
 /// std::thread::scope(|s| {
 ///     // Writers on different coordinate ranges lock different shards.
 ///     s.spawn(|| index.insert(Point::new(1, 10)));
@@ -326,12 +325,6 @@ pub struct ShardedTopK {
 }
 
 impl ShardedTopK {
-    /// Start building a sharded index:
-    /// `ShardedTopK::builder().expected_n(n).shards(s).build_sharded()?`.
-    pub fn builder() -> IndexBuilder {
-        IndexBuilder::new()
-    }
-
     /// Create an empty sharded index on `device` with `shards` range
     /// partitions (callers normally go through the builder, which validates
     /// and supplies defaults). All shards share one score registry.
@@ -374,15 +367,6 @@ impl ShardedTopK {
             rebalancing: AtomicBool::new(false),
             commits: AtomicU64::new(stamp),
         }
-    }
-
-    /// Open an owned, snapshot-consistent [`QueryCursor`] over this index:
-    /// the overlapping shards' read locks are taken only per fetch round, so
-    /// a paginating reader that is idle between pages blocks no writer. See
-    /// [`Consistency`](crate::Consistency) for the write-interleaving
-    /// semantics.
-    pub fn cursor(self: Arc<Self>, request: QueryRequest) -> Result<QueryCursor> {
-        QueryCursor::new(TopK::Sharded(self), request)
     }
 
     /// The device the index lives on (a handle held outside every lock, so
@@ -542,6 +526,48 @@ impl ShardedTopK {
     pub fn get(&self, x: u64) -> Option<Point> {
         let guard = self.read_span(x, x);
         guard.guards.first().and_then(|g| g.get(x))
+    }
+
+    /// Every stored point by descending score: the full-range top-`n`
+    /// query, an `O(n/B)` scan. For an exact snapshot, call it while no
+    /// writer is active.
+    pub fn all_points(&self) -> Vec<Point> {
+        match self.len() {
+            0 => Vec::new(),
+            n => self.query(0, u64::MAX, n as usize).unwrap_or_default(),
+        }
+    }
+
+    /// Snapshot the current contents into a durable index directory: after
+    /// this returns, `dir` holds a synced snapshot and an empty journal that
+    /// `TopK::builder().durable(dir).build_auto()` reopens, whatever the
+    /// shard count of this index and whether or not it is durable. An
+    /// existing index in `dir` is replaced wholesale. Returns the number of
+    /// points captured.
+    ///
+    /// The snapshot is taken with [`ShardedTopK::all_points`]; run it while
+    /// no writer is active to capture one exact state. The image is stamped
+    /// with `max(self's commit stamp, the stamp already in dir)`, so
+    /// reopening never observes the version stamp going backwards — even
+    /// when overwriting an older, higher-stamped image.
+    ///
+    /// # Errors
+    ///
+    /// [`TopKError::Storage`] if the directory cannot be opened — including
+    /// a durable index's *own* directory, whose `lock.topk` this index
+    /// already holds — or what it holds fails validation, or a file call
+    /// fails.
+    pub fn snapshot_to(&self, dir: &std::path::Path) -> Result<u64> {
+        let points = self.all_points();
+        let fs = crate::StdFs::open(dir).map_err(|e| TopKError::Storage {
+            what: format!("open {}: {e}", dir.display()),
+        })?;
+        let (store, _existing, prior_stamp) =
+            crate::persist::DurableStore::open(Arc::new(fs), &self.device)?;
+        let current = self.commits.load(Ordering::Acquire);
+        store.compact(&points, current.max(prior_stamp));
+        store.commit()?;
+        Ok(points.len() as u64)
     }
 
     // ----- updates -----

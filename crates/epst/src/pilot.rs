@@ -12,12 +12,12 @@
 //! listing the representatives of all script nodes of its secondary tree, so
 //! that updates can descend one base level per I/O.
 //!
-//! * Queries (`top-k`): walk the two boundary script paths (`O(lg n)` I/Os),
-//!   form the concatenated max-heap over the hanging subtrees `Π`, extract
-//!   `φ·(lg n + k/B)` representatives with best-first heap selection
-//!   (standing in for Frederickson, see DESIGN.md), expand by siblings and
-//!   children (the set `S*_R`), and keep the `k` best of the collected pilot
-//!   points — `O(lg n + k/B)` I/Os.
+//! * Queries (`top-k`): a resumable best-first drain over the script tree
+//!   ([`PilotPst::drain`], its frontier in `drain.rs`), which reads the
+//!   two boundary paths (`O(lg n)` I/Os) and then pages in descending
+//!   representative order, so `k` points cost `O(lg n + k/B)` I/Os. It
+//!   stands in for Figure 2's heap selection of `φ·(lg n + k/B)`
+//!   representatives, which no served query runs (DESIGN.md §2).
 //! * Insertions descend via representative blocks (`O(log_B n)` I/Os) and
 //!   resolve pilot overflow with *push-downs*; deletions locate the holder via
 //!   representative blocks and resolve underflow with *pull-ups*; base-tree
@@ -30,12 +30,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 use emsim::{BlockFile, Device, Page, PageId};
-use heapsel::{select_top, HeapSource};
 use wbbtree::{NodeId, WbbConfig, WbbTree};
 
 use crate::drain::{self, Frontier, Lane};
 use crate::point::Point;
-use crate::top_k_by_score;
 
 /// Parameters of a [`PilotPst`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,9 +44,6 @@ pub struct PilotConfig {
     pub leaf_target: usize,
     /// Maximum pilot-set size (one block of points).
     pub pilot_max: usize,
-    /// The constant `φ` of the query algorithm (the paper proves `φ = 16`
-    /// suffices).
-    pub phi: usize,
 }
 
 impl PilotConfig {
@@ -62,7 +57,6 @@ impl PilotConfig {
             branching,
             leaf_target,
             pilot_max,
-            phi: 16,
         }
     }
 
@@ -690,114 +684,6 @@ impl PilotPst {
         self.scripts.free(script);
     }
 
-    // ----- queries -----
-
-    /// Report the `k` highest-scoring points with `x ∈ [x1, x2]`, in
-    /// descending score order. `O(lg n + k/B)` I/Os.
-    pub fn query_top_k(&self, x1: u64, x2: u64, k: usize) -> Vec<Point> {
-        if x1 > x2 || k == 0 || self.is_empty() {
-            return Vec::new();
-        }
-        // Phase 1: the two boundary paths.
-        let path1 = self.script_path(x1);
-        let path2 = self.script_path(x2);
-        let mut candidates: Vec<Point> = Vec::new();
-        let mut on_paths: Vec<PageId> = Vec::new();
-        for &s in path1.iter().chain(path2.iter()) {
-            if !on_paths.contains(&s) {
-                on_paths.push(s);
-                let pilot = self.scripts.with(s, |n| n.pilot.clone());
-                candidates.extend(pilot.into_iter().filter(|p| p.x >= x1 && p.x <= x2));
-            }
-        }
-        // Phase 2: the hanging subtrees Π.
-        let roots = self.hanging_roots(&path1, &path2);
-        // Phase 3: heap selection of Θ(lg n + k/B) representatives.
-        let points_per_block = self.config.pilot_max.max(1);
-        let lg_n = emsim::lg(self.len().max(2) as usize) as usize;
-        let t = self.config.phi * (lg_n + k / points_per_block + 1);
-        let source = PilotHeap { pst: self };
-        let selected = select_top(&source, &roots, t);
-        let mut sr: Vec<PageId> = selected.iter().map(|s| s.id).collect();
-        // Phase 4: expand by siblings and children (S*_R) and gather pilots.
-        let mut expansion: Vec<PageId> = Vec::new();
-        for &v in &sr {
-            let parent = self.scripts.with(v, |n| n.parent);
-            if !parent.is_null() && !roots.contains(&v) {
-                for (_, sib) in self.scripts.with(parent, |n| n.children.clone()) {
-                    if sib != v && !sr.contains(&sib) && !expansion.contains(&sib) {
-                        expansion.push(sib);
-                    }
-                }
-            }
-            for (_, child) in self.scripts.with(v, |n| n.children.clone()) {
-                if !sr.contains(&child) && !expansion.contains(&child) {
-                    expansion.push(child);
-                }
-            }
-        }
-        sr.extend(expansion);
-        for v in sr {
-            if on_paths.contains(&v) {
-                continue;
-            }
-            let pilot = self.scripts.with(v, |n| n.pilot.clone());
-            candidates.extend(pilot.into_iter().filter(|p| p.x >= x1 && p.x <= x2));
-        }
-        top_k_by_score(candidates, k)
-    }
-
-    /// Root-to-leaf script path toward coordinate `x`.
-    fn script_path(&self, x: u64) -> Vec<PageId> {
-        let mut path = Vec::new();
-        let mut cur = self.script_root();
-        loop {
-            path.push(cur);
-            let children = self.scripts.with(cur, |n| n.children.clone());
-            if children.is_empty() {
-                return path;
-            }
-            cur = children[route(&children, x)].1;
-        }
-    }
-
-    /// The roots of the hanging subtrees Π: children of the divergent parts of
-    /// the two boundary paths that lie strictly between them.
-    fn hanging_roots(&self, path1: &[PageId], path2: &[PageId]) -> Vec<PageId> {
-        let mut out = Vec::new();
-        // Find the lowest common node (paths share a prefix).
-        let mut lca_idx = 0;
-        while lca_idx + 1 < path1.len()
-            && lca_idx + 1 < path2.len()
-            && path1[lca_idx + 1] == path2[lca_idx + 1]
-        {
-            lca_idx += 1;
-        }
-        // Below the LCA: on path1, everything hanging to the right of the
-        // descent; on path2, everything hanging to the left.
-        for (path, take_right) in [(path1, true), (path2, false)] {
-            for w in path.iter().skip(lca_idx).collect::<Vec<_>>().windows(2) {
-                let (node, next) = (*w[0], *w[1]);
-                let children = self.scripts.with(node, |n| n.children.clone());
-                let next_pos = children.iter().position(|&(_, c)| c == next).unwrap_or(0);
-                for (i, &(_, c)) in children.iter().enumerate() {
-                    let hanging = if take_right {
-                        i > next_pos
-                    } else {
-                        i < next_pos
-                    };
-                    if hanging && !path1.contains(&c) && !path2.contains(&c) {
-                        let nonempty = self.scripts.with(c, |n| !n.pilot.is_empty());
-                        if nonempty && !out.contains(&c) {
-                            out.push(c);
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
     // ----- resumable drain -----
 
     /// Open a resumable best-first drain over `x ∈ [x1, x2]`: repeated
@@ -1042,39 +928,23 @@ impl Lane for (&PilotPst, &mut PilotDrain) {
     }
 }
 
-/// Heap view over the script tree used by the query's heap selection: keys are
-/// representatives, children are the script children with non-empty pilots.
-struct PilotHeap<'a> {
-    pst: &'a PilotPst,
-}
-
-impl<'a> HeapSource for PilotHeap<'a> {
-    type Id = PageId;
-
-    fn key(&self, node: PageId) -> u64 {
-        self.pst.scripts.with(node, |n| n.rep().unwrap_or(0))
-    }
-
-    fn children(&self, node: PageId) -> Vec<PageId> {
-        self.pst
-            .scripts
-            .with(node, |n| n.children.clone())
-            .into_iter()
-            .map(|(_, c)| c)
-            .filter(|&c| self.pst.scripts.with(c, |n| !n.pilot.is_empty()))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::top_k_by_score;
     use emsim::EmConfig;
     use rand::rngs::StdRng;
     use rand::{seq::SliceRandom, Rng, SeedableRng};
 
     fn device() -> Device {
         Device::new(EmConfig::new(128, 64 * 128))
+    }
+
+    /// The top `k` of `[x1, x2]`: one pull of a fresh drain.
+    fn drain_top_k(pst: &PilotPst, x1: u64, x2: u64, k: usize) -> Vec<Point> {
+        let mut out = Vec::new();
+        pst.drain(x1, x2).pull(pst, k, &mut out);
+        out
     }
 
     fn random_points(seed: u64, n: usize) -> Vec<Point> {
@@ -1116,7 +986,7 @@ mod tests {
             let a = rng.gen_range(0..6000u64);
             let b = rng.gen_range(a..=6000u64);
             let k = rng.gen_range(1..200usize);
-            let got = pst.query_top_k(a, b, k);
+            let got = drain_top_k(&pst, a, b, k);
             let expect = oracle_top_k(&pts, a, b, k);
             assert_eq!(got, expect, "range [{a},{b}] k={k}");
         }
@@ -1129,11 +999,11 @@ mod tests {
         let pts = random_points(9, 3000);
         pst.rebuild_all(&pts);
         pst.check_invariants();
-        let got = pst.query_top_k(0, u64::MAX, 10);
+        let got = drain_top_k(&pst, 0, u64::MAX, 10);
         let expect = oracle_top_k(&pts, 0, u64::MAX, 10);
         assert_eq!(got, expect);
         // Large k: the whole range.
-        let got = pst.query_top_k(0, u64::MAX, 3000);
+        let got = drain_top_k(&pst, 0, u64::MAX, 3000);
         assert_eq!(got.len(), 3000);
     }
 
@@ -1183,7 +1053,7 @@ mod tests {
             let a = rng.gen_range(0..4500u64);
             let b = rng.gen_range(a..=4500u64);
             let k = rng.gen_range(1..100usize);
-            assert_eq!(pst.query_top_k(a, b, k), oracle_top_k(&live, a, b, k));
+            assert_eq!(drain_top_k(&pst, a, b, k), oracle_top_k(&live, a, b, k));
             assert_eq!(pst.count_in_range(a, b), count_in(&live, a, b), "[{a},{b}]");
         }
     }
@@ -1208,7 +1078,7 @@ mod tests {
                     break;
                 }
             }
-            assert_eq!(drained, pst.query_top_k(a, b, k), "range [{a},{b}] k={k}");
+            assert_eq!(drained, drain_top_k(&pst, a, b, k), "range [{a},{b}] k={k}");
             assert_eq!(drained, oracle_top_k(&pts, a, b, k));
         }
     }
@@ -1416,7 +1286,7 @@ mod tests {
             let a = rng.gen_range(0..1_000_003u64);
             let b = rng.gen_range(a..=1_000_003u64);
             let k = rng.gen_range(1..150usize);
-            assert_eq!(pst.query_top_k(a, b, k), oracle_top_k(&live, a, b, k));
+            assert_eq!(drain_top_k(&pst, a, b, k), oracle_top_k(&live, a, b, k));
             assert_eq!(pst.count_in_range(a, b), count_in(&live, a, b), "[{a},{b}]");
         }
         assert_eq!(pst.count_in_range(0, u64::MAX), live.len() as u64);

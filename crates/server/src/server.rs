@@ -1,7 +1,7 @@
 //! The serving runtime: accept loop, connection handlers, admission control.
 //!
 //! Topology is deliberately boring — thread-per-connection over one shared
-//! [`TopK`] facade — because the index underneath already owns the hard
+//! [`TopK`] handle — because the index underneath already owns the hard
 //! concurrency (PR 8's sharded read plane, the committer's batched write
 //! plane). What this module adds is the *edges*:
 //!

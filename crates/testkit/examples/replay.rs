@@ -5,8 +5,8 @@
 //! cargo run -p topk-testkit --example replay -- target/repro/bug.trace sharded-4
 //! ```
 //!
-//! With no topology argument the trace replays against all four
-//! (`single`, `sharded-1`, `sharded-4`, `sharded-16`).
+//! With no topology argument the trace replays against all three
+//! (`sharded-1`, `sharded-4`, `sharded-16`).
 //! Exit code 0 means every replay agreed with the sequential spec; 1 means
 //! a divergence (printed) or a bad invocation.
 
@@ -16,7 +16,7 @@ use std::process::ExitCode;
 use topk_testkit::{replay, Topology, Trace};
 
 fn usage() -> ExitCode {
-    eprintln!("usage: replay <file.trace> [single|sharded-<n>|all]");
+    eprintln!("usage: replay <file.trace> [sharded-<n>|all]");
     ExitCode::FAILURE
 }
 

@@ -337,7 +337,7 @@ mod tests {
         let trace = generate(&spec);
         let back: Trace = trace.to_string().parse().unwrap();
         assert_eq!(back, trace);
-        let stats = replay(&trace, Topology::Sharded(4)).unwrap_or_else(|d| panic!("{d}"));
+        let stats = replay(&trace, Topology(4)).unwrap_or_else(|d| panic!("{d}"));
         // Everything the generator emits is valid at its point in the trace
         // except cursor fetches whose session already drained (harmless).
         assert!(stats.applied * 10 >= trace.len() * 9, "{stats:?}");

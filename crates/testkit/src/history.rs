@@ -346,7 +346,7 @@ mod tests {
 
     #[test]
     fn a_forged_answer_is_rejected() {
-        let (_device, handle) = Topology::Sharded(1).build(256);
+        let (_device, handle) = Topology(1).build(256);
         let recorder = Recorder::new(handle, &preload(50)).unwrap();
         recorder.insert(Point::new(9_000, 90_000)).unwrap();
         recorder.query(0, u64::MAX, 2).unwrap();
@@ -363,7 +363,7 @@ mod tests {
 
     #[test]
     fn a_stale_answer_outside_the_window_is_rejected() {
-        let (_device, handle) = Topology::Sharded(1).build(256);
+        let (_device, handle) = Topology(1).build(256);
         let recorder = Recorder::new(handle, &preload(50)).unwrap();
         let before = recorder.query(0, u64::MAX, 1).unwrap();
         recorder.insert(Point::new(9_000, 90_000)).unwrap();

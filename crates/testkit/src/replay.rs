@@ -120,7 +120,7 @@ pub fn replay(trace: &Trace, topology: Topology) -> Result<ReplayStats, Divergen
 }
 
 /// Replay `trace` against a durable index in the directory `dir`: the
-/// engine is a one-shard [`Topology::Sharded`] index appending one synced
+/// engine is a one-shard [`Topology`] appending one synced
 /// journal frame per commit (a directory has one journal, so a durable
 /// index is one shard). `dir` must be fresh — the sequential spec starts empty, so a
 /// directory with recovered state diverges at step 0 by construction.
@@ -131,7 +131,7 @@ pub fn replay_durable(trace: &Trace, dir: &std::path::Path) -> Result<ReplayStat
         .build_auto()
         .expect("durable replay build parameters are valid");
     let engine_device = handle.device();
-    replay_on(trace, Topology::Sharded(1), engine_device, handle)
+    replay_on(trace, Topology(1), engine_device, handle)
 }
 
 /// Total inserts a trace can perform — the builder's `expected_n` sizing.
@@ -235,14 +235,10 @@ impl Replayer {
             TraceOp::CursorNext { id } => self.do_cursor_next(step, op, *id),
             TraceOp::CursorResume { id } => self.do_cursor_resume(step, op, *id),
             TraceOp::RebalanceHint => {
-                if let TopK::Sharded(sharded) = &self.handle {
-                    if let Err(e) = sharded.rebalance_now() {
-                        return Err(self.diverge(step, op, format!("rebalance failed: {e}")));
-                    }
-                    self.stats.applied += 1;
-                } else {
-                    self.stats.skipped += 1;
+                if let Err(e) = self.handle.rebalance_now() {
+                    return Err(self.diverge(step, op, format!("rebalance failed: {e}")));
                 }
+                self.stats.applied += 1;
                 Ok(())
             }
         }
@@ -687,10 +683,7 @@ impl Replayer {
             }
             self.stats.checked_answers += 1;
         }
-        match &self.handle {
-            TopK::Single(index) => index.check_invariants(),
-            TopK::Sharded(sharded) => sharded.check_invariants(),
-        }
+        self.handle.check_invariants();
         Ok(())
     }
 }
@@ -756,7 +749,7 @@ mod tests {
             TraceOp::CursorResume { id: 7 },
             TraceOp::Query { x1: 0, x2: 9, k: 3 },
         ]);
-        let stats = replay(&trace, Topology::Sharded(1)).unwrap();
+        let stats = replay(&trace, Topology(1)).unwrap();
         assert_eq!(stats.skipped, 7); // dup x, dup score, miss, 2 bad queries, 2 orphan cursor verbs
         assert_eq!(stats.applied, 2); // the one valid insert and the one valid query
     }

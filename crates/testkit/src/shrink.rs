@@ -317,7 +317,7 @@ mod tests {
             TraceOp::Insert(Point::new(1, 10)),
             TraceOp::Query { x1: 0, x2: 5, k: 1 },
         ]);
-        assert!(shrink(&trace, Topology::Single).is_none());
+        assert!(shrink(&trace, Topology(1)).is_none());
     }
 
     #[test]

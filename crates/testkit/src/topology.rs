@@ -4,28 +4,17 @@ use std::fmt;
 use std::str::FromStr;
 
 use emsim::{Device, EmConfig};
-use topk_core::{ShardedTopK, TopK, TopKIndex};
+use topk_core::TopK;
 
-/// One of the serving topologies of the workspace. Every harness sweep runs
-/// [`Topology::ALL`] — the bare single-threaded index and range sharding at
-/// 1, 4 and 16 shards (one shard is the shape small and durable indexes
-/// serve from).
+/// A serving topology: a [`TopK`] handle over this many range shards. Every
+/// harness sweep runs [`Topology::ALL`] — 1, 4 and 16 shards (one shard is
+/// the shape small and durable indexes serve from).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Topology {
-    /// A bare [`TopKIndex`] behind the facade (no locking layer).
-    Single,
-    /// A range-sharded [`ShardedTopK`] with this many shards.
-    Sharded(usize),
-}
+pub struct Topology(pub usize);
 
 impl Topology {
     /// Every topology the harnesses sweep.
-    pub const ALL: [Topology; 4] = [
-        Topology::Single,
-        Topology::Sharded(1),
-        Topology::Sharded(4),
-        Topology::Sharded(16),
-    ];
+    pub const ALL: [Topology; 3] = [Topology(1), Topology(4), Topology(16)];
 
     /// Build an empty index of this topology on its own device, sized for
     /// `expected_n` points (the harness default machine: 256-word blocks,
@@ -38,33 +27,18 @@ impl Topology {
 
     /// Build an empty index of this topology on the given device.
     pub fn build_on(&self, device: &Device, expected_n: usize) -> TopK {
-        let expected_n = expected_n.max(64);
-        match *self {
-            Topology::Single => TopK::single(
-                TopKIndex::builder()
-                    .device(device)
-                    .expected_n(expected_n)
-                    .build()
-                    .expect("harness build parameters are valid"),
-            ),
-            Topology::Sharded(shards) => TopK::sharded(
-                ShardedTopK::builder()
-                    .device(device)
-                    .expected_n(expected_n)
-                    .shards(shards)
-                    .build_sharded()
-                    .expect("harness build parameters are valid"),
-            ),
-        }
+        TopK::builder()
+            .device(device)
+            .expected_n(expected_n.max(64))
+            .shards(self.0)
+            .build_auto()
+            .expect("harness build parameters are valid")
     }
 }
 
 impl fmt::Display for Topology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Topology::Single => write!(f, "single"),
-            Topology::Sharded(s) => write!(f, "sharded-{s}"),
-        }
+        write!(f, "sharded-{}", self.0)
     }
 }
 
@@ -72,17 +46,12 @@ impl FromStr for Topology {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "single" => Ok(Topology::Single),
-            _ => match s.strip_prefix("sharded-") {
-                Some(n) => n
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad shard count in '{s}': {e}"))
-                    .map(Topology::Sharded),
-                None => Err(format!(
-                    "unknown topology '{s}' (expected single or sharded-<n>)"
-                )),
-            },
+        match s.strip_prefix("sharded-") {
+            Some(n) => n
+                .parse::<usize>()
+                .map_err(|e| format!("bad shard count in '{s}': {e}"))
+                .map(Topology),
+            None => Err(format!("unknown topology '{s}' (expected sharded-<n>)")),
         }
     }
 }
@@ -96,6 +65,7 @@ mod tests {
         for topology in Topology::ALL {
             assert_eq!(topology.to_string().parse::<Topology>(), Ok(topology));
         }
+        assert!("single".parse::<Topology>().is_err());
         assert!("sharded".parse::<Topology>().is_err());
         assert!("sharded-x".parse::<Topology>().is_err());
     }
@@ -104,6 +74,7 @@ mod tests {
     fn every_topology_builds_and_serves() {
         for topology in Topology::ALL {
             let (_device, handle) = topology.build(128);
+            assert_eq!(handle.shard_count(), topology.0);
             handle.insert(epst::Point::new(5, 9)).unwrap();
             assert_eq!(
                 handle.query(0, 10, 1).unwrap(),

@@ -92,8 +92,8 @@ pub enum TraceOp {
         /// The cursor slot.
         id: u32,
     },
-    /// Ask the topology to repartition now (a no-op on unsharded
-    /// topologies, [`topk_core::ShardedTopK::rebalance_now`] on sharded).
+    /// Ask the topology to repartition now
+    /// ([`topk_core::ShardedTopK::rebalance_now`]).
     RebalanceHint,
 }
 

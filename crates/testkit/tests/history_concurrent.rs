@@ -72,13 +72,13 @@ fn run(topology: Topology, seed: Seed, salt: u64) {
 #[test]
 fn concurrent_histories_admit_a_witness_ordering_on_the_coarse_lock() {
     let seed = Seed::from_env(0x41C7);
-    run(Topology::Sharded(1), seed, 1);
+    run(Topology(1), seed, 1);
 }
 
 #[test]
 fn concurrent_histories_admit_a_witness_ordering_on_sharded_topologies() {
     let seed = Seed::from_env(0x41C8);
-    for (salt, topology) in [(2u64, Topology::Sharded(1)), (3, Topology::Sharded(4))] {
+    for (salt, topology) in [(2u64, Topology(1)), (3, Topology(4))] {
         run(topology, seed, salt);
     }
 }

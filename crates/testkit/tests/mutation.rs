@@ -42,13 +42,13 @@ fn replayer_catches_and_shrinks_the_bug() {
 
     // Sanity: the healthy engine replays the trace clean.
     fault::inject_ordering_bug(false);
-    for topology in [Topology::Single, Topology::Sharded(1), Topology::Sharded(4)] {
+    for topology in [Topology(1), Topology(4)] {
         replay(&trace, topology)
             .unwrap_or_else(|d| panic!("healthy engine diverged: {d}; {context}"));
     }
 
     fault::inject_ordering_bug(true);
-    for topology in [Topology::Single, Topology::Sharded(1), Topology::Sharded(4)] {
+    for topology in [Topology(1), Topology(4)] {
         // Caught: the differential replayer must notice the transposition.
         assert!(
             replay(&trace, topology).is_err(),
@@ -88,7 +88,7 @@ fn history_checker_catches_the_bug() {
     let preload: Vec<_> = (0..64u64)
         .map(|i| epst::Point::new(i * 3 + 1, i * 7 + 5))
         .collect();
-    let (_device, handle) = Topology::Sharded(1).build(128);
+    let (_device, handle) = Topology(1).build(128);
     let recorder = Recorder::new(handle, &preload).unwrap();
     fault::inject_ordering_bug(true);
     recorder.query(0, u64::MAX, 5).unwrap();

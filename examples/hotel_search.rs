@@ -15,14 +15,14 @@ use topk::{Point, QueryRequest, TopK, TopKError, UpdateBatch};
 fn main() -> Result<(), TopKError> {
     let n = 200_000u64;
     // build_auto() picks the shard count from the expected size; the rest
-    // of this example is written against the one TopK surface, so it runs
+    // of this example is written against the TopK handle, so it runs
     // unchanged whether that resolves to one shard or several.
     let index = TopK::builder()
         .block_words(512)
         .pool_bytes(16 << 20)
         .expected_n(n as usize)
         .build_auto()?;
-    println!("serving topology: {}", index.topology());
+    println!("serving shards: {}", index.shard_count());
     let device = index.device();
     let mut rng = StdRng::seed_from_u64(2014);
 

@@ -2,7 +2,7 @@
 //! size change the measured cost of the same workload, and how the index's
 //! components contribute to the space budget. The per-machine indexes are
 //! assembled entirely through the builder — no hand-built device — and
-//! queried through the topology-agnostic [`TopK`] facade.
+//! queried through the [`TopK`] serving handle.
 //!
 //! Run with `cargo run --release --example io_model_tour`.
 

@@ -1,4 +1,4 @@
-//! Quickstart: build a topology-agnostic index with `build_auto()`, run
+//! Quickstart: build the serving handle with `build_auto()`, run
 //! top-k range queries (eager and paged through an owned cursor), resume a
 //! pagination from a serialized token, and look at the I/O counters of the
 //! simulated machine.
@@ -10,8 +10,8 @@ use topk::{Point, QueryRequest, ResumeToken, TopK, TopKError};
 fn main() -> Result<(), TopKError> {
     // A machine with 4 KiB blocks (512 words of 8 bytes) and 16 MiB of
     // memory; `build_auto()` owns device construction and picks the shard
-    // count of the concurrent topology from the expected input size. The
-    // index answers every k from the pilot drain.
+    // count from the expected input size. The index answers every k from
+    // the pilot drain.
     let n = 100_000u64;
     let index = TopK::builder()
         .block_words(512)
@@ -19,7 +19,7 @@ fn main() -> Result<(), TopKError> {
         .expected_n(n as usize)
         .build_auto()?;
     let device = index.device();
-    println!("topology picked for n = {n}: {}", index.topology());
+    println!("shards picked for n = {n}: {}", index.shard_count());
 
     // Insert 100k points with pseudo-random distinct coordinates and scores.
     for i in 0..n {

@@ -13,20 +13,17 @@
 //! `cargo run --release --example stream_monitor`.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use topk::{Consistency, Point, QueryRequest, ShardedTopK, TopKError, UpdateBatch};
+use topk::{Consistency, Point, QueryRequest, TopK, TopKError, UpdateBatch};
 
 fn main() -> Result<(), TopKError> {
     let window = 50_000u64;
     let steps = 150_000u64;
-    let index = Arc::new(
-        ShardedTopK::builder()
-            .block_words(512)
-            .pool_bytes(16 << 20)
-            .expected_n(window as usize)
-            .build_sharded()?,
-    );
+    let index = TopK::builder()
+        .block_words(512)
+        .pool_bytes(16 << 20)
+        .expected_n(window as usize)
+        .build_auto()?;
     let device = index.device();
 
     let mut live: VecDeque<Point> = VecDeque::new();
@@ -50,9 +47,8 @@ fn main() -> Result<(), TopKError> {
         // read lock once and releases it, so ingest continues between pages
         // (a held read guard would stall it for the dashboard's lifetime).
         if t % 10_000 == 0 && t > 0 {
-            let mut cursor = index
-                .clone()
-                .cursor(QueryRequest::range(t - 9_999, t + 1).top(20).page_size(5))?;
+            let mut cursor =
+                index.cursor(QueryRequest::range(t - 9_999, t + 1).top(20).page_size(5))?;
             let mut top: Vec<Point> = Vec::new();
             let mut pages = 0u32;
             let (_, cost) = device.measure(|| -> Result<(), TopKError> {
@@ -88,7 +84,7 @@ fn main() -> Result<(), TopKError> {
     // Strict mode: a dashboard that must not silently mix index versions
     // pins the snapshot and is told — with a typed error — when ingest moved
     // it between two of its pages.
-    let mut strict = index.clone().cursor(
+    let mut strict = index.cursor(
         QueryRequest::range(0, steps + 1)
             .top(10)
             .page_size(5)

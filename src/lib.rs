@@ -7,7 +7,7 @@
 //! [`TopKIndex::builder`], [`TopKError`], [`UpdateBatch`] and
 //! [`QueryRequest`], and the migration table in README.md. The read plane is
 //! cursor-first: [`TopK`] (from [`IndexBuilder::build_auto`]) is the
-//! topology-agnostic handle, and [`QueryCursor`] / [`ResumeToken`] serve
+//! serving handle, and [`QueryCursor`] / [`ResumeToken`] serve
 //! long-lived, resumable reads without holding any lock between fetch
 //! rounds (DESIGN.md §6).
 

@@ -121,7 +121,7 @@ fn generated_traces_replay_clean_over_the_file_backend() {
         ..TraceSpec::new(PointDistribution::Clustered, 29)
     };
     let trace = generate(&spec);
-    let ram = replay(&trace, Topology::Sharded(1)).unwrap_or_else(|d| panic!("{d}"));
+    let ram = replay(&trace, Topology(1)).unwrap_or_else(|d| panic!("{d}"));
     let dir = scratch_dir("replay");
     let file = replay_durable(&trace, &dir).unwrap_or_else(|d| panic!("{d}"));
     // Identical logical sequence: both replays apply and check the same ops.
@@ -276,28 +276,23 @@ fn durable_build_auto_is_one_shard_that_resumes_its_stamp() {
     };
     let last_stamp = {
         let handle = open();
-        let TopK::Sharded(sharded) = &handle else {
-            panic!("a durable build_auto handle must be sharded, got {handle:?}");
-        };
-        assert_eq!(sharded.shard_count(), 1);
+        assert_eq!(handle.shard_count(), 1);
         assert_eq!(handle.recovered_stamp(), Some(0));
         for i in 0..40u64 {
             handle.insert(Point::new(i * 5 + 1, i * 11 + 3)).unwrap();
         }
         assert!(handle.delete(Point::new(1, 3)).unwrap());
-        let stamp = sharded.read().version();
+        let stamp = handle.read().version();
         stamp
     };
     let handle = open();
-    let TopK::Sharded(sharded) = &handle else {
-        panic!("a reopened durable handle must be sharded, got {handle:?}");
-    };
+    assert_eq!(handle.shard_count(), 1);
     let recovered = handle.recovered_stamp().unwrap();
     assert!(
         recovered >= 41,
         "41 committed writes, recovered stamp {recovered}"
     );
-    assert!(sharded.read().version() >= recovered.max(last_stamp));
+    assert!(handle.read().version() >= recovered.max(last_stamp));
     assert_eq!(handle.len(), 39);
     assert_eq!(
         handle.query(0, u64::MAX, 1).unwrap(),
@@ -306,7 +301,7 @@ fn durable_build_auto_is_one_shard_that_resumes_its_stamp() {
     // The recovered contents seed the shard's bookkeeping: a duplicate score
     // from before the restart is still rejected.
     assert!(handle.insert(Point::new(10_000, 14)).is_err());
-    sharded.check_invariants();
+    handle.check_invariants();
     drop(handle);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -355,9 +350,7 @@ fn durable_one_shard_rebuild_batches_survive_reopen() {
     got.sort_by_key(|p| p.x);
     assert_eq!(got, want, "a committed batch did not survive the reopen");
     assert_eq!(handle.len(), 200);
-    if let TopK::Sharded(sharded) = &handle {
-        sharded.check_invariants();
-    }
+    handle.check_invariants();
     drop(handle);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -586,9 +579,7 @@ fn a_directory_written_before_the_pilot_only_index_reopens_unchanged() {
         handle.query(3_000, u64::MAX, 2).unwrap(),
         vec![Point::new(3_500, 100_500)]
     );
-    if let TopK::Sharded(sharded) = &handle {
-        sharded.check_invariants();
-    }
+    handle.check_invariants();
     drop(handle);
     std::fs::remove_dir_all(&dir).ok();
 }

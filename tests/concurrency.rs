@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use emsim::{Device, EmConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use topk_core::{Oracle, Point, ShardedTopK, TopKConfig, TopKError, UpdateBatch, UpdateOp};
+use topk_core::{Oracle, Point, ShardedTopK, TopK, TopKConfig, TopKError, UpdateBatch, UpdateOp};
 use topk_testkit::Seed;
 
 fn points(seed: u64, lo: u64, n: u64) -> Vec<Point> {
@@ -183,11 +183,11 @@ fn sharded_multi_writer_batches_are_atomic_and_rebalance_is_never_torn() {
     let (span, mut terr) = workload::territories(41, WRITERS + 1, 2 * PRELOAD);
     let growth = terr.pop().unwrap();
     let device = Device::new(EmConfig::new(256, 256 * 256));
-    let index = ShardedTopK::builder()
+    let index = TopK::builder()
         .device(&device)
         .shards(WRITERS)
         .expected_n((WRITERS + 1) * 2 * PRELOAD)
-        .build_sharded()
+        .build_auto()
         .unwrap();
     let preload: Vec<Point> = terr
         .iter()
@@ -355,7 +355,7 @@ fn recorded_histories_admit_witness_orderings_under_rebalance() {
     let seed = Seed::from_env(0x5EC0);
     let context = format!("seed={seed}; {}", seed.repro("concurrency"));
     let plan = generate_concurrent(seed.derive(9), WRITERS, 150, 100, READERS, 80);
-    let (_device, handle) = Topology::Sharded(WRITERS).build(plan.preload.len() * 2);
+    let (_device, handle) = Topology(WRITERS).build(plan.preload.len() * 2);
     let recorder = Recorder::new(handle, &plan.preload).unwrap();
 
     std::thread::scope(|scope| {
@@ -393,11 +393,9 @@ fn recorded_histories_admit_witness_orderings_under_rebalance() {
         // The repartition thread: rebalances consume commit stamps while
         // writers and readers are mid-flight.
         scope.spawn(move || {
-            if let topk_core::TopK::Sharded(sharded) = recorder.handle() {
-                for _ in 0..8 {
-                    sharded.rebalance_now().unwrap();
-                    std::thread::yield_now();
-                }
+            for _ in 0..8 {
+                recorder.handle().rebalance_now().unwrap();
+                std::thread::yield_now();
             }
         });
     });

@@ -1,6 +1,6 @@
 //! Randomized cross-checks, generic over engines: every [`RankedIndex`]
-//! implementation — the serving index (bare, sharded at one and four shards,
-//! and behind the `TopK` facade), Theorem 1's `TheoremOne` with both
+//! implementation — the serving index (bare, and behind the `TopK` handle
+//! at one and four shards), Theorem 1's `TheoremOne` with both
 //! small-k engines, and both baselines — must agree with the in-memory
 //! oracle on every query, for arbitrary point sets and query parameters.
 //! (Formerly proptest-based; now seeded random cases with the same shape,
@@ -30,37 +30,21 @@ fn distinct_points(raw: Vec<(u64, u64)>) -> Vec<Point> {
 /// Every engine in the workspace, as trait objects on one shared device.
 fn engines(device: &Device) -> Vec<(&'static str, Box<dyn RankedIndex>)> {
     let theorem_one = |engine| TheoremOne::new(device, TopKConfig::for_tests(), engine);
+    let sharded = |shards| TopK::from(ShardedTopK::new(device, TopKConfig::for_tests(), shards));
     vec![
         ("topk-polylog", Box::new(theorem_one(SmallKEngine::Polylog))),
         ("topk-st12", Box::new(theorem_one(SmallKEngine::St12))),
         (
-            "sharded-1",
-            Box::new(ShardedTopK::new(device, TopKConfig::for_tests(), 1)),
+            "bare",
+            Box::new(TopKIndex::new(device, TopKConfig::for_tests())),
         ),
-        (
-            "sharded",
-            Box::new(ShardedTopK::new(device, TopKConfig::for_tests(), 4)),
-        ),
+        ("sharded-1", Box::new(sharded(1))),
+        ("sharded-4", Box::new(sharded(4))),
         (
             "naive",
             Box::new(baselines::NaiveTopK::new(device, "naive")),
         ),
         ("ram-pst", Box::new(baselines::RamPst::new(device))),
-        (
-            "facade-single",
-            Box::new(TopK::single(TopKIndex::new(
-                device,
-                TopKConfig::for_tests(),
-            ))),
-        ),
-        (
-            "facade-sharded",
-            Box::new(TopK::sharded(ShardedTopK::new(
-                device,
-                TopKConfig::for_tests(),
-                4,
-            ))),
-        ),
     ]
 }
 

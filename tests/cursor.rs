@@ -1,7 +1,8 @@
 //! Acceptance tests for the owned cursor read plane: resume equivalence
-//! against the `NaiveTopK` oracle across every `TopK` topology (sharded at
-//! 1, 4 and 16 shards) and every `workload::PointGen` distribution, plus the
-//! strict-mode invalidation contract with an interleaved writer.
+//! against the `NaiveTopK` oracle across every cursor source (a bare
+//! `Arc<TopKIndex>`, and `TopK` handles at 1, 4 and 16 shards) and every
+//! `workload::PointGen` distribution, plus the strict-mode invalidation
+//! contract with an interleaved writer.
 //!
 //! The core property under test is the paper's threshold-set guarantee made
 //! operational: a cursor position is fully described by `(emitted count,
@@ -17,8 +18,8 @@ use emsim::{Device, EmConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use topk::{
-    Consistency, Point, QueryRequest, RankedIndex, ResumeToken, ShardedTopK, TopK, TopKError,
-    TopKIndex,
+    Consistency, Point, QueryCursor, QueryRequest, RankedIndex, ResumeToken, ShardedTopK, TopK,
+    TopKError, TopKIndex,
 };
 use topk_testkit::Seed;
 use workload::{PointDistribution, PointGen};
@@ -29,10 +30,37 @@ fn device() -> Device {
     Device::new(EmConfig::new(256, 256 * 256))
 }
 
-/// Every topology the facade serves, on its own device: Single, the
-/// `build_auto` default for this size (one shard), and Sharded at 1, 4 and
-/// 16 shards.
-fn topologies() -> Vec<(String, Device, TopK)> {
+/// A cursor source under test: a bare index, whose cursors come from
+/// `TopKIndex::cursor`, or a `TopK` handle. Both answer the rest of the
+/// API through `RankedIndex`.
+enum Source {
+    Bare(Arc<TopKIndex>),
+    Handle(TopK),
+}
+
+impl Source {
+    fn cursor(&self, request: QueryRequest) -> Result<QueryCursor, TopKError> {
+        match self {
+            Source::Bare(index) => Arc::clone(index).cursor(request),
+            Source::Handle(handle) => handle.cursor(request),
+        }
+    }
+}
+
+impl std::ops::Deref for Source {
+    type Target = dyn RankedIndex;
+
+    fn deref(&self) -> &Self::Target {
+        match self {
+            Source::Bare(index) => &**index,
+            Source::Handle(handle) => handle,
+        }
+    }
+}
+
+/// Every cursor source, on its own device: a bare index, the `build_auto`
+/// default for this size (one shard), and handles at 1, 4 and 16 shards.
+fn topologies() -> Vec<(String, Device, Source)> {
     let mut out = Vec::new();
     let dev = device();
     let index = TopKIndex::builder()
@@ -40,23 +68,23 @@ fn topologies() -> Vec<(String, Device, TopK)> {
         .expected_n(N)
         .build()
         .unwrap();
-    out.push(("single".to_string(), dev, TopK::single(index)));
+    out.push(("bare".to_string(), dev, Source::Bare(Arc::new(index))));
     let dev = device();
     let handle = TopK::builder()
         .device(&dev)
         .expected_n(N)
         .build_auto()
         .unwrap();
-    out.push(("auto".to_string(), dev, handle));
+    out.push(("auto".to_string(), dev, Source::Handle(handle)));
     for shards in [1usize, 4, 16] {
         let dev = device();
-        let index = ShardedTopK::builder()
+        let handle = TopK::builder()
             .device(&dev)
             .expected_n(N)
             .shards(shards)
-            .build_sharded()
+            .build_auto()
             .unwrap();
-        out.push((format!("sharded-{shards}"), dev, TopK::sharded(index)));
+        out.push((format!("sharded-{shards}"), dev, Source::Handle(handle)));
     }
     out
 }
@@ -65,7 +93,7 @@ fn topologies() -> Vec<(String, Device, TopK)> {
 /// token's *string* form (the process boundary), and return the
 /// concatenation of everything emitted before and after the resume.
 fn paginate_with_resume(
-    handle: &TopK,
+    handle: &Source,
     request: QueryRequest,
     pages: usize,
 ) -> Result<Vec<Point>, TopKError> {
@@ -208,17 +236,14 @@ fn per_round_cursors_see_writes_below_the_mark_and_skip_above() {
     // [100, 99, 98, ...], an insert *above* the low-water mark is skipped
     // and an insert *below* it is picked up by a later round.
     let device = device();
-    let index = Arc::new(
-        ShardedTopK::builder()
-            .device(&device)
-            .expected_n(256)
-            .build_sharded()
-            .unwrap(),
-    );
+    let index = TopK::builder()
+        .device(&device)
+        .expected_n(256)
+        .build_auto()
+        .unwrap();
     let pts: Vec<Point> = (1..=100u64).map(|i| Point::new(i * 10, i * 100)).collect();
     index.bulk_build(&pts).unwrap();
     let mut cursor = index
-        .clone()
         .cursor(QueryRequest::range(0, u64::MAX).top(100).page_size(10))
         .unwrap();
     let first = cursor.next_batch().unwrap();
@@ -239,32 +264,36 @@ fn per_round_cursors_see_writes_below_the_mark_and_skip_above() {
 #[test]
 fn cursors_come_from_arcs_and_the_ranked_index_extension() {
     // The acceptance shape: an owned cursor straight from an
-    // Arc<ShardedTopK> at one and four shards, no facade in sight.
+    // Arc<TopKIndex>, and from handles at one and four shards.
     let device = device();
-    let one_shard = Arc::new(ShardedTopK::new(&device, topk::TopKConfig::for_tests(), 1));
+    let bare = Arc::new(TopKIndex::new(&device, topk::TopKConfig::for_tests()));
     let pts = PointGen::uniform(3).generate(300);
-    one_shard.bulk_build(&pts).unwrap();
-    let got: Vec<Point> = one_shard
-        .clone()
+    bare.bulk_build(&pts).unwrap();
+    let got: Vec<Point> = Arc::clone(&bare)
         .cursor(QueryRequest::range(0, u64::MAX).top(40))
         .unwrap()
         .map(Result::unwrap)
         .collect();
-    assert_eq!(got, one_shard.query(0, u64::MAX, 40).unwrap());
+    assert_eq!(got, bare.query(0, u64::MAX, 40).unwrap());
 
-    let sharded = Arc::new(ShardedTopK::new(&device, topk::TopKConfig::for_tests(), 4));
-    sharded.bulk_build(&pts).unwrap();
-    let got: Vec<Point> = sharded
-        .clone()
-        .cursor(QueryRequest::range(0, u64::MAX).top(40))
-        .unwrap()
-        .map(Result::unwrap)
-        .collect();
-    assert_eq!(got, sharded.query(0, u64::MAX, 40).unwrap());
+    for shards in [1, 4] {
+        let handle = TopK::from(ShardedTopK::new(
+            &device,
+            topk::TopKConfig::for_tests(),
+            shards,
+        ));
+        handle.bulk_build(&pts).unwrap();
+        let got: Vec<Point> = handle
+            .cursor(QueryRequest::range(0, u64::MAX).top(40))
+            .unwrap()
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!(got, handle.query(0, u64::MAX, 40).unwrap(), "{shards}");
+    }
 
     // Through the trait: TopK serves cursors, bare engines direct callers to
-    // the facade instead of panicking.
-    let facade: Box<dyn RankedIndex> = Box::new(TopK::sharded(ShardedTopK::new(
+    // the handle instead of panicking.
+    let facade: Box<dyn RankedIndex> = Box::new(TopK::from(ShardedTopK::new(
         &device,
         topk::TopKConfig::for_tests(),
         2,
@@ -521,16 +550,16 @@ fn one_point_pages_continue_below_a_top_scored_mark_across_writes() {
     // short page while points remain.
     let topologies = || {
         let dev = device();
-        let single = TopKIndex::builder().device(&dev).expected_n(64).build();
+        let bare = TopKIndex::builder().device(&dev).expected_n(64).build();
         let dev = device();
-        let sharded = ShardedTopK::builder()
+        let sharded = TopK::builder()
             .device(&dev)
             .expected_n(64)
             .shards(4)
-            .build_sharded();
+            .build_auto();
         [
-            ("single", TopK::single(single.unwrap())),
-            ("sharded-4", TopK::sharded(sharded.unwrap())),
+            ("bare", Source::Bare(Arc::new(bare.unwrap()))),
+            ("sharded-4", Source::Handle(sharded.unwrap())),
         ]
     };
     for (name, handle) in topologies() {

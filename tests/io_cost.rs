@@ -13,7 +13,9 @@
 use emsim::{Device, EmConfig};
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, Rng, SeedableRng};
-use topk_core::{Point, RankedIndex, ShardedTopK, SmallKEngine, TheoremOne, TopKConfig, TopKIndex};
+use topk_core::{
+    Point, RankedIndex, ShardedTopK, SmallKEngine, TheoremOne, TopK, TopKConfig, TopKIndex,
+};
 
 fn random_points(seed: u64, n: usize) -> Vec<Point> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -130,11 +132,11 @@ fn fan_out_reads_stay_within_per_shard_bound(shards: usize) {
     // for the cross-policy miss-rate bound).
     let em = EmConfig::new(512, 512 * 64).exact_lru();
     let device = Device::new(em);
-    let index = ShardedTopK::builder()
+    let index = TopK::builder()
         .device(&device)
         .shards(shards)
         .expected_n(n)
-        .build_sharded()
+        .build_auto()
         .unwrap();
     let pts = random_points(3, n);
     index.bulk_build(&pts).unwrap();
@@ -230,11 +232,11 @@ fn two_shard_fan_outs_read_about_what_their_shares_read_alone() {
     let n = 40_000usize;
     let em = EmConfig::new(512, 512 * 64).exact_lru();
     let device = Device::new(em);
-    let index = ShardedTopK::builder()
+    let index = TopK::builder()
         .device(&device)
         .shards(4)
         .expected_n(n)
-        .build_sharded()
+        .build_auto()
         .unwrap();
     index.bulk_build(&random_points(3, n)).unwrap();
     let domain = 3 * n as u64;

@@ -4,8 +4,8 @@
 //! misses, so this harness generates long mixed
 //! insert/delete/query/batch/cursor workloads — seeded traces from
 //! `topk_testkit::gen` under **all five** `workload::PointDistribution`s —
-//! and replays them against **every serving topology** (`single`,
-//! `sharded-{1,4,16}`) under full differential checking
+//! and replays them against **every serving topology**
+//! (`sharded-{1,4,16}`) under full differential checking
 //! against the `NaiveTopK` scan spec: every query answer, count, batch
 //! summary, cursor page and token round-trip is compared, with periodic
 //! length/ranking/invariant deep checks (this machinery previously lived
@@ -58,11 +58,7 @@ fn delete_heavy_workloads_match_the_spec() {
                 ..TraceSpec::new(distribution, seed.derive(0x6F ^ distribution as u64))
             };
             let trace = generate(&spec);
-            for topology in [
-                Topology::Single,
-                Topology::Sharded(4),
-                Topology::Sharded(16),
-            ] {
+            for topology in Topology::ALL {
                 replay_or_shrink(
                     &trace,
                     topology,
