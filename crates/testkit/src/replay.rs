@@ -120,7 +120,7 @@ pub fn replay(trace: &Trace, topology: Topology) -> Result<ReplayStats, Divergen
 }
 
 /// Replay `trace` against a durable index in the directory `dir`: the
-/// engine is a one-shard [`Topology`] appending one synced
+/// engine is a one-shard handle (`Topology(1)`) appending one synced
 /// journal frame per commit (a directory has one journal, so a durable
 /// index is one shard). `dir` must be fresh — the sequential spec starts empty, so a
 /// directory with recovered state diverges at step 0 by construction.
